@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .critical import (EnvelopeViolationError, fit_exponent,
+from .critical import (EnvelopeViolationError, envelope_to_csv, fit_exponent,
                        fit_report_document, verify_envelope)
 from .eigen import eigen_header, eigen_to_csv, solve_radial as radial_modes, solve_sl
 from .exact import build_series, eval_series, series_manifest, series_to_csv
@@ -446,16 +446,7 @@ def cmd_critical(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_NUMERIC
 
-    with open(out + "_envelope.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "coordinate", "lower", "field", "upper", "slack"])
-        for i, t in enumerate(envelope.times):
-            for j, x in enumerate(envelope.grid):
-                lo = envelope.lower[i, j]
-                hi = envelope.upper[i, j]
-                mid = envelope.field[i, j]
-                writer.writerow([_g(t), _g(x), _g(lo), _g(mid), _g(hi),
-                                 _g(min(mid - lo, hi - mid))])
+    envelope_to_csv(envelope, out + "_envelope.csv")
 
     report = fit_exponent(motion, n_dim=n_dim, probes=probes, t_final=t_final,
                           window=window, grid_size=grid, dt=dt,

@@ -443,6 +443,11 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
 
 
 def envelope_to_csv(pair: EnvelopePair, path) -> None:
+    """Long-format CSV of the barriers and the field at every checked node.
+
+    The slack column is the smaller barrier gap relative to the field's sup
+    norm at that time, the quantity ``verify_envelope`` gates on.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "xi", "lower", "field", "upper", "slack"])
@@ -548,34 +553,39 @@ def fit_report_document(report: CriticalFitReport) -> dict:
     }
 
 
-def _probe_log_psi(motion, solution, y, times):
-    """log psi(boundary + y, t) reassembled from a potential-form snapshot."""
-    out = np.empty(times.size)
+def _probe_log_psi(motion, solution, probes, times):
+    """log psi(boundary + y, t) reassembled from potential-form snapshots.
+
+    Returns one row per probe offset y and one column per time.  Each
+    snapshot's spline, kinematics and time factor are computed once and read
+    at every probe.
+    """
+    out = np.empty((len(probes), times.size))
     D = motion.physics.D
     L0 = motion.L0
+    R0 = 0.5 * L0
     for i, t in enumerate(times):
         t = float(t)
-        state = eval_motion(motion, t)
+        L, Ldot = _kinematics(motion, t)[:2]
         idx = int(np.argmin(np.abs(solution.times - t)))
-        spline = CubicSpline(solution.grid, solution.values[idx])
         ltf = log_time_factor(motion, t)
         if solution.kind == "w":
-            xi_y = y * L0 / state.L
-            w_val = float(spline(xi_y))
-            log_extra = 0.5 * math.log(L0 / state.L) \
-                + y * (1.0 - y / state.L) * state.Ldot / (4.0 * D)
+            at = [y * L0 / L for y in probes]
+            extra = [0.5 * math.log(L0 / L) + y * (1.0 - y / L) * Ldot / (4.0 * D)
+                     for y in probes]
         else:
-            R = 0.5 * state.L
-            R0 = 0.5 * L0
-            r_y = (R - y) * R0 / R
-            w_val = float(spline(r_y))
-            Rdot = 0.5 * state.Ldot
-            log_extra = 0.5 * solution.n_dim * math.log(R0 / R) \
-                - Rdot * R * (r_y ** 2 - R0 ** 2) / (4.0 * D * R0 ** 2)
-        if w_val <= 0.0:
-            raise RuntimeError(
-                f"probe value nonpositive at t={t:.6g}, offset y={y}; cannot fit a log slope")
-        out[i] = math.log(w_val) + ltf + log_extra
+            R = 0.5 * L
+            Rdot = 0.5 * Ldot
+            at = [(R - y) * R0 / R for y in probes]
+            extra = [0.5 * solution.n_dim * math.log(R0 / R)
+                     - Rdot * R * (r ** 2 - R0 ** 2) / (4.0 * D * R0 ** 2) for r in at]
+        w_vals = CubicSpline(solution.grid, solution.values[idx])(at)
+        for j, (y, w_val, log_extra) in enumerate(zip(probes, w_vals, extra)):
+            if w_val <= 0.0:
+                raise RuntimeError(
+                    f"probe value nonpositive at t={t:.6g}, offset y={y}; "
+                    "cannot fit a log slope")
+            out[j, i] = math.log(w_val) + ltf + log_extra
     return out
 
 
@@ -663,7 +673,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         if times.size < 8:
             raise ValueError(
                 f"only {times.size} output times fall in the fit window; need >= 8")
-        logs = [_probe_log_psi(motion, solution, float(y), times) for y in probes]
+        logs = _probe_log_psi(motion, solution, [float(y) for y in probes], times)
     else:
         # balanced spreading interval: exact series, no solver
         if n_dim != 1:

@@ -12,6 +12,11 @@ time even though the coefficients are time dependent.  Spatial discretisation
 is the standard second-order stencil; the radial solver uses a conservative
 finite-volume form whose r = 0 row encodes the regularity condition W'(0) = 0.
 
+One kernel marches all three.  Its unknowns are the interior nodes only
+(1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
+unknown and are stored as exact zeros.  Each step is one call to LAPACK's
+tridiagonal solver ``dgtsv``.
+
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
 
@@ -22,8 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
+from .eigen import _radial_volumes
 from .motion import (
     BoundaryMotion,
     DomainCollapsedError,
@@ -91,46 +97,42 @@ def _prepare_run(motion: BoundaryMotion, ic, grid: np.ndarray, dt: float,
     return field0, n_steps, dt_eff, idx
 
 
-def _apply_rows(low, diag, up, u):
-    res = diag * u
-    res[:-1] += up[:-1] * u[1:]
-    res[1:] += low[1:] * u[:-1]
-    return res
+def _march(rows, v0, n_steps, dt, theta, out_idx):
+    """Advance (I - theta dt A) v_new = (I + (1-theta) dt A) v_old.
 
-
-def _march(build_rows, field0, n_steps, dt, theta, out_idx, pin=()):
-    """Advance (I - theta dt L) u_new = (I + (1-theta) dt L) u_old.
-
-    ``pin`` lists Dirichlet rows; they are decoupled from the system, but the
-    banded solve's pivoting smears roundoff into them, so they are re-zeroed
-    after every step.
+    ``v0`` holds the interior unknowns only.  ``rows(t)`` returns the
+    sub-diagonal, diagonal and super-diagonal of A at the half step t; the
+    Dirichlet neighbours are zero, so their couplings are simply left out.
+    The kernel only reads those arrays.  Each step is one LAPACK ``dgtsv``
+    solve.  Returns the unknowns at the step indices ``out_idx``.
     """
-    u = field0.copy()
-    n = u.size
-    snaps = []
-    if out_idx and out_idx[0] == 0:
-        snaps.append(u.copy())
-    wanted = set(out_idx)
-    ab = np.empty((3, n))
-    ab[0, 0] = 0.0
-    ab[2, -1] = 0.0
+    v = v0.copy()
+    snaps = np.empty((len(out_idx), v.size))
+    slot = {k: i for i, k in enumerate(out_idx)}
+    if 0 in slot:
+        snaps[slot[0]] = v
+    explicit = (1.0 - theta) * dt
+    implicit = theta * dt
     for k in range(n_steps):
-        low, diag, up = build_rows((k + 0.5) * dt)
-        rhs = u + (1.0 - theta) * dt * _apply_rows(low, diag, up, u)
-        ab[0, 1:] = -theta * dt * up[:-1]
-        ab[1, :] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * low[1:]
-        u = solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=True)
-        for j in pin:
-            u[j] = 0.0
-        if (k + 1) in wanted:
-            if not np.all(np.isfinite(u)):
+        sub, diag, sup = rows((k + 0.5) * dt)
+        rhs = diag * v
+        rhs[:-1] += sup * v[1:]
+        rhs[1:] += sub * v[:-1]
+        rhs *= explicit
+        rhs += v
+        v, info = dgtsv(sub * -implicit, 1.0 - implicit * diag, sup * -implicit, rhs,
+                        True, True, True, True)[3:]
+        if info:
+            raise np.linalg.LinAlgError(
+                f"theta step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
+        if k + 1 in slot:
+            if not np.all(np.isfinite(v)):
                 raise RuntimeError(f"solver produced non-finite values by t={(k + 1) * dt}")
-            snaps.append(u.copy())
-    return np.array(snaps)
+            snaps[slot[k + 1]] = v
+    return snaps
 
 
-def _check_explicit_stability(theta, dt, h, motion, T, extra=0.0):
+def _check_explicit_stability(theta, dt, h, motion, T):
     """For theta < 1/2 the scheme is conditionally stable; refuse unstable steps."""
     if theta >= 0.5:
         return
@@ -138,11 +140,42 @@ def _check_explicit_stability(theta, dt, h, motion, T, extra=0.0):
     for t in np.linspace(0.0, T, 129):
         L = _kinematics(motion, float(t))[0]
         worst = max(worst, motion.physics.D * (motion.L0 / L) ** 2)
-    limit = h * h / (2.0 * (1.0 - 2.0 * theta) * (worst + extra * h * h))
+    limit = h * h / (2.0 * (1.0 - 2.0 * theta) * worst)
     if dt > limit:
         raise ValueError(
             f"explicit component unstable: dt={dt} exceeds the stability limit "
             f"{limit:.3e} for theta={theta}")
+
+
+def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
+           dt: float, T: float, output_times, theta: float, n_dim: int,
+           make_rows) -> GridSolution:
+    """Shared run: grid, checks, the march and the ``GridSolution``.
+
+    ``make_rows(nodes, h)`` receives the interior nodes and the spacing and
+    returns the ``rows(t)`` that ``_march`` calls.  Interval runs have a
+    Dirichlet node at each end; radial runs only at r = R0.
+    """
+    if grid_size < 8:
+        raise ValueError("grid_size must be at least 8")
+    grid = np.linspace(0.0, extent, grid_size + 1)
+    h = extent / grid_size
+    field0, n_steps, dt_eff, out_idx = _prepare_run(
+        motion, ic, grid, dt, T, output_times, theta)
+    interior = slice(0, -1) if kind == "radial" else slice(1, -1)
+    scale = np.max(np.abs(field0)) or 1.0
+    if kind == "radial":
+        if abs(field0[-1]) > 1e-12 * scale:
+            raise ValueError("initial data must vanish on the ball boundary")
+    elif abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
+        raise ValueError("initial data must vanish at both endpoints")
+    _check_explicit_stability(theta, dt_eff, h, motion, T)
+    values = np.zeros((len(out_idx), grid.size))
+    values[:, interior] = _march(make_rows(grid[interior], h), field0[interior],
+                                 n_steps, dt_eff, theta, out_idx)
+    times = np.array([i * dt_eff for i in out_idx])
+    return GridSolution(kind, grid, times, values, dt_eff, theta, n_dim,
+                        motion_content_hash(motion))
 
 
 def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
@@ -152,86 +185,54 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
     Rejects runs whose cell Peclet number |V| h / D_eff exceeds 2 at any step:
     the centred advection stencil would lose its comparison structure there.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
     L0 = motion.L0
-    grid = np.linspace(0.0, L0, grid_size + 1)
-    h = L0 / grid_size
-    field0, n_steps, dt_eff, out_idx = _prepare_run(
-        motion, u0, grid, dt, T, output_times, theta)
-    scale = np.max(np.abs(field0)) or 1.0
-    if abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
-        raise ValueError("initial data must vanish at both endpoints")
-    field0[0] = field0[-1] = 0.0
-    _check_explicit_stability(theta, dt_eff, h, motion, T)
     D, f0 = motion.physics.D, motion.physics.f0
-    low = np.zeros(grid_size + 1)
-    up = np.zeros(grid_size + 1)
-    diag = np.zeros(grid_size + 1)
 
-    def build_rows(t):
-        L, Ldot, _, _, Adot, _ = _kinematics(motion, t)
-        d_eff = D * (L0 / L) ** 2
-        vel = (Adot * L0 + grid[1:-1] * Ldot) / L
-        peclet = np.max(np.abs(vel)) * h / d_eff
-        if peclet > 2.0:
-            need = int(math.ceil(grid_size * peclet / 2.0)) + 1
-            raise ValueError(
-                f"cell Peclet number {peclet:.2f} exceeds 2 at t={t:.6g}; "
-                f"increase grid_size to at least {need}")
-        low[1:-1] = d_eff / h ** 2 - vel / (2.0 * h)
-        diag[1:-1] = -2.0 * d_eff / h ** 2 + f0
-        up[1:-1] = d_eff / h ** 2 + vel / (2.0 * h)
-        return low, diag, up
+    def make_rows(xi, h):
+        ones = np.ones(xi.size)
 
-    values = _march(build_rows, field0, n_steps, dt_eff, theta, out_idx, pin=(0, -1))
-    times = np.array([i * dt_eff for i in out_idx])
-    return GridSolution("u", grid, times, values, dt_eff, theta, 1,
-                        motion_content_hash(motion))
+        def rows(t):
+            L, Ldot, _, _, Adot, _ = _kinematics(motion, t)
+            d_eff = D * (L0 / L) ** 2
+            vel = (Adot * L0 + xi * Ldot) / L
+            peclet = np.max(np.abs(vel)) * h / d_eff
+            if peclet > 2.0:
+                need = int(math.ceil(grid_size * peclet / 2.0)) + 1
+                raise ValueError(
+                    f"cell Peclet number {peclet:.2f} exceeds 2 at t={t:.6g}; "
+                    f"increase grid_size to at least {need}")
+            adv = vel / (2.0 * h)
+            return ((d_eff / h ** 2 - adv)[1:],
+                    (-2.0 * d_eff / h ** 2 + f0) * ones,
+                    (d_eff / h ** 2 + adv)[:-1])
+        return rows
+
+    return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, theta, 1,
+                  make_rows)
 
 
 def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
             T: float = 1.0, output_times=None, theta: float = 0.5) -> GridSolution:
     """Integrate the potential form of w on [0, L0]; needs a centred motion."""
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
     require_centered(motion, T)
     L0 = motion.L0
-    grid = np.linspace(0.0, L0, grid_size + 1)
-    h = L0 / grid_size
-    field0, n_steps, dt_eff, out_idx = _prepare_run(
-        motion, w0, grid, dt, T, output_times, theta)
-    scale = np.max(np.abs(field0)) or 1.0
-    if abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
-        raise ValueError("initial data must vanish at both endpoints")
-    field0[0] = field0[-1] = 0.0
-    _check_explicit_stability(theta, dt_eff, h, motion, T)
     D = motion.physics.D
-    shape = (grid[1:-1] / L0) * (grid[1:-1] / L0 - 1.0)
-    low = np.zeros(grid_size + 1)
-    up = np.zeros(grid_size + 1)
-    diag = np.zeros(grid_size + 1)
 
-    def build_rows(t):
-        L, _, Lddot = _kinematics(motion, t)[:3]
-        d_eff = D * (L0 / L) ** 2
-        # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
-        pot = (Lddot * L / (4.0 * D)) * shape
-        low[1:-1] = d_eff / h ** 2
-        diag[1:-1] = -2.0 * d_eff / h ** 2 + pot
-        up[1:-1] = d_eff / h ** 2
-        return low, diag, up
+    def make_rows(xi, h):
+        shape = (xi / L0) * (xi / L0 - 1.0)
+        ones = np.ones(xi.size - 1)
 
-    values = _march(build_rows, field0, n_steps, dt_eff, theta, out_idx, pin=(0, -1))
-    times = np.array([i * dt_eff for i in out_idx])
-    return GridSolution("w", grid, times, values, dt_eff, theta, 1,
-                        motion_content_hash(motion))
+        def rows(t):
+            L, _, Lddot = _kinematics(motion, t)[:3]
+            d_eff = D * (L0 / L) ** 2
+            # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
+            pot = (Lddot * L / (4.0 * D)) * shape
+            off = (d_eff / h ** 2) * ones
+            return off, -2.0 * d_eff / h ** 2 + pot, off
+        return rows
 
-
-def _radial_volumes(grid: np.ndarray, h: float, n_dim: int) -> np.ndarray:
-    lo = np.clip(grid - 0.5 * h, 0.0, None)
-    hi = grid + 0.5 * h
-    return (hi ** n_dim - lo ** n_dim) / n_dim
+    return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, theta, 1,
+                  make_rows)
 
 
 def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
@@ -240,47 +241,32 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
     """Integrate the radial potential form of W on [0, R0] with R = L/2.
 
     ``motion`` describes the ball diameter and must be centred.  The r = 0 row
-    is the finite-volume regularity row; r = R0 is a Dirichlet row.
+    is the finite-volume regularity row; r = R0 is a Dirichlet node.
     """
     if n_dim not in (1, 2, 3):
         raise ValueError(f"n_dim must be 1, 2 or 3, got {n_dim}")
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
     require_centered(motion, T)
     R0 = 0.5 * motion.L0
-    grid = np.linspace(0.0, R0, grid_size + 1)
-    h = R0 / grid_size
-    field0, n_steps, dt_eff, out_idx = _prepare_run(
-        motion, W0, grid, dt, T, output_times, theta)
-    scale = np.max(np.abs(field0)) or 1.0
-    if abs(field0[-1]) > 1e-12 * scale:
-        raise ValueError("initial data must vanish on the ball boundary")
-    field0[-1] = 0.0
-    _check_explicit_stability(theta, dt_eff, h, motion, T)
     D = motion.physics.D
-    mu = _radial_volumes(grid[:-1], h, n_dim)
-    face_hi = (grid[:-1] + 0.5 * h) ** (n_dim - 1)
-    face_lo = np.concatenate(([0.0], face_hi[:-1]))
-    shape = grid[:-1] ** 2 / R0 ** 2 - 1.0
-    low = np.zeros(grid_size + 1)
-    up = np.zeros(grid_size + 1)
-    diag = np.zeros(grid_size + 1)
 
-    def build_rows(t):
-        L, _, Lddot = _kinematics(motion, t)[:3]
-        R = 0.5 * L
-        d_eff = D * (R0 / R) ** 2
-        # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
-        pot = (0.25 * Lddot * L / (4.0 * D)) * shape
-        up[:-1] = d_eff * face_hi / (mu * h)
-        low[:-1] = d_eff * face_lo / (mu * h)
-        diag[:-1] = -(up[:-1] + low[:-1]) + pot
-        return low, diag, up
+    def make_rows(r, h):
+        cell = _radial_volumes(r, h, n_dim) * h
+        face_hi = (r + 0.5 * h) ** (n_dim - 1)
+        face_lo = np.concatenate(([0.0], face_hi[:-1]))
+        shape = r ** 2 / R0 ** 2 - 1.0
 
-    values = _march(build_rows, field0, n_steps, dt_eff, theta, out_idx, pin=(-1,))
-    times = np.array([i * dt_eff for i in out_idx])
-    return GridSolution("radial", grid, times, values, dt_eff, theta, n_dim,
-                        motion_content_hash(motion))
+        def rows(t):
+            L, _, Lddot = _kinematics(motion, t)[:3]
+            d_eff = D * (R0 / (0.5 * L)) ** 2
+            # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
+            pot = (0.25 * Lddot * L / (4.0 * D)) * shape
+            up = d_eff * face_hi / cell
+            low = d_eff * face_lo / cell
+            return low[1:], -(up + low) + pot, up[:-1]
+        return rows
+
+    return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, theta,
+                  n_dim, make_rows)
 
 
 def grid_to_csv(solution: GridSolution, path) -> None:

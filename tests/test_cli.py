@@ -168,7 +168,7 @@ class TestCriticalCommand:
         assert env["C2"] == pytest.approx(0.685295, rel=1e-3)
         assert env["worst_slack"] >= -1e-8
         lines = (tmp_path / "crit_envelope.csv").read_text().splitlines()
-        assert lines[0] == "t,coordinate,lower,field,upper,slack"
+        assert lines[0] == "t,xi,lower,field,upper,slack"
         assert len(lines) == 1 + 25 * 257
 
     def test_impossible_slack_is_a_numeric_failure(self, capsys):

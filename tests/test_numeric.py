@@ -85,6 +85,70 @@ class TestFieldSolver:
             assert np.min(on_outer - si.slice_at(t)[1:-1]) >= -1e-9
 
 
+def _dense_operator(kind, motion, grid, t, n_dim):
+    """Full-grid matrix of the spatial operator at time t; Dirichlet rows are zero."""
+    st = eval_motion(motion, t)
+    D, f0 = motion.physics.D, motion.physics.f0
+    h = grid[1] - grid[0]
+    n = grid.size
+    A = np.zeros((n, n))
+    if kind == "radial":
+        R0 = grid[-1]
+        d_eff = D * (motion.L0 / st.L) ** 2
+        for j in range(n - 1):
+            lo, hi = max(grid[j] - 0.5 * h, 0.0), grid[j] + 0.5 * h
+            mu = (hi ** n_dim - lo ** n_dim) / n_dim
+            flux_hi = d_eff * hi ** (n_dim - 1) / (mu * h)
+            flux_lo = d_eff * lo ** (n_dim - 1) / (mu * h) if j > 0 else 0.0
+            A[j, j + 1] = flux_hi
+            if j > 0:
+                A[j, j - 1] = flux_lo
+            A[j, j] = (-(flux_hi + flux_lo)
+                       + st.Lddot * st.L / (16.0 * D) * (grid[j] ** 2 / R0 ** 2 - 1.0))
+        return A
+    d_eff = D * (motion.L0 / st.L) ** 2
+    for j in range(1, n - 1):
+        x = grid[j] / motion.L0
+        if kind == "u":
+            vel = (st.Adot * motion.L0 + grid[j] * st.Ldot) / st.L
+            A[j, j - 1] = d_eff / h ** 2 - vel / (2.0 * h)
+            A[j, j + 1] = d_eff / h ** 2 + vel / (2.0 * h)
+            A[j, j] = -2.0 * d_eff / h ** 2 + f0
+        else:
+            A[j, j - 1] = A[j, j + 1] = d_eff / h ** 2
+            A[j, j] = -2.0 * d_eff / h ** 2 + st.Lddot * st.L / (4.0 * D) * x * (x - 1.0)
+    return A
+
+
+class TestMarchKernel:
+    @pytest.mark.parametrize("theta", [0.5, 0.75])
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_steps_match_dense_full_system_solve(self, physics, kind, theta):
+        dt, n_steps = 2e-3, 4
+        times = [k * dt for k in range(n_steps + 1)]
+        if kind == "u":
+            motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
+            sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16,
+                          dt=dt, T=times[-1], output_times=times, theta=theta)
+        elif kind == "w":
+            motion = CriticalMotion(physics, alpha=1.5)
+            sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=16,
+                          dt=dt, T=times[-1], output_times=times, theta=theta)
+        else:
+            motion = CriticalMotion(physics, alpha=2.5)
+            R0 = 0.5 * motion.L0
+            sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
+                               grid_size=16, dt=dt, T=times[-1], output_times=times,
+                               theta=theta)
+        eye = np.eye(sol.grid.size)
+        v = sol.values[0]
+        for k in range(n_steps):
+            A = _dense_operator(kind, motion, sol.grid, (k + 0.5) * dt, sol.n_dim)
+            v = np.linalg.solve(eye - theta * dt * A, (eye + (1.0 - theta) * dt * A) @ v)
+            assert (np.max(np.abs(sol.values[k + 1] - v))
+                    <= 1e-13 * np.max(np.abs(v)))
+
+
 class TestPotentialSolver:
     def test_centred_fixed_interval_is_plain_heat_flow(self, physics):
         motion = SeparableMotion.symmetric(physics, math.pi)
@@ -145,6 +209,14 @@ class TestRadialSolver:
             psi_ser = eval_radial_series(ser, interior, t)
             assert (np.max(np.abs(psi_num - psi_ser))
                     < 1e-4 * np.max(np.abs(psi_ser)))
+
+    def test_boundary_node_is_exactly_zero(self, physics):
+        motion = CriticalMotion(physics, alpha=2.5)
+        R0 = 0.5 * motion.L0
+        sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
+                           grid_size=64, dt=1e-2, T=5.0)
+        assert np.all(sol.values[:, -1] == 0.0)
+        assert np.all(np.isfinite(sol.values))
 
     def test_dimension_validation(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0)

@@ -32,7 +32,6 @@ from .eigen import EigenSystem, principal_eigen_bound, solve_sl
 from .eigen import solve_radial as solve_radial_modes
 from .exact import (
     GrowthVerdict,
-    RadialSeriesSolution,
     SeriesSolution,
     TruncationWarning,
     build_radial_series,

@@ -38,16 +38,14 @@ from scipy.special import j0, jn_zeros
 
 from .airy import airy_ai, airy_first_zero
 from .eigen import solve_sl
-from .exact import SeriesSolution, eval_physical
+from .exact import SeriesSolution, _sum_modes, eval_physical
 from .motion import (
     BoundaryMotion,
     CaseKind,
     CriticalMotion,
-    SeparableMotion,
     classify,
     eval_motion,
     motion_content_hash,
-    motion_to_document,
     time_rescale,
     _kinematics,
 )
@@ -55,7 +53,6 @@ from .numeric import GridSolution, solve_radial, solve_w
 from .transforms import (
     log_shape_factor,
     log_time_factor,
-    psi_from_W,
     initial_w_from_u,
 )
 
@@ -79,6 +76,7 @@ __all__ = [
     "verify_envelope",
     "envelope_to_csv",
     "boundary_gradient",
+    "solve_critical",
     "fit_exponent",
     "fit_report_document",
     "verify_nested",
@@ -196,8 +194,8 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
     pvals = np.array([potential_value(motion, float(t)) for t in ts])
     rates = np.array([potential_rate(motion, float(t)) for t in ts])
     rate_tol = -1e-10 * max(1.0, float(np.max(np.abs(rates))))
-    ok = (pvals >= p_min) & np.array(
-        [bool(np.all(rates[i:] >= rate_tol)) for i in range(samples)])
+    # rates[i:] all clear the tolerance iff their minimum does; a NaN fails both.
+    ok = (pvals >= p_min) & (np.minimum.accumulate(rates[::-1])[::-1] >= rate_tol)
     idx = np.nonzero(ok)[0]
     if idx.size == 0:
         raise ValueError(
@@ -617,6 +615,26 @@ def _fit_log_decay(times: np.ndarray, logs) -> tuple:
     return slopes, limits, relax, rms
 
 
+def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size: int,
+                   dt: float, num_outputs: int, theta: float) -> GridSolution:
+    """Potential-form run of a critical motion from its principal-mode profile.
+
+    The output times are 0 and a geometric grid of ``num_outputs`` points from
+    max(10 dt, 1e-2) to t_final.  n_dim = 1 runs ``solve_w`` from a sine;
+    balls run ``solve_radial`` from the cosine dome.
+    """
+    outputs = np.unique(np.concatenate(
+        [[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, num_outputs)]))
+    if n_dim == 1:
+        w0 = lambda xi: np.sin(np.pi * xi / motion.L0)
+        return solve_w(motion, w0, grid_size=grid_size, dt=dt, T=t_final,
+                       output_times=outputs, theta=theta)
+    R0 = 0.5 * motion.L0
+    W0 = lambda r: np.cos(0.5 * np.pi * r / R0)
+    return solve_radial(motion, W0, n_dim, grid_size=grid_size, dt=dt, T=t_final,
+                        output_times=outputs, theta=theta)
+
+
 def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
                  probes=(0.5, 1.0, 2.0), t_final: float = 1e3,
                  window: tuple | None = None, grid_size: int = 1024,
@@ -652,18 +670,8 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         alpha = motion.alpha
         predicted = -1.0 - 0.5 * n_dim + alpha * ph.c_star / (2.0 * ph.D)
         if solution is None:
-            outputs = np.unique(np.concatenate(
-                [[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, num_outputs)]))
-            if n_dim == 1:
-                w0 = lambda xi: np.sin(np.pi * xi / motion.L0)
-                solution = solve_w(motion, w0, grid_size=grid_size, dt=dt,
-                                   T=t_final, output_times=outputs, theta=theta)
-            else:
-                R0 = 0.5 * motion.L0
-                W0 = lambda r: np.cos(0.5 * np.pi * r / R0)
-                solution = solve_radial(motion, W0, n_dim, grid_size=grid_size,
-                                        dt=dt, T=t_final, output_times=outputs,
-                                        theta=theta)
+            solution = solve_critical(motion, n_dim, t_final, grid_size, dt,
+                                      num_outputs, theta)
         else:
             if solution.motion_hash != motion_content_hash(motion):
                 raise ValueError("solution was computed for a different motion")
@@ -731,12 +739,9 @@ def verify_nested(inner: BoundaryMotion, outer: BoundaryMotion,
 
 
 @dataclass(frozen=True)
-class BoundSeries:
+class BoundSeries(SeriesSolution):
     """One-sided comparison series: frozen-potential modes, true motion factors."""
 
-    motion: BoundaryMotion
-    eigen: object
-    coeffs: np.ndarray
     side: str                   # "lower" or "upper"
 
     @property
@@ -749,14 +754,8 @@ def eval_bound(bound: BoundSeries, xi, t: float) -> np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     motion = bound.motion
     state = eval_motion(motion, t)
-    s = state.s
     log_pre = log_time_factor(motion, t) + log_shape_factor(motion, xi, t, state)
-    eig = bound.eigen
-    total = np.zeros((xi.size,))
-    for n in range(eig.num_modes):
-        g = CubicSpline(eig.grid, eig.modes[n])(xi)
-        total += bound.coeffs[n] * g * np.exp(eig.sigmas[n] * s + log_pre)
-    return total
+    return _sum_modes(bound, xi, bound.eigen.sigmas * state.s, log_pre)
 
 
 def envelope_bounds_general(motion: BoundaryMotion, u0,

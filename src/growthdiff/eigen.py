@@ -62,10 +62,6 @@ class EigenSystem:
     def num_modes(self) -> int:
         return self.sigmas.size
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Discrete inner product under which the modes are orthonormal."""
-        return float(np.sum(self.weights * f * g))
-
 
 def _validate_sizes(grid_size: int, num_modes: int) -> None:
     if grid_size < MIN_GRID:

@@ -11,7 +11,10 @@ so their agreement is a strong transcription check and is enforced in the
 test suite at relative 1e-9.
 
 Radially symmetric balls |x| < R(t) with R^2 quadratic in t separate the same
-way; ``build_radial_series`` handles those with a fixed centre.
+way; ``build_radial_series`` handles those with a fixed centre.  Interval,
+ball and comparison series (``critical.BoundSeries``) are all one
+``SeriesSolution`` class, summed by one evaluator, ``_sum_modes``, which also
+checks the mode tail.
 """
 
 from __future__ import annotations
@@ -49,9 +52,7 @@ from .transforms import (
 
 __all__ = [
     "TruncationWarning",
-    "FieldSample",
     "SeriesSolution",
-    "RadialSeriesSolution",
     "GrowthVerdict",
     "transform_ic",
     "expand",
@@ -79,55 +80,15 @@ class TruncationWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """One evaluated field value in a chosen representation."""
-
-    x: float
-    xi: float
-    t: float
-    value: float
-    representation: str
-
-    def __post_init__(self) -> None:
-        if self.representation not in ("psi", "u", "w"):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite sample value {self.value}")
-
-
-@dataclass(frozen=True)
 class SeriesSolution:
-    """Mode expansion of one initial condition over one separable motion."""
+    """Mode expansion of one initial condition over one motion.
 
-    motion: SeparableMotion
+    A ball's expansion has ``eigen.radial`` set and its dimension in ``eigen.n_dim``.
+    """
+
+    motion: BoundaryMotion
     eigen: EigenSystem
     coeffs: np.ndarray
-
-    @property
-    def physics(self):
-        return self.motion.physics
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs)
-
-    @cached_property
-    def horizon(self) -> float:
-        return validity_horizon(self.motion)
-
-    @cached_property
-    def _mode_splines(self):
-        return [CubicSpline(self.eigen.grid, m) for m in self.eigen.modes]
-
-
-@dataclass(frozen=True)
-class RadialSeriesSolution:
-    """Mode expansion for a radially symmetric ball with fixed centre."""
-
-    motion: SeparableMotion
-    eigen: EigenSystem
-    coeffs: np.ndarray
-    n_dim: int
 
     @property
     def physics(self):
@@ -262,6 +223,8 @@ def _closed_drift(motion: SeparableMotion, t: float, L: float, s: float) -> floa
 
 def eval_w(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.ndarray:
     """Potential-form field w(xi, t) = sum c_n exp(sigma_n s(t)) g_n(xi)."""
+    if route not in ("fast", "generic"):
+        raise ValueError(f"unknown route {route!r}")
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
     s = time_rescale(sol.motion, t) if route == "fast" else _quad_s(sol.motion, t)
@@ -329,7 +292,7 @@ def _is_centered_separable(motion: SeparableMotion) -> bool:
 
 def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
                         grid_size: int = 512, num_modes: int = 32,
-                        extrapolate: bool = False) -> RadialSeriesSolution:
+                        extrapolate: bool = False) -> SeriesSolution:
     """Expand radial initial data psi0(r) on the ball of diameter L(t).
 
     ``motion`` describes the diameter: the ball radius is R = L/2 and the
@@ -356,10 +319,10 @@ def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
     log_fac = 0.25 * Ldot * L * r * r / (4.0 * motion.physics.D * R0 ** 2)
     w0 = psi0_vals * np.exp(log_fac)
     coeffs = eig.modes @ (eig.weights * w0)
-    return RadialSeriesSolution(motion, eig, coeffs, n_dim)
+    return SeriesSolution(motion, eig, coeffs)
 
 
-def eval_radial_series(sol: RadialSeriesSolution, r, t: float) -> np.ndarray:
+def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:
     """Physical density psi at reference radius r in [0, R0] (r maps to |x| R0/R)."""
     _check_time(sol, t)
     R0 = 0.5 * sol.motion.L0
@@ -371,13 +334,13 @@ def eval_radial_series(sol: RadialSeriesSolution, r, t: float) -> np.ndarray:
     state = eval_motion(sol.motion, t)
     D = sol.physics.D
     RdotR = 0.25 * state.Ldot * state.L
-    log_pre = (0.5 * sol.n_dim * math.log(2.0 * R0 / state.L)
+    log_pre = (0.5 * sol.eigen.n_dim * math.log(2.0 * R0 / state.L)
                + sol.physics.f0 * t
                - RdotR * r * r / (4.0 * D * R0 ** 2))
     return _sum_modes(sol, r, sol.eigen.sigmas * state.s, log_pre)
 
 
-def eval_radial_physical(sol: RadialSeriesSolution, radius, t: float) -> np.ndarray:
+def eval_radial_physical(sol: SeriesSolution, radius, t: float) -> np.ndarray:
     """Physical density at physical radius |x| = radius inside the ball."""
     _check_time(sol, t)
     state = eval_motion(sol.motion, t)
@@ -473,22 +436,6 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
 # export
 
 
-def sample_field(sol: SeriesSolution, xi, t: float,
-                 route: str = "fast") -> list[FieldSample]:
-    """Evaluate psi, u and w at the given reference positions."""
-    xi = _reference_xi(sol, xi)
-    state = eval_motion(sol.motion, t)
-    u = eval_series(sol, xi, t, route)
-    w = eval_w(sol, xi, t, route)
-    x = state.A + xi * (state.L / sol.motion.L0)
-    out = []
-    for j in range(xi.size):
-        out.append(FieldSample(float(x[j]), float(xi[j]), t, float(u[j]), "psi"))
-        out.append(FieldSample(float(x[j]), float(xi[j]), t, float(u[j]), "u"))
-        out.append(FieldSample(float(x[j]), float(xi[j]), t, float(w[j]), "w"))
-    return out
-
-
 def series_to_csv(sol: SeriesSolution, path, xi, times,
                   route: str = "fast") -> None:
     """Write columns x, xi, t, psi, u, w; one row per (time, position)."""
@@ -506,7 +453,7 @@ def series_to_csv(sol: SeriesSolution, path, xi, times,
                                  (x[j], xi[j], t, u[j], u[j], w[j])])
 
 
-def series_manifest(sol: SeriesSolution | RadialSeriesSolution) -> dict:
+def series_manifest(sol: SeriesSolution) -> dict:
     """JSON-ready description of a series solution (no field data)."""
     doc = {
         "schema_version": 1,
@@ -516,6 +463,6 @@ def series_manifest(sol: SeriesSolution | RadialSeriesSolution) -> dict:
         "grid_size": sol.eigen.grid_size,
         "sigmas": [float(v) for v in sol.eigen.sigmas],
     }
-    if isinstance(sol, RadialSeriesSolution):
-        doc["n_dim"] = sol.n_dim
+    if sol.eigen.radial:
+        doc["n_dim"] = sol.eigen.n_dim
     return doc

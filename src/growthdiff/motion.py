@@ -48,7 +48,6 @@ __all__ = [
     "motion_to_document",
     "motion_from_document",
     "motion_dumps",
-    "motion_loads",
     "motion_content_hash",
 ]
 
@@ -108,9 +107,6 @@ class EtaSpec:
 
     def d2(self, t: float) -> float:
         return self.k * self.p * (self.p - 1.0) * (1.0 + t) ** (self.p - 2.0)
-
-    def d3(self, t: float) -> float:
-        return self.k * self.p * (self.p - 1.0) * (self.p - 2.0) * (1.0 + t) ** (self.p - 3.0)
 
 
 @dataclass(frozen=True)
@@ -518,10 +514,6 @@ def motion_from_document(doc: dict) -> BoundaryMotion:
 
 def motion_dumps(motion: BoundaryMotion) -> str:
     return json.dumps(motion_to_document(motion), sort_keys=True)
-
-
-def motion_loads(text: str) -> BoundaryMotion:
-    return motion_from_document(json.loads(text))
 
 
 def motion_content_hash(motion: BoundaryMotion) -> str:

@@ -171,6 +171,18 @@ class TestCriticalCommand:
         assert lines[0] == "t,xi,lower,field,upper,slack"
         assert len(lines) == 1 + 25 * 257
 
+    def test_tolerance_gates_the_corrected_exponent(self, tmp_path, capsys):
+        # Same run as above: the least-squares error is about -0.50, the
+        # relaxation-corrected one about -0.135, and only the latter is gated.
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                   "--t-final", "80", "--window", "2.5,80", "--grid", "256",
+                   "--dt", "5e-3", "--num-outputs", "61", "--tol", "0.2",
+                   "--out", "crit"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "crit_report.json").read_text())
+        assert doc["error"] == pytest.approx(-0.504667, abs=1e-3)
+        assert abs(doc["limit_error"]) <= 0.2
+
     def test_impossible_slack_is_a_numeric_failure(self, capsys):
         rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
                    "--t-final", "80", "--grid", "256", "--dt", "5e-3",

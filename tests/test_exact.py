@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from growthdiff.exact import (TruncationWarning, build_radial_series,
+from growthdiff.exact import (SeriesSolution, TruncationWarning, build_radial_series,
                               build_series, eval_physical, eval_radial_physical,
                               eval_radial_series, eval_series, eval_w, expand,
                               growth_region, series_manifest, series_sup_norm,
@@ -158,6 +158,8 @@ class TestEvaluation:
         sol = build_series(motion, _sine(1.0), grid_size=128, num_modes=4)
         with pytest.raises(ValueError, match="route"):
             eval_series(sol, [0.5], 0.1, route="spline")
+        with pytest.raises(ValueError, match="route"):
+            eval_w(sol, [0.5], 0.1, route="bogus")
         with pytest.raises(ValueError):
             eval_series(sol, [-0.2], 0.1)
         with pytest.raises(ValueError):
@@ -342,3 +344,13 @@ class TestManifest:
         assert doc["truncation"] == 6
         assert len(doc["sigmas"]) == 6
         assert isinstance(doc["motion_hash"], str) and len(doc["motion_hash"]) > 16
+        assert "n_dim" not in doc
+
+    def test_radial_series_records_its_dimension(self, physics):
+        motion = SeparableMotion.symmetric(physics, 2.0, b=0.5)
+        sol = build_radial_series(motion, lambda r: np.cos(0.5 * math.pi * r), 3,
+                                  grid_size=128, num_modes=6)
+        assert isinstance(sol, SeriesSolution)
+        doc = series_manifest(sol)
+        assert doc["n_dim"] == 3
+        assert doc["truncation"] == 6

@@ -243,6 +243,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="stability"):
             solve_u(motion, np.sin, grid_size=256, dt=1e-3, T=0.5, theta=0.0)
 
+    def test_explicit_step_limit_covers_the_ball_centre(self, physics):
+        # The n = 3 row at r = 0 is three times stiffer than the interval
+        # stencil, so 0.9 h^2 / (2 D) is a stable explicit step only for n = 1.
+        motion = SeparableMotion.symmetric(physics, 2.0)
+        dt = 0.9 * (1.0 / 32) ** 2 / (2.0 * physics.D)
+        dome = lambda r: np.cos(0.5 * np.pi * r)
+        sol = solve_radial(motion, dome, 1, grid_size=32, dt=dt, T=400 * dt, theta=0.0)
+        assert np.max(np.abs(sol.values[-1])) < 1.0
+        with pytest.raises(ValueError, match="stability"):
+            solve_radial(motion, dome, 3, grid_size=32, dt=dt, T=400 * dt, theta=0.0)
+
     def test_initial_data_must_vanish(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)
         with pytest.raises(ValueError, match="vanish"):

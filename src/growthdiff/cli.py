@@ -10,16 +10,16 @@ One binary with five subcommands:
   critical   decay-exponent fit and barrier-envelope check for a spreading
              front at the critical speed
 
-Options come from flags, or from a JSON file via --config with flags taking
-precedence; unknown keys in the file are rejected.  Exit codes: 0 success,
-2 bad configuration, 3 numerical failure, 4 tolerance breach.  All decimal
-output uses 17 significant digits so reruns are byte-identical.
+Options come from flags, or from a JSON file via --config whose keys are the
+flags' argparse names (``t_final`` for --t-final); flags take precedence and
+other keys are rejected.  Exit codes: 0 success, 2 bad configuration, 3
+numerical failure, 4 tolerance breach.  ``growthdiff.output`` writes every
+artifact at 17 significant digits, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -34,6 +34,7 @@ from .motion import (CriticalMotion, DomainCollapsedError, EtaSpec,
                      PhysicsParams, SeparableMotion, motion_content_hash,
                      motion_to_document)
 from .numeric import grid_manifest, grid_to_csv, solve_radial, solve_u, solve_w
+from .output import write_csv, write_json
 
 __all__ = ["main"]
 
@@ -49,27 +50,6 @@ class ConfigError(ValueError):
 
 def _g(x) -> str:
     return format(float(x), ".17g")
-
-
-def _jsonify(obj):
-    """Round floats through 17 significant digits for stable JSON bytes."""
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(float(v)) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonify(obj.item())
-    return obj
-
-
-def _write_json(path, document) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonify(document), fh, indent=2)
-        fh.write("\n")
 
 
 def _float_list(value, name):
@@ -88,8 +68,9 @@ def _float_list(value, name):
     return out
 
 
-def _merged(args, keys) -> dict:
-    """Overlay: defaults in the handlers < JSON config file < explicit flags."""
+def _merged(args) -> dict:
+    """Overlay: handler defaults < JSON config file < flags, keyed by dest."""
+    keys = set(vars(args)) - {"command", "handler", "config"}
     cfg = {}
     if args.config is not None:
         try:
@@ -101,12 +82,12 @@ def _merged(args, keys) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(keys))
+        unknown = sorted(set(data) - keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(data)
     for key in keys:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -141,9 +122,6 @@ def _integer(cfg, name, default=None):
 
 
 # -- motion assembly shared by exact / numeric / compare --------------------
-
-_MOTION_KEYS = ("family", "D", "f0", "L0", "slope", "rho", "a", "b",
-                "gamma1", "c", "d")
 
 _FAMILY_REQUIRES = {
     "fixed": ("L0",),
@@ -217,12 +195,8 @@ def _output_times(cfg, t_final):
 
 # -- subcommand bodies -------------------------------------------------------
 
-_EIGEN_KEYS = ("D", "L0", "gamma0", "gamma1", "modes", "grid", "n_dim",
-               "extrapolate", "out")
-
-
 def cmd_eigen(args) -> int:
-    cfg = _merged(args, _EIGEN_KEYS)
+    cfg = _merged(args)
     _require(cfg, "D", "L0", "gamma0", "gamma1")
     D = _number(cfg, "D")
     L0 = _number(cfg, "L0")
@@ -246,18 +220,14 @@ def cmd_eigen(args) -> int:
         eig = radial_modes(D, 0.5 * L0, gamma0, n_dim, grid_size=grid,
                            num_modes=modes, extrapolate=extrapolate)
     eigen_to_csv(eig, out + ".csv")
-    _write_json(out + ".json", eigen_header(eig))
+    write_json(out + ".json", eigen_header(eig))
     print(f"wrote {out}.csv and {out}.json; "
           f"sigma_1 = {_g(eig.sigmas[0])}")
     return EXIT_OK
 
 
-_EXACT_KEYS = _MOTION_KEYS + ("ic", "modes", "grid", "times", "t_final",
-                              "xi_samples", "route", "out")
-
-
 def cmd_exact(args) -> int:
-    cfg = _merged(args, _EXACT_KEYS)
+    cfg = _merged(args)
     motion = _build_motion(cfg)
     u0 = _initial_condition(cfg.get("ic", "sine"), motion)
     modes = _integer(cfg, "modes", 32)
@@ -279,17 +249,13 @@ def cmd_exact(args) -> int:
     manifest["times"] = list(times)
     manifest["xi_samples"] = samples
     manifest["route"] = route
-    _write_json(out + ".json", manifest)
+    write_json(out + ".json", manifest)
     print(f"wrote {out}.csv and {out}.json; {len(times)} output times")
     return EXIT_OK
 
 
-_NUMERIC_KEYS = _MOTION_KEYS + ("form", "n_dim", "ic", "grid", "dt",
-                                "t_final", "times", "theta", "out")
-
-
 def cmd_numeric(args) -> int:
-    cfg = _merged(args, _NUMERIC_KEYS)
+    cfg = _merged(args)
     motion = _build_motion(cfg)
     form = cfg.get("form", "u")
     if form not in ("u", "w", "radial"):
@@ -314,17 +280,13 @@ def cmd_numeric(args) -> int:
     grid_to_csv(sol, out + ".csv")
     manifest = grid_manifest(sol)
     manifest["motion"] = motion_to_document(motion)
-    _write_json(out + ".json", manifest)
+    write_json(out + ".json", manifest)
     print(f"wrote {out}.csv and {out}.json; {sol.times.size} output times")
     return EXIT_OK
 
 
-_COMPARE_KEYS = _MOTION_KEYS + ("ic", "modes", "series_grid", "grid", "dt",
-                                "t_final", "times", "theta", "tol", "out")
-
-
 def cmd_compare(args) -> int:
-    cfg = _merged(args, _COMPARE_KEYS)
+    cfg = _merged(args)
     motion = _build_motion(cfg)
     u0 = _initial_condition(cfg.get("ic", "sine"), motion)
     modes = _integer(cfg, "modes", 32)
@@ -360,12 +322,8 @@ def cmd_compare(args) -> int:
         if rel > worst[0]:
             worst = (rel, float(run.grid[interior][k]), float(t))
 
-    with open(out + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "abs_linf", "rel_linf", "worst_xi"])
-        for t, abs_err, rel, xi in rows:
-            writer.writerow([_g(t), _g(abs_err), _g(rel), _g(xi)])
-    _write_json(out + ".json", {
+    write_csv(out + ".csv", ["t", "abs_linf", "rel_linf", "worst_xi"], [rows])
+    write_json(out + ".json", {
         "schema_version": 1,
         "motion": motion_to_document(motion),
         "motion_hash": motion_content_hash(motion),
@@ -389,13 +347,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_CRITICAL_KEYS = ("D", "f0", "alpha", "L0_offset", "eta0", "eta_k", "eta_p",
-                  "n_dim", "probes", "t_final", "window", "grid", "dt",
-                  "num_outputs", "theta", "tol", "slack_tol", "out")
-
-
 def cmd_critical(args) -> int:
-    cfg = _merged(args, _CRITICAL_KEYS)
+    cfg = _merged(args)
     _require(cfg, "D", "f0", "alpha")
     try:
         physics = PhysicsParams(D=_number(cfg, "D"), f0=_number(cfg, "f0"))
@@ -420,7 +373,10 @@ def cmd_critical(args) -> int:
     slack_tol = _number(cfg, "slack_tol", 1e-8)
     window = None
     if cfg.get("window") is not None:
-        lo, hi = _float_list(cfg["window"], "window")[:2]
+        bounds = _float_list(cfg["window"], "window")
+        if len(bounds) != 2:
+            raise ConfigError(f"window must be two numbers lo,hi, got {cfg['window']!r}")
+        lo, hi = bounds
         if not (0.0 < lo < hi <= t_final):
             raise ConfigError(f"window ({lo}, {hi}) must sit inside (0, t_final]")
         if math.log10(hi / lo) < 1.5 - 1e-9:
@@ -455,7 +411,7 @@ def cmd_critical(args) -> int:
         "worst_xi": envelope.worst_xi,
         "slack_tol": slack_tol,
     }
-    _write_json(out + "_report.json", document)
+    write_json(out + "_report.json", document)
     print(f"wrote {out}_report.json and {out}_envelope.csv")
     print(f"fitted exponent {_g(report.fitted_exponent)}, "
           f"predicted {_g(report.predicted_exponent)}")
@@ -579,7 +535,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainCollapsedError, ValueError, FloatingPointError,
+    except (DomainCollapsedError, ValueError, FloatingPointError, RuntimeError,
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -26,7 +26,6 @@ barrier routines start from a computed onset time rather than from zero.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -50,6 +49,7 @@ from .motion import (
     _kinematics,
 )
 from .numeric import GridSolution, solve_radial, solve_w
+from .output import write_csv
 from .transforms import (
     log_shape_factor,
     log_time_factor,
@@ -133,13 +133,13 @@ def potential_trace(motion: BoundaryMotion, times, radial: bool = False) -> Pote
     return PotentialTrace(ts, vals, radial)
 
 
-def potential_rate(motion: BoundaryMotion, t: float, radial: bool = False) -> float:
+def potential_rate(motion: BoundaryMotion, t: float) -> float:
     """dP/dt by five-point central differences (the motions expose only Lddot)."""
     h = 1e-4 * (1.0 + abs(t))
     if t - 2.0 * h < 0.0:
-        p = [potential_value(motion, t + k * h, radial) for k in range(3)]
+        p = [potential_value(motion, t + k * h) for k in range(3)]
         return (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * h)
-    p = [potential_value(motion, t + k * h, radial) for k in (-2, -1, 1, 2)]
+    p = [potential_value(motion, t + k * h) for k in (-2, -1, 1, 2)]
     return (p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h)
 
 
@@ -155,8 +155,8 @@ def potential_asymptote(motion: CriticalMotion) -> float:
 # barriers for the potential-form field
 
 
-def _check_potential_sign(motion: BoundaryMotion, t: float, samples: int = 128) -> None:
-    for z in np.linspace(0.0, t, samples):
+def _check_potential_sign(motion: BoundaryMotion, t: float) -> None:
+    for z in np.linspace(0.0, t, 128):
         if potential_value(motion, float(z)) < 0.0:
             raise ValueError(
                 f"supersolution needs a nonnegative potential; P({z:.6g}) < 0")
@@ -183,14 +183,14 @@ def _min_potential(xi_extent_ratio: float) -> float:
 
 
 def subsolution_onset(motion: BoundaryMotion, t_max: float,
-                      radial: bool = False, samples: int = 4097) -> float:
+                      radial: bool = False) -> float:
     """Earliest time from which the Airy barrier is defined and monotone.
 
     Requires P(t) large enough for the profile to fit in the domain and
     dP/dt >= 0 from the onset to t_max.  Raises if no such time exists.
     """
     p_min = _min_potential(0.5 if radial else 1.0)
-    ts = np.linspace(0.0, t_max, samples)
+    ts = np.linspace(0.0, t_max, 4097)
     pvals = np.array([potential_value(motion, float(t)) for t in ts])
     rates = np.array([potential_rate(motion, float(t)) for t in ts])
     rate_tol = -1e-10 * max(1.0, float(np.max(np.abs(rates))))
@@ -446,17 +446,15 @@ def envelope_to_csv(pair: EnvelopePair, path) -> None:
     The slack column is the smaller barrier gap relative to the field's sup
     norm at that time, the quantity ``verify_envelope`` gates on.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "xi", "lower", "field", "upper", "slack"])
-        for i, t in enumerate(pair.times):
-            scale = max(float(np.max(np.abs(pair.field[i]))), 1e-300)
-            for j, xi in enumerate(pair.grid):
-                slack = min(pair.upper[i, j] - pair.field[i, j],
-                            pair.field[i, j] - pair.lower[i, j]) / scale
-                writer.writerow(["%.17g" % v for v in
-                                 (t, xi, pair.lower[i, j], pair.field[i, j],
-                                  pair.upper[i, j], slack)])
+    def blocks():
+        for t, lower, field, upper in zip(pair.times, pair.lower, pair.field, pair.upper):
+            scale = max(float(np.max(np.abs(field))), 1e-300)
+            above, below = upper - field, field - lower
+            slack = np.where(below < above, below, above) / scale  # min(), ties and NaN
+            yield np.column_stack((np.full(field.size, t), pair.grid, lower,
+                                   field, upper, slack))
+
+    write_csv(path, ["t", "xi", "lower", "field", "upper", "slack"], blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +724,9 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
 # one-sided comparison series for general motions
 
 
-def verify_nested(inner: BoundaryMotion, outer: BoundaryMotion,
-                  t_max: float, samples: int = 256) -> None:
+def verify_nested(inner: BoundaryMotion, outer: BoundaryMotion, t_max: float) -> None:
     """Check that the inner domain stays inside the outer one up to t_max."""
-    for t in np.linspace(0.0, t_max, samples):
+    for t in np.linspace(0.0, t_max, 256):
         si = eval_motion(inner, float(t))
         so = eval_motion(outer, float(t))
         if si.A < so.A - 1e-12 or si.A + si.L > so.A + so.L + 1e-12:

@@ -13,12 +13,13 @@ shrinking case gamma0 = -rho^2 < 0 is also provided.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+from .output import write_csv
 
 __all__ = [
     "EigenSystem",
@@ -232,9 +233,5 @@ def eigen_header(eig: EigenSystem) -> dict:
 
 def eigen_to_csv(eig: EigenSystem, path) -> None:
     """Write the grid and mode columns: xi, g_1, ..., g_k."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi"] + [f"g_{k + 1}" for k in range(eig.num_modes)])
-        for j in range(eig.grid.size):
-            writer.writerow([f"{eig.grid[j]:.17g}"]
-                            + [f"{eig.modes[k, j]:.17g}" for k in range(eig.num_modes)])
+    write_csv(path, ["xi"] + [f"g_{k + 1}" for k in range(eig.num_modes)],
+              [np.column_stack((eig.grid, eig.modes.T))])

@@ -19,7 +19,6 @@ checks the mode tail.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .motion import (
     validity_horizon,
     _kinematics,
 )
+from .output import write_csv
 from .transforms import (
     drift_integral,
     initial_w_from_u,
@@ -254,7 +254,7 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
     return _sum_modes(sol, xi, sol.eigen.sigmas * s, log_pre)
 
 
-def eval_physical(sol: SeriesSolution, x, t: float, route: str = "fast") -> np.ndarray:
+def eval_physical(sol: SeriesSolution, x, t: float) -> np.ndarray:
     """Physical density psi(x, t); x must lie inside the moving interval."""
     _check_time(sol, t)
     state = eval_motion(sol.motion, t)
@@ -264,12 +264,12 @@ def eval_physical(sol: SeriesSolution, x, t: float, route: str = "fast") -> np.n
         raise ValueError(
             f"position outside the moving interval [{state.A}, {state.A + state.L}] "
             f"at t={t}")
-    return eval_series(sol, xi_from_x(sol.motion, x, t, state), t, route)
+    return eval_series(sol, xi_from_x(sol.motion, x, t, state), t)
 
 
-def series_sup_norm(sol: SeriesSolution, t: float, n_samples: int = 513) -> float:
-    """Max of |u(., t)| over a uniform xi sample."""
-    xi = np.linspace(0.0, sol.motion.L0, n_samples)
+def series_sup_norm(sol: SeriesSolution, t: float) -> float:
+    """Max of |u(., t)| over 513 uniform xi samples."""
+    xi = np.linspace(0.0, sol.motion.L0, 513)
     return float(np.max(np.abs(eval_series(sol, xi, t))))
 
 
@@ -440,17 +440,16 @@ def series_to_csv(sol: SeriesSolution, path, xi, times,
                   route: str = "fast") -> None:
     """Write columns x, xi, t, psi, u, w; one row per (time, position)."""
     xi = _reference_xi(sol, xi)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "xi", "t", "psi", "u", "w"])
+
+    def blocks():
         for t in times:
             state = eval_motion(sol.motion, float(t))
             u = eval_series(sol, xi, float(t), route)
             w = eval_w(sol, xi, float(t), route)
             x = state.A + xi * (state.L / sol.motion.L0)
-            for j in range(xi.size):
-                writer.writerow([f"{v:.17g}" for v in
-                                 (x[j], xi[j], t, u[j], u[j], w[j])])
+            yield np.column_stack((x, xi, np.full(xi.size, t), u, u, w))
+
+    write_csv(path, ["x", "xi", "t", "psi", "u", "w"], blocks())
 
 
 def series_manifest(sol: SeriesSolution) -> dict:

@@ -22,7 +22,6 @@ Solvers are deterministic: the same inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ from .motion import (
     validity_horizon,
     _kinematics,
 )
+from .output import write_csv
 from .transforms import require_centered
 
 __all__ = [
@@ -281,13 +281,10 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
 
 def grid_to_csv(solution: GridSolution, path) -> None:
     """Long-format CSV with columns t, xi, value (xi is the radius for radial runs)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "xi", "value"])
-        for i, t in enumerate(solution.times):
-            for j, x in enumerate(solution.grid):
-                writer.writerow([f"{t:.17g}", f"{x:.17g}",
-                                 f"{solution.values[i, j]:.17g}"])
+    grid = solution.grid
+    write_csv(path, ["t", "xi", "value"],
+              (np.column_stack((np.full(grid.size, t), grid, row))
+               for t, row in zip(solution.times, solution.values)))
 
 
 def grid_manifest(solution: GridSolution) -> dict:

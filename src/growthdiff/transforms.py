@@ -63,8 +63,8 @@ def xi_from_x(motion: BoundaryMotion, x, t: float, state: MotionState | None = N
     return (np.asarray(x, dtype=float) - st.A) * (motion.L0 / st.L)
 
 
-def x_from_xi(motion: BoundaryMotion, xi, t: float, state: MotionState | None = None):
-    st = _state(motion, t, state)
+def x_from_xi(motion: BoundaryMotion, xi, t: float):
+    st = eval_motion(motion, t)
     return st.A + np.asarray(xi, dtype=float) * (st.L / motion.L0)
 
 
@@ -127,15 +127,13 @@ def log_shape_factor(motion: BoundaryMotion, xi, t: float,
             - xi * (st.Adot * st.L / (2.0 * D * L0)))
 
 
-def u_from_w(motion: BoundaryMotion, xi, t: float, w_values,
-             state: MotionState | None = None):
-    log_fac = log_time_factor(motion, t) + log_shape_factor(motion, xi, t, state)
+def u_from_w(motion: BoundaryMotion, xi, t: float, w_values):
+    log_fac = log_time_factor(motion, t) + log_shape_factor(motion, xi, t)
     return np.asarray(w_values, dtype=float) * np.exp(log_fac)
 
 
-def w_from_u(motion: BoundaryMotion, xi, t: float, u_values,
-             state: MotionState | None = None):
-    log_fac = log_time_factor(motion, t) + log_shape_factor(motion, xi, t, state)
+def w_from_u(motion: BoundaryMotion, xi, t: float, u_values):
+    log_fac = log_time_factor(motion, t) + log_shape_factor(motion, xi, t)
     return np.asarray(u_values, dtype=float) * np.exp(-log_fac)
 
 
@@ -152,13 +150,13 @@ def initial_w_from_u(motion: BoundaryMotion, xi, u0_values):
     return np.asarray(u0_values, dtype=float) * np.exp(log_fac)
 
 
-def require_centered(motion: BoundaryMotion, t_max: float, num_samples: int = 64) -> None:
-    """Raise unless A = -L/2 holds on [0, t_max] (sampled).
+def require_centered(motion: BoundaryMotion, t_max: float) -> None:
+    """Raise unless A = -L/2 holds on [0, t_max] (64 samples).
 
     The potential-form w equation and the radial reduction are only valid for
     intervals centred at the origin.
     """
-    for t in np.linspace(0.0, t_max, num_samples):
+    for t in np.linspace(0.0, t_max, 64):
         L, _, _, A, _, _ = _kinematics(motion, float(t))
         if abs(A + 0.5 * L) > 1e-9 * max(motion.L0, L):
             raise ValueError(
@@ -169,15 +167,14 @@ def require_centered(motion: BoundaryMotion, t_max: float, num_samples: int = 64
 # radially symmetric ball |x| < R(t), R = L/2 of a centred interval motion
 
 
-def log_radial_factor(motion: BoundaryMotion, r, t: float, n_dim: int,
-                      state: MotionState | None = None):
+def log_radial_factor(motion: BoundaryMotion, r, t: float, n_dim: int):
     """log(W / psi) for the ball substitution, vectorized over the radius r.
 
     W = psi * (R/R0)^{n/2} exp(-f0 t + integral Rdot^2/4D
                                + Rdot R (r^2 - R0^2) / (4 D R0^2)),
     with R = L/2 taken from the centred interval motion.
     """
-    st = _state(motion, t, state)
+    st = eval_motion(motion, t)
     D = motion.physics.D
     R0 = 0.5 * motion.L0
     R, Rdot = 0.5 * st.L, 0.5 * st.Ldot
@@ -187,9 +184,8 @@ def log_radial_factor(motion: BoundaryMotion, r, t: float, n_dim: int,
             + Rdot * R * (r * r - R0 ** 2) / (4.0 * D * R0 ** 2))
 
 
-def psi_from_W(motion: BoundaryMotion, r, t: float, W_values, n_dim: int,
-               state: MotionState | None = None):
-    log_fac = log_radial_factor(motion, r, t, n_dim, state)
+def psi_from_W(motion: BoundaryMotion, r, t: float, W_values, n_dim: int):
+    log_fac = log_radial_factor(motion, r, t, n_dim)
     return np.asarray(W_values, dtype=float) * np.exp(-log_fac)
 
 

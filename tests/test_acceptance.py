@@ -19,16 +19,16 @@ from scipy.special import j0
 from growthdiff.airy import airy_ai, airy_first_zero
 from growthdiff.critical import (EnvelopeViolationError, boundary_gradient,
                                  envelope_bounds_general, eval_bound,
-                                 fit_exponent, subsolution_residual,
-                                 supersolution_residual, verify_envelope,
-                                 verify_nested)
+                                 fit_exponent, solve_critical,
+                                 subsolution_residual, supersolution_residual,
+                                 verify_envelope, verify_nested)
 from growthdiff.eigen import principal_eigen_bound, solve_sl
 from growthdiff.eigen import solve_radial as radial_modes
 from growthdiff.exact import (TruncationWarning, build_series, eval_physical,
                               eval_series)
 from growthdiff.motion import (CriticalMotion, PhysicsParams, SeparableMotion,
                                TabulatedMotion, validity_horizon)
-from growthdiff.numeric import solve_u, solve_w
+from growthdiff.numeric import solve_u
 
 
 def _report(capsys, number, ok, detail):
@@ -63,9 +63,7 @@ def spread15(physics1):
 def long_run(spread15):
     # Potential-form run to t = 10^3; about a minute.  Reused by the
     # exponent fit, the envelope check and the gradient band.
-    outputs = np.unique(np.concatenate([[0.0], np.geomspace(2e-2, 1e3, 81)]))
-    return solve_w(spread15, lambda xi: np.sin(np.pi * xi / spread15.L0),
-                   grid_size=1024, dt=2e-3, T=1e3, output_times=outputs)
+    return solve_critical(spread15, 1, 1e3, 1024, 2e-3, 81, 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 SUBMODULES = ("airy", "cli", "critical", "eigen", "exact", "motion", "numeric",
-              "transforms")
+              "output", "transforms")
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

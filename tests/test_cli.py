@@ -91,15 +91,6 @@ class TestExactCommand:
         assert main(["exact", "--config", str(cfg)]) == 2
         assert "unknown initial condition" in capsys.readouterr().err
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        argv = ["exact", "--family", "linear", "--D", "0.5", "--f0", "1.2",
-                "--L0", "1", "--slope", "0.7", "--gamma1", "0.3",
-                "--times", "0.2,0.8"]
-        assert main(argv + ["--out", "one"]) == 0
-        assert main(argv + ["--out", "two"]) == 0
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
-        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-
 
 class TestNumericCommand:
     def test_potential_form_run(self, tmp_path):
@@ -196,6 +187,45 @@ class TestCriticalCommand:
         assert rc == 2
         assert "1.5 decades" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["5", "2.5,80,90"])
+    def test_window_must_hold_two_numbers(self, capsys, window):
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                   "--t-final", "80", "--window", window])
+        assert rc == 2
+        assert "window must be two numbers" in capsys.readouterr().err
+
+    def test_probe_failure_is_a_numeric_failure(self, capsys):
+        # The n = 3 field at grid 128 decays to roundoff, so a probe value
+        # turns nonpositive and the fit raises RuntimeError.
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "2.5",
+                   "--n-dim", "3", "--t-final", "80", "--grid", "128",
+                   "--dt", "1e-2", "--num-outputs", "61"])
+        assert rc == 3
+        assert "numeric failure: probe value nonpositive" in capsys.readouterr().err
+
     def test_missing_alpha(self, capsys):
         assert main(["critical", "--D", "1", "--f0", "1"]) == 2
         assert "missing required field: alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, artifacts", [
+    (["eigen", "--D", "1", "--L0", "2", "--gamma0", "0", "--gamma1", "0",
+      "--n-dim", "3", "--modes", "3", "--grid", "64"], (".csv", ".json")),
+    (["exact", "--family", "linear", "--D", "0.5", "--f0", "1.2",
+      "--L0", "1", "--slope", "0.7", "--gamma1", "0.3",
+      "--times", "0.2,0.8"], (".csv", ".json")),
+    (["numeric", "--family", "symmetric", "--D", "1", "--f0", "1",
+      "--L0", "2", "--a", "0.1", "--b", "0.2", "--form", "radial",
+      "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"], (".csv", ".json")),
+    (["compare", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", PI,
+      "--t-final", "0.2", "--grid", "64", "--dt", "1e-2"], (".csv", ".json")),
+    (["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+      "--t-final", "20", "--grid", "64", "--dt", "1e-2",
+      "--num-outputs", "21", "--tol", "10"], ("_envelope.csv", "_report.json")),
+], ids=["eigen", "exact", "numeric", "compare", "critical"])
+def test_reruns_are_byte_identical(tmp_path, argv, artifacts):
+    assert main(argv + ["--out", "one"]) == 0
+    assert main(argv + ["--out", "two"]) == 0
+    for suffix in artifacts:
+        one = (tmp_path / ("one" + suffix)).read_bytes()
+        assert one and one == (tmp_path / ("two" + suffix)).read_bytes()

@@ -46,14 +46,16 @@ from .motion import (
     eval_motion,
     motion_content_hash,
     time_rescale,
-    _kinematics,
 )
 from .numeric import GridSolution, solve_radial, solve_w
 from .output import write_csv
 from .transforms import (
+    initial_w_from_u,
+    log_radial_factor,
     log_shape_factor,
     log_time_factor,
-    initial_w_from_u,
+    psi_from_W,
+    u_from_w,
 )
 
 __all__ = [
@@ -99,12 +101,9 @@ class EnvelopeViolationError(RuntimeError):
 
 
 def _ai_vec(z: np.ndarray):
-    vals = np.empty_like(z)
-    ders = np.empty_like(z)
-    flat_v, flat_d = vals.ravel(), ders.ravel()
-    for i, zz in enumerate(np.ravel(z)):
-        flat_v[i], flat_d[i] = airy_ai(float(zz))
-    return vals, ders
+    """Ai and Ai' at every point of a 1-D array."""
+    pairs = np.array([airy_ai(float(zz)) for zz in z]).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,8 @@ class PotentialTrace:
 
 def potential_value(motion: BoundaryMotion, t: float, radial: bool = False) -> float:
     """P = Lddot L^3 / 4 D^2; the ball variant Q = Rddot R^3 / 4 D^2 = P / 16."""
-    L, _, Lddot = _kinematics(motion, t)[:3]
-    P = Lddot * L ** 3 / (4.0 * motion.physics.D ** 2)
+    st = eval_motion(motion, t)
+    P = st.Lddot * st.L ** 3 / (4.0 * motion.physics.D ** 2)
     return P / 16.0 if radial else P
 
 
@@ -220,11 +219,15 @@ def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float):
     xi_hat = xi / L0
     z = p13 * xi_hat + _C1
     xi_star_hat = -_SLOPE_SUM / p13
-    ai, aip = _ai_vec(z)
-    val = np.where(z <= 0.0, ai / p13, (_AI0 + _AIP0 * z) / p13)
-    der = np.where(z <= 0.0, aip / L0, _AIP0 / L0)
+    # Ai is read only on the curved part z <= 0; beyond it the tangent line
+    # (and further out the dead zone) takes over.
+    curved = z <= 0.0
+    ai, aip = np.zeros((2,) + z.shape)
+    ai[curved], aip[curved] = _ai_vec(z[curved])
+    val = np.where(curved, ai / p13, (_AI0 + _AIP0 * z) / p13)
+    der = np.where(curved, aip / L0, _AIP0 / L0)
     # Ai'' = z Ai on the curved part; the tangent part is linear.
-    der2 = np.where(z <= 0.0, p13 * z * ai / L0 ** 2, 0.0)
+    der2 = np.where(curved, p13 * z * ai / L0 ** 2, 0.0)
     dead = xi_hat >= xi_star_hat
     val = np.where(dead, 0.0, val)
     der = np.where(dead, 0.0, der)
@@ -239,8 +242,7 @@ def _gauge_log(motion: BoundaryMotion, t_from: float, t_to: float) -> float:
     D = motion.physics.D
 
     def integrand(z):
-        L = _kinematics(motion, z)[0]
-        return potential_value(motion, z) ** (2.0 / 3.0) / L ** 2
+        return potential_value(motion, z) ** (2.0 / 3.0) / eval_motion(motion, z).L ** 2
 
     val, _ = quad(integrand, t_from, t_to, **_QUAD_OPTS)
     return _SLOPE_SUM * D * val
@@ -306,9 +308,9 @@ def radial_supersolution(motion: BoundaryMotion, r, t: float, n_dim: int) -> np.
 
 def _potential_term(motion: BoundaryMotion, xi: np.ndarray, t: float) -> np.ndarray:
     """Zeroth-order coefficient of the potential-form equation at (xi, t)."""
-    L, _, Lddot = _kinematics(motion, t)[:3]
+    st = eval_motion(motion, t)
     L0 = motion.L0
-    return (Lddot * L / (4.0 * motion.physics.D)) * (xi / L0) * (xi / L0 - 1.0)
+    return (st.Lddot * st.L / (4.0 * motion.physics.D)) * (xi / L0) * (xi / L0 - 1.0)
 
 
 def supersolution_residual(motion: BoundaryMotion, xi, t: float) -> np.ndarray:
@@ -327,7 +329,7 @@ def subsolution_residual(motion: BoundaryMotion, xi, t: float,
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     val, der, der2, P, _ = _barrier_profile(motion, xi, t)
-    L, _, _ = _kinematics(motion, t)[:3]
+    L = eval_motion(motion, t).L
     D = motion.physics.D
     d_eff = D * (motion.L0 / L) ** 2
     pdot = potential_rate(motion, t)
@@ -464,9 +466,9 @@ def envelope_to_csv(pair: EnvelopePair, path) -> None:
 def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[np.ndarray, np.ndarray]:
     """Physical-space gradient of psi at the moving boundary for each output time.
 
-    The shape factor is flat at the endpoint, so the gradient reduces to the
-    one-sided slope of the stored field times (L0/L)^(3/2) (interval) or the
-    matching ball power, times the shared time factor.
+    The shape factor is flat at the endpoint, so the gradient is the one-sided
+    slope of the stored field times dxi/dx = L0/L, times the psi/w (or psi/W)
+    factor of ``transforms`` at the endpoint.
     """
     if solution.kind not in ("w", "radial"):
         raise ValueError(f"gradient trace applies to potential-form runs, not {solution.kind!r}")
@@ -476,17 +478,15 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
     L0 = motion.L0
     for i, t in enumerate(solution.times):
         t = float(t)
-        state = eval_motion(motion, t)
-        ltf = log_time_factor(motion, t)
+        vals = solution.values[i]
+        scale = L0 / eval_motion(motion, t).L
         if solution.kind == "w":
-            slope = (4.0 * solution.values[i, 1] - solution.values[i, 2]) / (2.0 * h)
-            out[i] = slope * (L0 / state.L) ** 1.5 * math.exp(ltf)
+            slope = (4.0 * vals[1] - vals[2]) / (2.0 * h)
+            out[i] = slope * scale * float(u_from_w(motion, 0.0, t, 1.0))
         else:
-            vals = solution.values[i]
             slope = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-            R0 = 0.5 * L0
-            R = 0.5 * state.L
-            out[i] = -slope * (R0 / R) ** (0.5 * solution.n_dim + 1.0) * math.exp(ltf)
+            out[i] = -slope * scale * float(psi_from_W(motion, 0.5 * L0, t, 1.0,
+                                                       solution.n_dim))
     return np.asarray(solution.times, dtype=float), out
 
 
@@ -553,35 +553,40 @@ def _probe_log_psi(motion, solution, probes, times):
     """log psi(boundary + y, t) reassembled from potential-form snapshots.
 
     Returns one row per probe offset y and one column per time.  Each
-    snapshot's spline, kinematics and time factor are computed once and read
-    at every probe.
+    snapshot's spline is built once and read at every probe; the psi/w (or
+    psi/W) factor comes from ``transforms``.  A probe outside the domain
+    (y <= 0, or y >= L(t) on the interval, y > R(t) on the ball) raises
+    ValueError rather than being extrapolated.
     """
     out = np.empty((len(probes), times.size))
-    D = motion.physics.D
     L0 = motion.L0
     R0 = 0.5 * L0
+    y = np.asarray(probes, dtype=float)
     for i, t in enumerate(times):
         t = float(t)
-        L, Ldot = _kinematics(motion, t)[:2]
-        idx = int(np.argmin(np.abs(solution.times - t)))
-        ltf = log_time_factor(motion, t)
+        L = eval_motion(motion, t).L
         if solution.kind == "w":
-            at = [y * L0 / L for y in probes]
-            extra = [0.5 * math.log(L0 / L) + y * (1.0 - y / L) * Ldot / (4.0 * D)
-                     for y in probes]
+            name, extent = "L", L
+            outside = (y <= 0.0) | (y >= extent)
+            at = y * L0 / L
+            log_fac = log_time_factor(motion, t) + log_shape_factor(motion, at, t)
         else:
-            R = 0.5 * L
-            Rdot = 0.5 * Ldot
-            at = [(R - y) * R0 / R for y in probes]
-            extra = [0.5 * solution.n_dim * math.log(R0 / R)
-                     - Rdot * R * (r ** 2 - R0 ** 2) / (4.0 * D * R0 ** 2) for r in at]
+            name, extent = "R", 0.5 * L
+            outside = (y <= 0.0) | (y > extent)
+            at = (extent - y) * R0 / extent
+            log_fac = -log_radial_factor(motion, at, t, solution.n_dim)
+        if np.any(outside):
+            raise ValueError(
+                f"probe offset y={probes[int(np.argmax(outside))]} lies outside the "
+                f"domain at t={t:.6g}, where {name}(t)={extent:.6g}")
+        idx = int(np.argmin(np.abs(solution.times - t)))
         w_vals = CubicSpline(solution.grid, solution.values[idx])(at)
-        for j, (y, w_val, log_extra) in enumerate(zip(probes, w_vals, extra)):
+        for y_j, w_val in zip(probes, w_vals):
             if w_val <= 0.0:
                 raise RuntimeError(
-                    f"probe value nonpositive at t={t:.6g}, offset y={y}; "
+                    f"probe value nonpositive at t={t:.6g}, offset y={y_j}; "
                     "cannot fit a log slope")
-            out[j, i] = math.log(w_val) + ltf + log_extra
+        out[:, i] = np.log(w_vals) + log_fac
     return out
 
 
@@ -750,9 +755,8 @@ def eval_bound(bound: BoundSeries, xi, t: float) -> np.ndarray:
     """Evaluate a comparison series in scaled coordinates at time t."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     motion = bound.motion
-    state = eval_motion(motion, t)
-    log_pre = log_time_factor(motion, t) + log_shape_factor(motion, xi, t, state)
-    return _sum_modes(bound, xi, bound.eigen.sigmas * state.s, log_pre)
+    log_pre = log_time_factor(motion, t) + log_shape_factor(motion, xi, t)
+    return _sum_modes(bound, xi, bound.eigen.sigmas * time_rescale(motion, t), log_pre)
 
 
 def envelope_bounds_general(motion: BoundaryMotion, u0,
@@ -777,9 +781,9 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
     scale1 = max(abs(gamma1_lo), abs(gamma1_hi), 1.0)
     worst = (0.0, 0.0, "")
     for t in rng.uniform(0.0, t_max, n_check):
-        L, _, Lddot, _, _, Addot = _kinematics(motion, float(t))
-        g0 = Lddot * L ** 3
-        g1 = Addot * L ** 3
+        st = eval_motion(motion, float(t))
+        g0 = st.Lddot * st.L ** 3
+        g1 = st.Addot * st.L ** 3
         for val, lo, hi, scale, name in ((g0, gamma0_lo, gamma0_hi, scale0, "Lddot L^3"),
                                          (g1, gamma1_lo, gamma1_hi, scale1, "Addot L^3")):
             breach = max(lo - val, val - hi) / scale

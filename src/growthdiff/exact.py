@@ -40,7 +40,6 @@ from .motion import (
     motion_to_document,
     time_rescale,
     validity_horizon,
-    _kinematics,
 )
 from .output import write_csv
 from .transforms import (
@@ -194,7 +193,7 @@ def _quad_s(motion: BoundaryMotion, t: float) -> float:
     if t == 0.0:
         return 0.0
     L0sq = motion.L0 ** 2
-    val, _ = quad(lambda z: L0sq / _kinematics(motion, z)[0] ** 2, 0.0, t, **_QUAD_OPTS)
+    val, _ = quad(lambda z: L0sq / eval_motion(motion, z).L ** 2, 0.0, t, **_QUAD_OPTS)
     return val
 
 
@@ -245,12 +244,12 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
     m = sol.motion
     state = eval_motion(m, t)
     if route == "fast":
-        s = state.s
+        s = time_rescale(m, t)
         drift = _closed_drift(m, t, state.L, s)
     else:
         s = _quad_s(m, t)
         drift = drift_integral(m, t)
-    log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t, state)
+    log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s, log_pre)
 
 
@@ -264,7 +263,7 @@ def eval_physical(sol: SeriesSolution, x, t: float) -> np.ndarray:
         raise ValueError(
             f"position outside the moving interval [{state.A}, {state.A + state.L}] "
             f"at t={t}")
-    return eval_series(sol, xi_from_x(sol.motion, x, t, state), t)
+    return eval_series(sol, xi_from_x(sol.motion, x, t), t)
 
 
 def series_sup_norm(sol: SeriesSolution, t: float) -> float:
@@ -314,9 +313,9 @@ def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
     scale = np.max(np.abs(psi0_vals)) or 1.0
     if abs(psi0_vals[-1]) > 1e-12 * scale:
         raise ValueError("initial data must vanish on the ball boundary")
-    L, Ldot = _kinematics(motion, 0.0)[:2]
+    st = eval_motion(motion, 0.0)
     # W = psi exp(Rdot R r^2 / (4 D R0^2)) at t = 0, with Rdot R = Ldot L / 4.
-    log_fac = 0.25 * Ldot * L * r * r / (4.0 * motion.physics.D * R0 ** 2)
+    log_fac = 0.25 * st.Ldot * st.L * r * r / (4.0 * motion.physics.D * R0 ** 2)
     w0 = psi0_vals * np.exp(log_fac)
     coeffs = eig.modes @ (eig.weights * w0)
     return SeriesSolution(motion, eig, coeffs)
@@ -337,7 +336,7 @@ def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:
     log_pre = (0.5 * sol.eigen.n_dim * math.log(2.0 * R0 / state.L)
                + sol.physics.f0 * t
                - RdotR * r * r / (4.0 * D * R0 ** 2))
-    return _sum_modes(sol, r, sol.eigen.sigmas * state.s, log_pre)
+    return _sum_modes(sol, r, sol.eigen.sigmas * time_rescale(sol.motion, t), log_pre)
 
 
 def eval_radial_physical(sol: SeriesSolution, radius, t: float) -> np.ndarray:

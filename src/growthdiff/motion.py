@@ -2,9 +2,12 @@
 
 The physical problem lives on A(t) < x < A(t) + L(t) with homogeneous Dirichlet
 ends.  Everything downstream (series solutions, finite-difference solvers,
-envelope bounds) is driven by the kinematics collected here: the interval
-length L, the left endpoint A, their first two derivatives, and the rescaled
-time s(t) = integral of L0^2 / L(z)^2.
+envelope bounds) is driven by the kinematics collected here.  ``eval_motion``
+is the one way to read them at time t: the interval length L, the left
+endpoint A and their first two derivatives, as a ``MotionState``.  It runs no
+quadrature.  The rescaled time s(t) = integral of L0^2 / L(z)^2 is a separate
+call, ``time_rescale``, because critical and tabulated motions need adaptive
+quadrature for it.
 
 Three families are supported:
 
@@ -25,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -247,9 +251,8 @@ class TabulatedMotion:
 BoundaryMotion = SeparableMotion | CriticalMotion | TabulatedMotion
 
 
-@dataclass(frozen=True)
-class MotionState:
-    """Snapshot of the interval kinematics at one instant."""
+class MotionState(NamedTuple):
+    """Snapshot of the interval kinematics at one instant (no rescaled time)."""
 
     t: float
     L: float
@@ -258,7 +261,6 @@ class MotionState:
     A: float
     Adot: float
     Addot: float
-    s: float
 
 
 class CaseKind(Enum):
@@ -328,20 +330,24 @@ def _separable_kinematics(m: SeparableMotion, t: float):
         A = -g1 * L / beta + c * t + d
         Adot = -g1 * (m.a * t + m.b) / (beta * L) + c
     Addot = g1 / L ** 3
-    return L, Ldot, Lddot, A, Adot, Addot
+    return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
+
+
+def _critical_half_length(m: CriticalMotion, t: float) -> float:
+    """c* (t + t0) - alpha log(1 + t) - eta(t); nonpositive once the domain collapsed."""
+    return m.physics.c_star * (t + m.t0) - m.alpha * math.log1p(t) - m.eta.value(t)
 
 
 def _critical_kinematics(m: CriticalMotion, t: float):
     cs = m.physics.c_star
     eta = m.eta
-    half = cs * (t + m.t0) - m.alpha * math.log1p(t) - eta.value(t)
-    L = 2.0 * half
+    L = 2.0 * _critical_half_length(m, t)
     if L <= 0.0:
         raise DomainCollapsedError(
             f"critical motion collapsed at or before t={t}; increase L0_offset")
     Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.d1(t))
     Lddot = 2.0 * (m.alpha / (1.0 + t) ** 2 - eta.d2(t))
-    return L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot
+    return MotionState(t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
 
 
 def _tabulated_kinematics(m: TabulatedMotion, t: float):
@@ -351,12 +357,12 @@ def _tabulated_kinematics(m: TabulatedMotion, t: float):
     L = float(sL(t))
     if L <= 0.0:
         raise DomainCollapsedError(f"tabulated length is non-positive at t={t}")
-    return (L, float(sL(t, 1)), float(sL(t, 2)),
-            float(sA(t)), float(sA(t, 1)), float(sA(t, 2)))
+    return MotionState(t, L, float(sL(t, 1)), float(sL(t, 2)),
+                       float(sA(t)), float(sA(t, 1)), float(sA(t, 2)))
 
 
-def _kinematics(motion: BoundaryMotion, t: float):
-    """(L, Ldot, Lddot, A, Adot, Addot) without the rescaled time."""
+def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
+    """Interval kinematics at one instant; s(t) is ``time_rescale``'s job."""
     if t < 0.0:
         raise ValueError(f"motions are defined for t >= 0, got t={t}")
     if isinstance(motion, SeparableMotion):
@@ -364,12 +370,6 @@ def _kinematics(motion: BoundaryMotion, t: float):
     if isinstance(motion, CriticalMotion):
         return _critical_kinematics(motion, t)
     return _tabulated_kinematics(motion, t)
-
-
-def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
-    """Evaluate interval kinematics and rescaled time at one instant."""
-    L, Ldot, Lddot, A, Adot, Addot = _kinematics(motion, t)
-    return MotionState(t, L, Ldot, Lddot, A, Adot, Addot, time_rescale(motion, t))
 
 
 def time_rescale(motion: BoundaryMotion, t: float) -> float:
@@ -402,7 +402,7 @@ def time_rescale(motion: BoundaryMotion, t: float) -> float:
         ratio = ((a * t + b - sb) * (b + sb)) / ((b - sb) * (a * t + b + sb))
         return (L0sq / (2.0 * sb)) * math.log(abs(ratio))
     L0sq = motion.L0 ** 2
-    val, _ = quad(lambda z: L0sq / _kinematics(motion, z)[0] ** 2, 0.0, t,
+    val, _ = quad(lambda z: L0sq / eval_motion(motion, z).L ** 2, 0.0, t,
                   epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=400)
     return val
 
@@ -431,15 +431,14 @@ def _critical_horizon(m: CriticalMotion) -> float:
         kd = 2.0 * abs(m.eta.k * m.eta.p) / cs
         t_safe = max(t_safe, kd ** (1.0 / (1.0 - m.eta.p)))
     ts = np.linspace(0.0, t_safe + 1.0, 4097)
-    vals = np.array([
-        cs * (t + m.t0) - m.alpha * math.log1p(t) - m.eta.value(t) for t in ts])
+    vals = np.array([_critical_half_length(m, t) for t in ts])
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return math.inf
     from scipy.optimize import brentq
     i = below[0]
-    f = lambda t: cs * (t + m.t0) - m.alpha * math.log1p(t) - m.eta.value(t)
-    return brentq(f, ts[i - 1], ts[i], xtol=1e-13, rtol=1e-14)
+    return brentq(lambda t: _critical_half_length(m, t), ts[i - 1], ts[i],
+                  xtol=1e-13, rtol=1e-14)
 
 
 def _tabulated_horizon(m: TabulatedMotion) -> float:

@@ -33,8 +33,8 @@ from .motion import (
     BoundaryMotion,
     DomainCollapsedError,
     motion_content_hash,
+    eval_motion,
     validity_horizon,
-    _kinematics,
 )
 from .output import write_csv
 from .transforms import require_centered
@@ -202,9 +202,9 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
         ones = np.ones(xi.size)
 
         def rows(t):
-            L, Ldot, _, _, Adot, _ = _kinematics(motion, t)
-            d_eff = D * (L0 / L) ** 2
-            vel = (Adot * L0 + xi * Ldot) / L
+            st = eval_motion(motion, t)
+            d_eff = D * (L0 / st.L) ** 2
+            vel = (st.Adot * L0 + xi * st.Ldot) / st.L
             peclet = np.max(np.abs(vel)) * h / d_eff
             if peclet > 2.0:
                 need = int(math.ceil(grid_size * peclet / 2.0)) + 1
@@ -233,10 +233,10 @@ def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
         ones = np.ones(xi.size - 1)
 
         def rows(t):
-            L, _, Lddot = _kinematics(motion, t)[:3]
-            d_eff = D * (L0 / L) ** 2
+            st = eval_motion(motion, t)
+            d_eff = D * (L0 / st.L) ** 2
             # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
-            pot = (Lddot * L / (4.0 * D)) * shape
+            pot = (st.Lddot * st.L / (4.0 * D)) * shape
             off = (d_eff / h ** 2) * ones
             return off, -2.0 * d_eff / h ** 2 + pot, off
         return rows
@@ -266,10 +266,10 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
         shape = r ** 2 / R0 ** 2 - 1.0
 
         def rows(t):
-            L, _, Lddot = _kinematics(motion, t)[:3]
-            d_eff = D * (R0 / (0.5 * L)) ** 2
+            st = eval_motion(motion, t)
+            d_eff = D * (R0 / (0.5 * st.L)) ** 2
             # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
-            pot = (0.25 * Lddot * L / (4.0 * D)) * shape
+            pot = (0.25 * st.Lddot * st.L / (4.0 * D)) * shape
             up = d_eff * face_hi / cell
             low = d_eff * face_lo / cell
             return low[1:], -(up + low) + pot, up[:-1]

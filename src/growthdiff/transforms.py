@@ -14,6 +14,11 @@ hundred and the linear-space factors would overflow.
 
 For radially symmetric balls |x| < R(t) the analogous substitution maps psi to
 W via ``log_radial_factor``; the interval machinery is recovered with L = 2 R.
+
+This module is the only home of these factors.  The solvers' initial data,
+the interval series and the critical-case probes and boundary gradients all
+get them from here; only the closed-form prefactors of ``exact``'s series
+routes are written out there, kept apart so the generic route can check them.
 """
 
 from __future__ import annotations
@@ -23,13 +28,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .motion import (
-    BoundaryMotion,
-    CriticalMotion,
-    MotionState,
-    eval_motion,
-    _kinematics,
-)
+from .motion import BoundaryMotion, CriticalMotion, eval_motion
 
 __all__ = [
     "xi_from_x",
@@ -49,17 +48,9 @@ __all__ = [
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 400}
 
 
-def _state(motion: BoundaryMotion, t: float, state: MotionState | None) -> MotionState:
-    if state is not None:
-        if state.t != t:
-            raise ValueError(f"state is for t={state.t}, not t={t}")
-        return state
-    return eval_motion(motion, t)
-
-
-def xi_from_x(motion: BoundaryMotion, x, t: float, state: MotionState | None = None):
+def xi_from_x(motion: BoundaryMotion, x, t: float):
     """Map physical position(s) to the reference coordinate xi = (x - A) L0 / L."""
-    st = _state(motion, t, state)
+    st = eval_motion(motion, t)
     return (np.asarray(x, dtype=float) - st.A) * (motion.L0 / st.L)
 
 
@@ -79,7 +70,7 @@ def drift_integral(motion: BoundaryMotion, t: float) -> float:
     if t == 0.0:
         return 0.0
     inv4d = 0.25 / motion.physics.D
-    val, _ = quad(lambda z: _kinematics(motion, z)[4] ** 2 * inv4d, 0.0, t, **_QUAD_OPTS)
+    val, _ = quad(lambda z: eval_motion(motion, z).Adot ** 2 * inv4d, 0.0, t, **_QUAD_OPTS)
     return val
 
 
@@ -111,14 +102,13 @@ def log_time_factor(motion: BoundaryMotion, t: float) -> float:
     return motion.physics.f0 * t - drift_integral(motion, t)
 
 
-def log_shape_factor(motion: BoundaryMotion, xi, t: float,
-                     state: MotionState | None = None):
+def log_shape_factor(motion: BoundaryMotion, xi, t: float):
     """log of the xi-dependent factor in u/w.
 
     Equals 0.5 log(L0/L) - xi^2 Ldot L / (4 D L0^2) - xi Adot L / (2 D L0);
     vectorized over xi.
     """
-    st = _state(motion, t, state)
+    st = eval_motion(motion, t)
     D = motion.physics.D
     L0 = motion.L0
     xi = np.asarray(xi, dtype=float)
@@ -143,10 +133,10 @@ def initial_w_from_u(motion: BoundaryMotion, xi, u0_values):
     Special case of ``w_from_u`` at t = 0, written out because it needs no
     quadrature and is used to seed both the series expansion and the solvers.
     """
-    L, Ldot, _, _, Adot, _ = _kinematics(motion, 0.0)
+    st = eval_motion(motion, 0.0)
     D = motion.physics.D
     xi = np.asarray(xi, dtype=float)
-    log_fac = xi * xi * (Ldot / (4.0 * D * L)) + xi * (Adot / (2.0 * D))
+    log_fac = xi * xi * (st.Ldot / (4.0 * D * st.L)) + xi * (st.Adot / (2.0 * D))
     return np.asarray(u0_values, dtype=float) * np.exp(log_fac)
 
 
@@ -157,10 +147,10 @@ def require_centered(motion: BoundaryMotion, t_max: float) -> None:
     intervals centred at the origin.
     """
     for t in np.linspace(0.0, t_max, 64):
-        L, _, _, A, _, _ = _kinematics(motion, float(t))
-        if abs(A + 0.5 * L) > 1e-9 * max(motion.L0, L):
+        st = eval_motion(motion, float(t))
+        if abs(st.A + 0.5 * st.L) > 1e-9 * max(motion.L0, st.L):
             raise ValueError(
-                f"motion is not centred: A + L/2 = {A + 0.5 * L:.3e} at t={t:.6g}")
+                f"motion is not centred: A + L/2 = {st.A + 0.5 * st.L:.3e} at t={t:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +181,9 @@ def psi_from_W(motion: BoundaryMotion, r, t: float, W_values, n_dim: int):
 
 def initial_W_from_psi(motion: BoundaryMotion, r, psi0_values, n_dim: int):
     """Initial radial transform; at t = 0 only the Rdot R (r^2 - R0^2) term survives."""
-    L, Ldot, _, _, _, _ = _kinematics(motion, 0.0)
+    st = eval_motion(motion, 0.0)
     D = motion.physics.D
     R0 = 0.5 * motion.L0
     r = np.asarray(r, dtype=float)
-    log_fac = 0.25 * Ldot * L * (r * r - R0 ** 2) / (4.0 * D * R0 ** 2)
+    log_fac = 0.25 * st.Ldot * st.L * (r * r - R0 ** 2) / (4.0 * D * R0 ** 2)
     return np.asarray(psi0_values, dtype=float) * np.exp(log_fac)

@@ -203,6 +203,17 @@ class TestCriticalCommand:
         assert rc == 3
         assert "numeric failure: probe value nonpositive" in capsys.readouterr().err
 
+    def test_probe_outside_the_domain_is_a_numeric_failure(self, capsys):
+        # The first output time in the default window [10^(-0.5), 10] is
+        # t = 0.32, where L = 1.447 is shorter than the default probe y = 2.
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                   "--t-final", "10", "--grid", "64", "--dt", "1e-2",
+                   "--num-outputs", "21"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert ("numeric failure: probe offset y=2.0 lies outside the domain "
+                "at t=0.32, where L(t)=1.447") in err
+
     def test_missing_alpha(self, capsys):
         assert main(["critical", "--D", "1", "--f0", "1"]) == 2
         assert "missing required field: alpha" in capsys.readouterr().err

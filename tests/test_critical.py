@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from growthdiff.airy import airy_ai, airy_first_zero
 from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
+                                 _probe_log_psi,
                                  boundary_gradient, envelope_bounds_general,
                                  envelope_to_csv, eval_bound, fit_exponent,
                                  fit_report_document,
                                  potential_asymptote, potential_rate,
                                  potential_trace, potential_value,
                                  radial_subsolution, radial_supersolution,
-                                 subsolution, subsolution_onset,
+                                 solve_critical, subsolution, subsolution_onset,
                                  subsolution_residual, supersolution,
                                  supersolution_residual, verify_envelope,
                                  verify_nested)
@@ -21,6 +23,7 @@ from growthdiff.exact import build_series, eval_series
 from growthdiff.motion import (CriticalMotion, PhysicsParams, SeparableMotion,
                                TabulatedMotion, eval_motion)
 from growthdiff.numeric import solve_radial, solve_u, solve_w
+from growthdiff.transforms import psi_from_W, u_from_w
 
 # Glued-barrier geometry: the profile dies at xi/L0 = -SLOPE_SUM / P^(1/3),
 # so it fits the interval once P >= (-SLOPE_SUM)^3 and the half-domain of a
@@ -58,6 +61,16 @@ def ball_run(crit25):
     outputs = np.unique(np.concatenate([[0.0], np.geomspace(0.05, 60.0, 61)]))
     return solve_radial(crit25, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
                         grid_size=256, dt=5e-3, T=60.0, output_times=outputs)
+
+
+@pytest.fixture(scope="module")
+def w_snapshot(crit15):
+    return solve_critical(crit15, 1, 40.0, 256, 1e-2, 21, 0.5)
+
+
+@pytest.fixture(scope="module")
+def ball_snapshot(crit25):
+    return solve_critical(crit25, 3, 40.0, 256, 1e-2, 21, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +374,61 @@ class TestBoundaryGradient:
                        grid_size=32, dt=1e-3, T=0.01)
         with pytest.raises(ValueError, match="potential-form"):
             boundary_gradient(crit15, urun)
+
+    def test_interval_gradient_is_the_mapped_slope(self, crit15, w_snapshot):
+        times, grads = boundary_gradient(crit15, w_snapshot)
+        h = w_snapshot.grid[1] - w_snapshot.grid[0]
+        for t, grad, w in zip(times[1:], grads[1:], w_snapshot.values[1:]):
+            slope = (4.0 * w[1] - w[2]) / (2.0 * h)
+            scale = crit15.L0 / eval_motion(crit15, t).L
+            expect = slope * scale * u_from_w(crit15, [0.0], t, [1.0])[0]
+            assert grad == pytest.approx(expect, rel=1e-12)
+
+    def test_ball_gradient_is_the_mapped_slope(self, crit25, ball_snapshot):
+        times, grads = boundary_gradient(crit25, ball_snapshot)
+        h = ball_snapshot.grid[1] - ball_snapshot.grid[0]
+        R0 = 0.5 * crit25.L0
+        for t, grad, W in zip(times[1:], grads[1:], ball_snapshot.values[1:]):
+            slope = (3.0 * W[-1] - 4.0 * W[-2] + W[-3]) / (2.0 * h)
+            scale = crit25.L0 / eval_motion(crit25, t).L
+            expect = -slope * scale * psi_from_W(crit25, [R0], t, [1.0], 3)[0]
+            assert grad == pytest.approx(expect, rel=1e-12)
+
+
+class TestProbes:
+    PROBES = [0.5, 1.0, 2.0]
+
+    def test_interval_probe_is_the_mapped_field(self, crit15, w_snapshot):
+        times = w_snapshot.times[-4:]
+        logs = _probe_log_psi(crit15, w_snapshot, self.PROBES, times)
+        for i, t in enumerate(times):
+            xi = np.asarray(self.PROBES) * crit15.L0 / eval_motion(crit15, t).L
+            w = CubicSpline(w_snapshot.grid, w_snapshot.slice_at(t))(xi)
+            expect = np.log(u_from_w(crit15, xi, t, w))
+            assert np.max(np.abs(logs[:, i] - expect)) <= 1e-12
+
+    def test_ball_probe_is_the_mapped_field(self, crit25, ball_snapshot):
+        times = ball_snapshot.times[-4:]
+        logs = _probe_log_psi(crit25, ball_snapshot, self.PROBES, times)
+        R0 = 0.5 * crit25.L0
+        for i, t in enumerate(times):
+            R = 0.5 * eval_motion(crit25, t).L
+            r = (R - np.asarray(self.PROBES)) * R0 / R
+            W = CubicSpline(ball_snapshot.grid, ball_snapshot.slice_at(t))(r)
+            expect = np.log(psi_from_W(crit25, r, t, W, 3))
+            assert np.max(np.abs(logs[:, i] - expect)) <= 1e-12
+
+    def test_offset_beyond_the_ball_radius_is_rejected(self, crit25, ball_snapshot):
+        # The first output time in the window [40/10^1.5, 40] is t = 1.48,
+        # where the radius is 1.19 < 2.
+        with pytest.raises(ValueError, match=r"y=2.0 lies outside the domain at "
+                                             r"t=1.48, where R\(t\)=1.189"):
+            fit_exponent(crit25, n_dim=3, probes=(0.5, 2.0), t_final=40.0,
+                         solution=ball_snapshot)
+
+    def test_nonpositive_offset_is_rejected(self, crit15, w_snapshot):
+        with pytest.raises(ValueError, match=r"y=0.0 lies outside the domain .* L\(t\)="):
+            _probe_log_psi(crit15, w_snapshot, [0.0, 1.0], w_snapshot.times[-2:])
 
 
 class TestFitExponent:

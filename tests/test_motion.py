@@ -93,6 +93,20 @@ class TestEvalMotion:
         with pytest.raises(DomainCollapsedError, match="2"):
             eval_motion(motion, 2.5)
 
+    def test_reads_kinematics_without_quadrature(self, physics, monkeypatch):
+        # s(t) belongs to time_rescale; reading the kinematics integrates nothing.
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr("growthdiff.motion.quad", refuse)
+        tab = _tabulated_from(physics, lambda t: -1.0 - 0.1 * t, lambda t: 2.0 + 0.2 * t)
+        for motion in (CriticalMotion(physics, alpha=1.5), tab):
+            st = eval_motion(motion, 3.0)
+            assert st._fields == ("t", "L", "Ldot", "Lddot", "A", "Adot", "Addot")
+            assert st.t == 3.0 and st.L > 0.0
+        with pytest.raises(AssertionError, match="quadrature called"):
+            time_rescale(tab, 3.0)
+
 
 class TestTimeRescale:
     def test_fixed_identity(self, physics):

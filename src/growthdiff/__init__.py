@@ -47,10 +47,8 @@ from .critical import (
     CriticalFitReport,
     EnvelopePair,
     EnvelopeViolationError,
-    PotentialTrace,
     envelope_bounds_general,
     fit_exponent,
-    potential_trace,
     subsolution,
     supersolution,
     verify_envelope,

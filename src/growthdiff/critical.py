@@ -11,7 +11,7 @@ numerically:
 
 * explicit super- and subsolution barriers for the potential-form field w,
   calibrated against a finite-difference run and checked for sign violations;
-* a potential trace P(t) = Lddot L^3 / 4 D^2 whose growth drives the barriers;
+* the potential P(t) = Lddot L^3 / 4 D^2 whose growth drives the barriers;
 * a fit of the decay exponent of psi at fixed distances from the moving
   endpoint, compared with the predicted value.  The plain log-log slope over
   a finite window still carries the t^(-1/2) relaxation of a pulled front, so
@@ -37,7 +37,7 @@ from scipy.special import j0, jn_zeros
 
 from .airy import airy_ai, airy_first_zero
 from .eigen import solve_sl
-from .exact import SeriesSolution, _sum_modes, eval_physical
+from .exact import SeriesSolution, _sum_modes, eval_physical, expand
 from .motion import (
     BoundaryMotion,
     CaseKind,
@@ -60,12 +60,10 @@ from .transforms import (
 
 __all__ = [
     "EnvelopeViolationError",
-    "PotentialTrace",
     "EnvelopePair",
     "CriticalFitReport",
     "BoundSeries",
     "potential_value",
-    "potential_trace",
     "potential_rate",
     "potential_asymptote",
     "subsolution_onset",
@@ -107,16 +105,7 @@ def _ai_vec(z: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# potential trace
-
-
-@dataclass(frozen=True)
-class PotentialTrace:
-    """Sampled barrier-driving potential P(t) (or Q(t) for balls)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    radial: bool = False
+# potential
 
 
 def potential_value(motion: BoundaryMotion, t: float, radial: bool = False) -> float:
@@ -124,12 +113,6 @@ def potential_value(motion: BoundaryMotion, t: float, radial: bool = False) -> f
     st = eval_motion(motion, t)
     P = st.Lddot * st.L ** 3 / (4.0 * motion.physics.D ** 2)
     return P / 16.0 if radial else P
-
-
-def potential_trace(motion: BoundaryMotion, times, radial: bool = False) -> PotentialTrace:
-    ts = np.asarray(times, dtype=float)
-    vals = np.array([potential_value(motion, float(t), radial) for t in ts])
-    return PotentialTrace(ts, vals, radial)
 
 
 def potential_rate(motion: BoundaryMotion, t: float) -> float:
@@ -369,13 +352,15 @@ def _barrier_pair(motion, grid, t, t_ref, kind, n_dim):
 
 
 def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
-                    t_cal: float | None = None, slack_tol: float = 1e-8) -> EnvelopePair:
+                    slack_tol: float = 1e-8) -> EnvelopePair:
     """Calibrate barriers at one snapshot and check them at all later ones.
 
-    C2 scales the supersolution up to touch the field at t_cal; C1 scales the
-    subsolution down likewise.  At every later output time the field must stay
-    between the scaled barriers, up to slack_tol relative to the field's sup
-    norm; a deeper violation raises EnvelopeViolationError with its location.
+    The calibration time t_cal is the first output time at or after the
+    barrier onset.  C2 scales the supersolution up to touch the field there;
+    C1 scales the subsolution down likewise.  At every later output time the
+    field must stay between the scaled barriers, up to slack_tol relative to
+    the field's sup norm; a deeper violation raises EnvelopeViolationError
+    with its location.
     """
     if solution.kind not in ("w", "radial"):
         raise ValueError(f"envelopes apply to potential-form runs, not {solution.kind!r}")
@@ -385,20 +370,16 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     n_dim = solution.n_dim
     t_end = float(solution.times[-1])
     onset = subsolution_onset(motion, t_end, radial=(kind == "radial"))
-    if t_cal is None:
-        later = solution.times[solution.times >= onset - 1e-12]
-        if later.size < 2:
-            raise ValueError(
-                f"no room to verify: barrier onset {onset:.4g} leaves fewer than "
-                "two output times")
-        t_cal = float(later[0])
-    elif t_cal < onset:
-        raise ValueError(f"t_cal={t_cal} precedes the barrier onset {onset:.4g}")
+    check = np.nonzero(solution.times >= onset - 1e-12)[0]
+    if check.size < 2:
+        raise ValueError(
+            f"no room to verify: barrier onset {onset:.4g} leaves fewer than "
+            "two output times")
+    t_cal = float(solution.times[check[0]])
 
     grid = solution.grid
     interior = slice(1, -1)
-    cal_idx = int(np.argmin(np.abs(solution.times - t_cal)))
-    w_cal = solution.values[cal_idx]
+    w_cal = solution.values[check[0]]
     sub_cal, sup_cal = _barrier_pair(motion, grid, t_cal, onset, kind, n_dim)
     pos = sup_cal[interior] > 0.0
     C2 = float(np.max(w_cal[interior][pos] / sup_cal[interior][pos]))
@@ -411,8 +392,7 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
             "field is not positive where the subsolution lives at t_cal; "
             "calibration impossible")
 
-    check = [i for i, t in enumerate(solution.times) if t >= t_cal - 1e-12]
-    lower = np.empty((len(check), grid.size))
+    lower = np.empty((check.size, grid.size))
     upper = np.empty_like(lower)
     field = np.empty_like(lower)
     worst = np.inf
@@ -432,8 +412,8 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
             j = int(np.argmin(slack))
             if slack[j] < worst:
                 worst, worst_t, worst_xi = float(slack[j]), t, float(grid[j])
-    pair = EnvelopePair(np.asarray([solution.times[i] for i in check]), grid,
-                        lower, upper, field, C1, C2, float(t_cal), onset,
+    pair = EnvelopePair(solution.times[check], grid,
+                        lower, upper, field, C1, C2, t_cal, onset,
                         worst, worst_t, worst_xi)
     if worst < -slack_tol:
         raise EnvelopeViolationError(
@@ -678,6 +658,10 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         else:
             if solution.motion_hash != motion_content_hash(motion):
                 raise ValueError("solution was computed for a different motion")
+            if solution.kind not in ("w", "radial") or solution.n_dim != n_dim:
+                raise ValueError(
+                    f"fit_exponent with n_dim={n_dim} needs a potential-form run of that "
+                    f"dimension, got a {solution.kind!r} run with n_dim={solution.n_dim}")
             grid_size = solution.grid_size
             dt = solution.dt
         times = solution.times[(solution.times >= window[0]) & (solution.times <= window[1])]
@@ -763,24 +747,21 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
                             gamma0_lo: float, gamma0_hi: float,
                             gamma1_lo: float, gamma1_hi: float,
                             t_max: float, grid_size: int = 512,
-                            num_modes: int = 32,
-                            n_check: int = 1000, rng=None) -> tuple:
+                            num_modes: int = 32, n_check: int = 1000) -> tuple:
     """Comparison series from pinched potential coefficients.
 
-    Validates at n_check random times that the motion's instantaneous
+    Validates at n_check seeded random times that the motion's instantaneous
     coefficients Lddot L^3 and Addot L^3 stay inside the supplied brackets,
     then builds two frozen Sturm-Liouville systems (one per corner) sharing
     the initial expansion of u0.  Evaluated with the true motion's time
     rescaling and exponential factors, they bound the solution one-sidedly.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     D = motion.physics.D
     L0 = motion.L0
     scale0 = max(abs(gamma0_lo), abs(gamma0_hi), 1.0)
     scale1 = max(abs(gamma1_lo), abs(gamma1_hi), 1.0)
     worst = (0.0, 0.0, "")
-    for t in rng.uniform(0.0, t_max, n_check):
+    for t in np.random.default_rng(0).uniform(0.0, t_max, n_check):
         st = eval_motion(motion, float(t))
         g0 = st.Lddot * st.L ** 3
         g1 = st.Addot * st.L ** 3
@@ -800,6 +781,5 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
     bounds = []
     for side, g0, g1 in (("lower", gamma0_lo, gamma1_lo), ("upper", gamma0_hi, gamma1_hi)):
         eig = solve_sl(D, L0, g0, g1, grid_size=grid_size, num_modes=num_modes)
-        coeffs = eig.modes @ (eig.weights * w0)
-        bounds.append(BoundSeries(motion, eig, coeffs, side))
+        bounds.append(BoundSeries(motion, eig, expand(w0, eig), side))
     return bounds[0], bounds[1]

@@ -13,8 +13,8 @@ test suite at relative 1e-9.
 Radially symmetric balls |x| < R(t) with R^2 quadratic in t separate the same
 way; ``build_radial_series`` handles those with a fixed centre.  Interval,
 ball and comparison series (``critical.BoundSeries``) are all one
-``SeriesSolution`` class, summed by one evaluator, ``_sum_modes``, which also
-checks the mode tail.
+``SeriesSolution`` class, summed by one evaluator, ``_sum_modes``, which reads
+every tabulated mode shape through one spline call and checks the mode tail.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ class SeriesSolution:
         return validity_horizon(self.motion)
 
     @cached_property
-    def _mode_splines(self):
-        return [CubicSpline(self.eigen.grid, m) for m in self.eigen.modes]
+    def _modes(self) -> CubicSpline:
+        """One spline through all mode shapes; called at xi it returns (modes, points)."""
+        return CubicSpline(self.eigen.grid, self.eigen.modes, axis=1)
 
 
 def transform_ic(motion: BoundaryMotion, xi, u0_values) -> np.ndarray:
@@ -173,7 +174,9 @@ def _sum_modes(sol, xi: np.ndarray, log_theta: np.ndarray,
     into the exponent keeps individual terms finite even when the prefactor
     alone would overflow.
     """
-    g = np.array([sp(xi) for sp in sol._mode_splines])
+    # The spline returns a transposed view; summing it in C order keeps the
+    # reduction order, and so every bit, of a mode-by-mode read.
+    g = np.ascontiguousarray(sol._modes(xi))
     amp = sol.coeffs[:, None] * np.exp(log_theta[:, None] + extra_log)
     terms = amp * g
     total = terms.sum(axis=0)
@@ -316,9 +319,7 @@ def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
     st = eval_motion(motion, 0.0)
     # W = psi exp(Rdot R r^2 / (4 D R0^2)) at t = 0, with Rdot R = Ldot L / 4.
     log_fac = 0.25 * st.Ldot * st.L * r * r / (4.0 * motion.physics.D * R0 ** 2)
-    w0 = psi0_vals * np.exp(log_fac)
-    coeffs = eig.modes @ (eig.weights * w0)
-    return SeriesSolution(motion, eig, coeffs)
+    return SeriesSolution(motion, eig, expand(psi0_vals * np.exp(log_fac), eig))
 
 
 def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:

@@ -19,7 +19,8 @@ Three families are supported:
   at the spreading speed c* = 2 sqrt(D f0) minus a logarithmic lag
   alpha * log(t + 1) and a decaying perturbation eta(t).
 * ``TabulatedMotion`` -- cubic-spline interpolation of sampled (A, L) for
-  motions outside the closed-form families.
+  motions outside the closed-form families, read through one two-column
+  spline.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -205,7 +207,10 @@ class CriticalMotion:
 
 @dataclass(frozen=True)
 class TabulatedMotion:
-    """Twice-differentiable spline interpolation of sampled endpoint data."""
+    """Twice-differentiable spline interpolation of sampled endpoint data.
+
+    The samples are read through one cubic spline with the columns (A, L).
+    """
 
     physics: PhysicsParams
     times: tuple
@@ -232,20 +237,13 @@ class TabulatedMotion:
         ts = np.linspace(0.0, t_max, num_samples)
         return TabulatedMotion(physics, tuple(ts), tuple(A(t) for t in ts), tuple(L(t) for t in ts))
 
-    @property
-    def _splines(self):
-        cached = self.__dict__.get("_spline_cache")
-        if cached is None:
-            t = np.asarray(self.times)
-            sA = CubicSpline(t, np.asarray(self.A_values))
-            sL = CubicSpline(t, np.asarray(self.L_values))
-            cached = (sA, sL)
-            self.__dict__["_spline_cache"] = cached
-        return cached
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        return CubicSpline(self.times, np.column_stack((self.A_values, self.L_values)))
 
     @property
     def L0(self) -> float:
-        return float(self._splines[1](0.0))
+        return float(self._spline(0.0)[1])
 
 
 BoundaryMotion = SeparableMotion | CriticalMotion | TabulatedMotion
@@ -353,12 +351,12 @@ def _critical_kinematics(m: CriticalMotion, t: float):
 def _tabulated_kinematics(m: TabulatedMotion, t: float):
     if t > m.times[-1]:
         raise ValueError(f"t={t} beyond tabulated range [0, {m.times[-1]}]")
-    sA, sL = m._splines
-    L = float(sL(t))
+    A, L = m._spline(t)
     if L <= 0.0:
         raise DomainCollapsedError(f"tabulated length is non-positive at t={t}")
-    return MotionState(t, L, float(sL(t, 1)), float(sL(t, 2)),
-                       float(sA(t)), float(sA(t, 1)), float(sA(t, 2)))
+    (Adot, Ldot), (Addot, Lddot) = m._spline(t, 1), m._spline(t, 2)
+    return MotionState(t, float(L), float(Ldot), float(Lddot),
+                       float(A), float(Adot), float(Addot))
 
 
 def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
@@ -442,9 +440,8 @@ def _critical_horizon(m: CriticalMotion) -> float:
 
 
 def _tabulated_horizon(m: TabulatedMotion) -> float:
-    _, sL = m._splines
     ts = np.linspace(m.times[0], m.times[-1], 8 * len(m.times))
-    vals = sL(ts)
+    vals = m._spline(ts)[:, 1]
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return math.inf
@@ -452,7 +449,7 @@ def _tabulated_horizon(m: TabulatedMotion) -> float:
     i = below[0]
     if i == 0:
         return 0.0
-    return brentq(lambda t: float(sL(t)), ts[i - 1], ts[i], xtol=1e-13)
+    return brentq(lambda t: float(m._spline(t)[1]), ts[i - 1], ts[i], xtol=1e-13)
 
 
 def validity_horizon(motion: BoundaryMotion) -> float:
@@ -466,8 +463,6 @@ def validity_horizon(motion: BoundaryMotion) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_SCHEMA_VERSION = 1
 
 
 def motion_to_document(motion: BoundaryMotion) -> dict:

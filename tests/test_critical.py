@@ -13,7 +13,7 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  envelope_to_csv, eval_bound, fit_exponent,
                                  fit_report_document,
                                  potential_asymptote, potential_rate,
-                                 potential_trace, potential_value,
+                                 potential_value,
                                  radial_subsolution, radial_supersolution,
                                  solve_critical, subsolution, subsolution_onset,
                                  subsolution_residual, supersolution,
@@ -115,14 +115,6 @@ class TestPotential:
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         with pytest.raises(ValueError, match="critical"):
             potential_asymptote(motion)
-
-    def test_trace_samples_pointwise(self, crit15):
-        times = np.array([1.0, 5.0, 20.0])
-        trace = potential_trace(crit15, times, radial=True)
-        assert trace.radial
-        assert np.array_equal(trace.times, times)
-        for t, v in zip(times, trace.values):
-            assert v == potential_value(crit15, float(t), radial=True)
 
 
 class TestOnset:
@@ -326,10 +318,6 @@ class TestVerifyEnvelope:
         with pytest.raises(ValueError, match="different motion"):
             verify_envelope(other, interval_run)
 
-    def test_rejects_calibration_before_onset(self, crit15, interval_run):
-        with pytest.raises(ValueError, match="precedes the barrier onset"):
-            verify_envelope(crit15, interval_run, t_cal=1.0)
-
     def test_onset_failure_propagates(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         run = solve_w(motion, lambda xi: np.sin(0.5 * np.pi * xi),
@@ -504,6 +492,22 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="different motion"):
             fit_exponent(other, window=(2.5, 80.0), t_final=80.0,
                          solution=interval_run)
+
+    def test_numeric_route_rejects_a_run_of_another_dimension(self, crit25,
+                                                              ball_snapshot):
+        # An n = 3 ball run fitted with the default n_dim = 1 would be
+        # compared against the interval's prediction.
+        with pytest.raises(ValueError, match="n_dim=1 needs a potential-form run .* "
+                                             "'radial' run with n_dim=3"):
+            fit_exponent(crit25, probes=(0.5, 1.0), t_final=40.0,
+                         solution=ball_snapshot)
+
+    def test_numeric_route_rejects_physical_frame_runs(self, crit15):
+        outputs = np.unique(np.concatenate([[0.0], np.geomspace(0.1, 10.0, 21)]))
+        urun = solve_u(crit15, lambda xi: np.sin(np.pi * xi / crit15.L0),
+                       grid_size=64, dt=1e-2, T=10.0, output_times=outputs)
+        with pytest.raises(ValueError, match="needs a potential-form run .* 'u' run"):
+            fit_exponent(crit15, probes=(0.5, 1.0), t_final=10.0, solution=urun)
 
     def test_exponent_tracks_lag_strength_affinely(self):
         # Four lag strengths at f0 = 8; each fit runs its own solver, so

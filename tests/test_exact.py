@@ -1,17 +1,20 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from growthdiff.critical import envelope_bounds_general, eval_bound
 from growthdiff.exact import (SeriesSolution, TruncationWarning, build_radial_series,
                               build_series, eval_physical, eval_radial_physical,
                               eval_radial_series, eval_series, eval_w, expand,
                               growth_region, series_manifest, series_sup_norm,
                               transform_ic)
 from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
-                               PhysicsParams, SeparableMotion, eval_motion,
-                               validity_horizon)
+                               PhysicsParams, SeparableMotion, TabulatedMotion,
+                               eval_motion, validity_horizon)
 from growthdiff.transforms import w_from_u
 
 
@@ -354,3 +357,66 @@ class TestManifest:
         doc = series_manifest(sol)
         assert doc["n_dim"] == 3
         assert doc["truncation"] == 6
+
+
+def _mode_by_mode(sol):
+    """A copy of ``sol`` that reads its modes through one CubicSpline per mode.
+
+    Returns the copy and the list of its reads, so a test can check that the
+    evaluator really went through the replacement.
+    """
+    splines = [CubicSpline(sol.eigen.grid, m) for m in sol.eigen.modes]
+    reads = []
+
+    def read(xi):
+        reads.append(xi)
+        return np.array([sp(xi) for sp in splines])
+
+    twin = dataclasses.replace(sol)
+    twin.__dict__["_modes"] = read
+    return twin, reads
+
+
+class TestOneSplineRead:
+    """Reading all modes through one spline changes no bit of any series value."""
+
+    XI = np.linspace(0.0, 1.0, 101)
+
+    @pytest.fixture(scope="class")
+    def linear_series(self):
+        # The exact subcommand's linear example: D 0.5, f0 1.2, slope 0.7, gamma1 0.3.
+        motion = SeparableMotion.linear_length(PhysicsParams(D=0.5, f0=1.2), 1.0, 0.7,
+                                               gamma1=0.3)
+        return build_series(motion, _sine(1.0), grid_size=512, num_modes=32)
+
+    @pytest.mark.parametrize("route", ["fast", "generic"])
+    @pytest.mark.parametrize("evaluate", [eval_series, eval_w])
+    def test_interval_series(self, linear_series, route, evaluate):
+        twin, reads = _mode_by_mode(linear_series)
+        for t in (0.2, 0.8):
+            assert np.array_equal(evaluate(linear_series, self.XI, t, route),
+                                  evaluate(twin, self.XI, t, route))
+        assert len(reads) == 2
+
+    def test_radial_series(self, physics):
+        motion = SeparableMotion.symmetric(physics, 2.0, a=0.1, b=0.2)
+        sol = build_radial_series(motion, lambda r: np.cos(0.5 * math.pi * r), 3)
+        twin, reads = _mode_by_mode(sol)
+        for t in (0.1, 0.7, 2.0):
+            assert np.array_equal(eval_radial_series(sol, self.XI, t),
+                                  eval_radial_series(twin, self.XI, t))
+        assert len(reads) == 3
+
+    def test_comparison_bounds(self, physics):
+        length = lambda t: 2.0 + t + 0.1 * np.sin(t)
+        wobble = TabulatedMotion.from_callables(physics, lambda t: -0.5 * length(t),
+                                                length, 2.5, 1001)
+        bounds = envelope_bounds_general(wobble, lambda xi: np.sin(0.5 * math.pi * xi),
+                                         -6.5255, 0.3, -0.3, 3.4127, 2.0,
+                                         grid_size=256, num_modes=16, n_check=100)
+        xi = np.linspace(0.0, 2.0, 129)
+        for bound in bounds:
+            twin, reads = _mode_by_mode(bound)
+            for t in (0.5, 2.0):
+                assert np.array_equal(eval_bound(bound, xi, t), eval_bound(twin, xi, t))
+            assert len(reads) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from growthdiff.motion import (CaseKind, CriticalMotion, DomainCollapsedError,
                                EtaSpec, PhysicsParams, SeparableMotion,
@@ -197,6 +198,25 @@ class TestTabulated:
             assert st.L == pytest.approx(2.0 + t + 0.1 * math.sin(t), rel=1e-9)
             assert st.Ldot == pytest.approx(1.0 + 0.1 * math.cos(t), rel=1e-6)
             assert st.Adot == pytest.approx(-0.5 * (1.0 + 0.1 * math.cos(t)), rel=1e-6)
+
+    def test_one_spline_reads_the_per_column_values(self, physics, rng):
+        motion = _tabulated_from(physics,
+                                 lambda t: 0.2 * np.sin(2.0 * t) - 0.5 * (2.0 + t),
+                                 lambda t: 2.0 + t + 0.1 * np.sin(t))
+        sA = CubicSpline(motion.times, motion.A_values)
+        sL = CubicSpline(motion.times, motion.L_values)
+        for t in rng.uniform(0.0, motion.times[-1], 200):
+            t = float(t)
+            expect = (t, sL(t), sL(t, 1), sL(t, 2), sA(t), sA(t, 1), sA(t, 2))
+            assert tuple(eval_motion(motion, t)) == tuple(float(v) for v in expect)
+
+    def test_initial_length_and_horizon_are_unchanged(self, physics):
+        # The values read through separate A and L splines.
+        ts = np.linspace(0.0, 2.0, 41)
+        L = 1.2 - ts + 0.1 * np.sin(3.0 * ts)
+        motion = TabulatedMotion(physics, tuple(ts), tuple(-0.5 * L), tuple(L))
+        assert motion.L0 == float(CubicSpline(ts, L)(0.0)) == 1.2
+        assert validity_horizon(motion) == 1.165304648771603
 
     def test_collapsing_samples_bound_the_horizon(self, physics):
         ts = np.linspace(0.0, 2.0, 41)

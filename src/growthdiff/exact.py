@@ -438,18 +438,20 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
 
 def series_to_csv(sol: SeriesSolution, path, xi, times,
                   route: str = "fast") -> None:
-    """Write columns x, xi, t, psi, u, w; one row per (time, position)."""
+    """Write columns x, xi, t, psi, u, w; one row per (time, position).
+
+    Every time is evaluated before the file is opened, so a time the series
+    cannot reach raises without leaving a partial file.
+    """
     xi = _reference_xi(sol, xi)
-
-    def blocks():
-        for t in times:
-            state = eval_motion(sol.motion, float(t))
-            u = eval_series(sol, xi, float(t), route)
-            w = eval_w(sol, xi, float(t), route)
-            x = state.A + xi * (state.L / sol.motion.L0)
-            yield np.column_stack((x, xi, np.full(xi.size, t), u, u, w))
-
-    write_csv(path, ["x", "xi", "t", "psi", "u", "w"], blocks())
+    blocks = []
+    for t in times:
+        state = eval_motion(sol.motion, float(t))
+        u = eval_series(sol, xi, float(t), route)
+        w = eval_w(sol, xi, float(t), route)
+        x = state.A + xi * (state.L / sol.motion.L0)
+        blocks.append(np.column_stack((x, xi, np.full(xi.size, t), u, u, w)))
+    write_csv(path, ["x", "xi", "t", "psi", "u", "w"], blocks)
 
 
 def series_manifest(sol: SeriesSolution) -> dict:

@@ -14,8 +14,10 @@ finite-volume form whose r = 0 row encodes the regularity condition W'(0) = 0.
 
 One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
-unknown and are stored as exact zeros.  Each step is one call to LAPACK's
-tridiagonal solver ``dgtsv``.
+unknown and are stored as exact zeros.  The coefficients depend on t alone,
+so the kernel builds them, and the implicit-side diagonals, for a block of
+``_BLOCK`` steps at a time; each step is then the explicit product on the
+field and one call to LAPACK's tridiagonal solver ``dgtsv``.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -97,14 +99,21 @@ def _prepare_run(motion: BoundaryMotion, ic, grid: np.ndarray, dt: float,
     return field0, n_steps, dt_eff, idx
 
 
+_BLOCK = 32  # steps whose rows are built together; 16-128 time alike
+
+
 def _march(rows, v0, n_steps, dt, theta, out_idx):
     """Advance (I - theta dt A) v_new = (I + (1-theta) dt A) v_old.
 
-    ``v0`` holds the interior unknowns only.  ``rows(t)`` returns the
-    sub-diagonal, diagonal and super-diagonal of A at the half step t; the
-    Dirichlet neighbours are zero, so their couplings are simply left out.
-    The kernel only reads those arrays.  Each step is one LAPACK ``dgtsv``
-    solve.  Returns the unknowns at the step indices ``out_idx``.
+    ``v0`` holds the interior unknowns only.  ``rows(ts)`` takes an array of
+    half-step times and returns the sub-diagonals, diagonals and
+    super-diagonals of A there, one row per time; the Dirichlet neighbours
+    are zero, so their couplings are simply left out.  The kernel calls it
+    once per block of ``_BLOCK`` steps, forms that block's implicit-side
+    diagonals, and then makes each step the five in-order right-hand-side
+    operations and one LAPACK ``dgtsv`` solve, which overwrites the step's
+    implicit-side rows in place.  Returns the unknowns at the step indices
+    ``out_idx``.
     """
     v = v0.copy()
     snaps = np.empty((len(out_idx), v.size))
@@ -113,22 +122,26 @@ def _march(rows, v0, n_steps, dt, theta, out_idx):
         snaps[slot[0]] = v
     explicit = (1.0 - theta) * dt
     implicit = theta * dt
-    for k in range(n_steps):
-        sub, diag, sup = rows((k + 0.5) * dt)
-        rhs = diag * v
-        rhs[:-1] += sup * v[1:]
-        rhs[1:] += sub * v[:-1]
-        rhs *= explicit
-        rhs += v
-        v, info = dgtsv(sub * -implicit, 1.0 - implicit * diag, sup * -implicit, rhs,
-                        True, True, True, True)[3:]
-        if info:
-            raise np.linalg.LinAlgError(
-                f"theta step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
-        if k + 1 in slot:
-            if not np.all(np.isfinite(v)):
-                raise RuntimeError(f"solver produced non-finite values by t={(k + 1) * dt}")
-            snaps[slot[k + 1]] = v
+    for first in range(0, n_steps, _BLOCK):
+        ks = range(first, min(first + _BLOCK, n_steps))
+        subs, diags, sups = rows((np.array(ks) + 0.5) * dt)
+        lower, mid, upper = subs * -implicit, 1.0 - implicit * diags, sups * -implicit
+        for j, k in enumerate(ks):
+            sub, diag, sup = subs[j], diags[j], sups[j]
+            rhs = diag * v
+            rhs[:-1] += sup * v[1:]
+            rhs[1:] += sub * v[:-1]
+            rhs *= explicit
+            rhs += v
+            v, info = dgtsv(lower[j], mid[j], upper[j], rhs, True, True, True, True)[3:]
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"theta step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
+            if k + 1 in slot:
+                if not np.all(np.isfinite(v)):
+                    raise RuntimeError(
+                        f"solver produced non-finite values by t={(k + 1) * dt}")
+                snaps[slot[k + 1]] = v
     return snaps
 
 
@@ -142,13 +155,11 @@ def _check_explicit_stability(theta, dt, rows, T):
     """
     if theta >= 0.5:
         return
-    worst = 0.0
-    for t in np.linspace(0.0, T, 129):
-        sub, diag, sup = rows(float(t))
-        reach = -diag
-        reach[1:] += np.abs(sub)
-        reach[:-1] += np.abs(sup)
-        worst = max(worst, float(np.max(reach)))
+    sub, diag, sup = rows(np.linspace(0.0, T, 129))
+    reach = -diag
+    reach[:, 1:] += np.abs(sub)
+    reach[:, :-1] += np.abs(sup)
+    worst = float(np.max(reach))
     if (1.0 - 2.0 * theta) * dt * worst > 2.0:
         limit = 2.0 / ((1.0 - 2.0 * theta) * worst)
         raise ValueError(
@@ -162,7 +173,7 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     """Shared run: grid, checks, the march and the ``GridSolution``.
 
     ``make_rows(nodes, h)`` receives the interior nodes and the spacing and
-    returns the ``rows(t)`` that ``_march`` calls.  Interval runs have a
+    returns the ``rows(ts)`` that ``_march`` calls.  Interval runs have a
     Dirichlet node at each end; radial runs only at r = R0.
     """
     if grid_size < 8:
@@ -201,20 +212,23 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
     def make_rows(xi, h):
         ones = np.ones(xi.size)
 
-        def rows(t):
-            st = eval_motion(motion, t)
-            d_eff = D * (L0 / st.L) ** 2
-            vel = (st.Adot * L0 + xi * st.Ldot) / st.L
-            peclet = np.max(np.abs(vel)) * h / d_eff
-            if peclet > 2.0:
+        def rows(ts):
+            states = [eval_motion(motion, float(t)) for t in ts]
+            d_eff = np.array([D * (L0 / st.L) ** 2 for st in states])[:, None]
+            Adot, Ldot, L = np.array([(st.Adot, st.Ldot, st.L) for st in states]).T[:, :, None]
+            vel = (Adot * L0 + xi * Ldot) / L
+            peclet = np.max(np.abs(vel), axis=1) * h / d_eff[:, 0]
+            bad = np.flatnonzero(peclet > 2.0)
+            if bad.size:
+                t, peclet = ts[bad[0]], peclet[bad[0]]
                 need = int(math.ceil(grid_size * peclet / 2.0)) + 1
                 raise ValueError(
                     f"cell Peclet number {peclet:.2f} exceeds 2 at t={t:.6g}; "
                     f"increase grid_size to at least {need}")
             adv = vel / (2.0 * h)
-            return ((d_eff / h ** 2 - adv)[1:],
+            return ((d_eff / h ** 2 - adv)[:, 1:],
                     (-2.0 * d_eff / h ** 2 + f0) * ones,
-                    (d_eff / h ** 2 + adv)[:-1])
+                    (d_eff / h ** 2 + adv)[:, :-1])
         return rows
 
     return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, theta, 1,
@@ -232,11 +246,11 @@ def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
         shape = (xi / L0) * (xi / L0 - 1.0)
         ones = np.ones(xi.size - 1)
 
-        def rows(t):
-            st = eval_motion(motion, t)
-            d_eff = D * (L0 / st.L) ** 2
+        def rows(ts):
+            states = [eval_motion(motion, float(t)) for t in ts]
+            d_eff = np.array([D * (L0 / st.L) ** 2 for st in states])[:, None]
             # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
-            pot = (st.Lddot * st.L / (4.0 * D)) * shape
+            pot = np.array([st.Lddot * st.L / (4.0 * D) for st in states])[:, None] * shape
             off = (d_eff / h ** 2) * ones
             return off, -2.0 * d_eff / h ** 2 + pot, off
         return rows
@@ -265,14 +279,15 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
         face_lo = np.concatenate(([0.0], face_hi[:-1]))
         shape = r ** 2 / R0 ** 2 - 1.0
 
-        def rows(t):
-            st = eval_motion(motion, t)
-            d_eff = D * (R0 / (0.5 * st.L)) ** 2
+        def rows(ts):
+            states = [eval_motion(motion, float(t)) for t in ts]
+            d_eff = np.array([D * (R0 / (0.5 * st.L)) ** 2 for st in states])[:, None]
             # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
-            pot = (0.25 * st.Lddot * st.L / (4.0 * D)) * shape
+            pot = np.array([0.25 * st.Lddot * st.L / (4.0 * D)
+                            for st in states])[:, None] * shape
             up = d_eff * face_hi / cell
             low = d_eff * face_lo / cell
-            return low[1:], -(up + low) + pot, up[:-1]
+            return low[:, 1:], -(up + low) + pot, up[:, :-1]
         return rows
 
     return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, theta,

@@ -84,6 +84,27 @@ class TestExactCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_sums_each_series_at_most_twice_per_time(self, tmp_path, monkeypatch):
+        from growthdiff import exact
+        calls = []
+        real = exact._sum_modes
+        monkeypatch.setattr(exact, "_sum_modes",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        rc = main(["exact", "--family", "linear", "--D", "0.5", "--f0", "1.2",
+                   "--L0", "1", "--slope", "0.7", "--gamma1", "0.3",
+                   "--times", "0.2,0.8"])
+        assert rc == 0
+        assert len(calls) == 4       # u and w at each of the two times
+
+    def test_failing_last_time_leaves_no_artifacts(self, tmp_path, capsys):
+        rc = main(["exact", "--family", "sqrt", "--D", "1", "--f0", "1",
+                   "--L0", "1", "--rho", "-0.5", "--times", "0.5,1.5",
+                   "--out", "partial"])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "partial.csv").exists()
+        assert not (tmp_path / "partial.json").exists()
+
     def test_rejects_unknown_initial_condition(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "fixed", "D": 1.0, "f0": 1.0,

@@ -7,7 +7,8 @@ from growthdiff.exact import (build_radial_series, build_series,
                               eval_radial_series, eval_series)
 from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
                                PhysicsParams, SeparableMotion, eval_motion)
-from growthdiff.numeric import grid_manifest, grid_to_csv, solve_radial, solve_u, solve_w
+from growthdiff.numeric import (_BLOCK, grid_manifest, grid_to_csv, solve_radial, solve_u,
+                               solve_w)
 from growthdiff.transforms import initial_W_from_psi, psi_from_W, u_from_w
 
 
@@ -148,6 +149,47 @@ class TestMarchKernel:
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v)))
 
+    @staticmethod
+    def _run(physics, kind, dt, output_times):
+        T = output_times[-1]
+        if kind == "u":
+            motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
+            sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16,
+                          dt=dt, T=T, output_times=output_times)
+        elif kind == "w":
+            motion = CriticalMotion(physics, alpha=1.5)
+            sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=16,
+                          dt=dt, T=T, output_times=output_times)
+        else:
+            motion = CriticalMotion(physics, alpha=2.5)
+            R0 = 0.5 * motion.L0
+            sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
+                               grid_size=16, dt=dt, T=T, output_times=output_times)
+        return motion, sol
+
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_steps_across_block_seams_match_dense_solve(self, physics, kind):
+        # Two block seams and a short last block: each step, from the stored
+        # slice before it, is one dense full-grid theta step.
+        dt, n_steps = 2e-3, 2 * _BLOCK + 6
+        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
+        assert sol.times.size == n_steps + 1
+        eye = np.eye(sol.grid.size)
+        for k in range(n_steps):
+            A = _dense_operator(kind, motion, sol.grid, (k + 0.5) * dt, sol.n_dim)
+            v = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ sol.values[k])
+            assert (np.max(np.abs(sol.values[k + 1] - v))
+                    <= 1e-13 * np.max(np.abs(v))), f"step {k} -> {k + 1}"
+
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_last_slice_does_not_depend_on_the_output_times(self, physics, kind):
+        dt, n_steps = 2e-3, 2 * _BLOCK + 6
+        every = [k * dt for k in range(n_steps + 1)]
+        _, dense = self._run(physics, kind, dt, every)
+        _, sparse = self._run(physics, kind, dt, every[-1:])
+        assert sparse.times.size == 1
+        assert np.array_equal(dense.values[-1], sparse.values[-1])
+
 
 class TestPotentialSolver:
     def test_centred_fixed_interval_is_plain_heat_flow(self, physics):
@@ -231,6 +273,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="Peclet"):
             solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=8,
                     dt=1e-4, T=0.1)
+
+    def test_peclet_guard_names_the_first_breach_inside_a_block(self, physics):
+        # The cell Peclet number first passes 2 at step 313, inside a block.
+        motion = SeparableMotion.linear_length(physics, 1.0, 1.0, c=3.0)
+        with pytest.raises(ValueError) as err:
+            solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=8, dt=1e-2, T=5.0)
+        assert str(err.value) == ("cell Peclet number 2.00 exceeds 2 at t=3.135; "
+                                  "increase grid_size to at least 10")
 
     def test_horizon_guard(self, physics):
         motion = SeparableMotion.sqrt_length(physics, 1.0, -0.5)

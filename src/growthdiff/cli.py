@@ -485,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--t-final", dest="t_final", type=float)
     p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=float, help="implicitness in [0.5, 1]")
     p.set_defaults(handler=cmd_numeric)
 
     p = sub.add_parser("compare", help="series vs. finite differences")
@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--t-final", dest="t_final", type=float)
     p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=float, help="implicitness in [0.5, 1]")
     p.add_argument("--tol", type=float)
     p.set_defaults(handler=cmd_compare)
 
@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--num-outputs", dest="num_outputs", type=int)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=float, help="implicitness in [0.5, 1]")
     p.add_argument("--tol", type=float)
     p.add_argument("--slack-tol", dest="slack_tol", type=float)
     p.set_defaults(handler=cmd_critical)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import j0, jn_zeros
@@ -42,9 +41,11 @@ from .motion import (
     BoundaryMotion,
     CaseKind,
     CriticalMotion,
+    MotionState,
     classify,
     eval_motion,
     motion_content_hash,
+    time_integral,
     time_rescale,
 )
 from .numeric import GridSolution, solve_radial, solve_w
@@ -89,7 +90,6 @@ _C1 = airy_first_zero()
 # Tangent-line extent of the glued barrier: it reaches zero at
 # z = -Ai(0)/Ai'(0), i.e. at xi/L0 = -_SLOPE_SUM / P^(1/3).
 _SLOPE_SUM = _AI0 / _AIP0 + _C1          # about -3.7098
-_QUAD_OPTS = {"epsabs": 1e-10, "epsrel": 1e-10, "limit": 400}
 
 _BESSEL_J0_ZERO = float(jn_zeros(0, 1)[0])
 
@@ -110,9 +110,13 @@ def _ai_vec(z: np.ndarray):
 
 def potential_value(motion: BoundaryMotion, t: float, radial: bool = False) -> float:
     """P = Lddot L^3 / 4 D^2; the ball variant Q = Rddot R^3 / 4 D^2 = P / 16."""
-    st = eval_motion(motion, t)
-    P = st.Lddot * st.L ** 3 / (4.0 * motion.physics.D ** 2)
+    P = _potential(eval_motion(motion, t), motion.physics.D)
     return P / 16.0 if radial else P
+
+
+def _potential(st: MotionState, D: float) -> float:
+    """P = Lddot L^3 / 4 D^2 from one kinematic state."""
+    return st.Lddot * st.L ** 3 / (4.0 * D ** 2)
 
 
 def potential_rate(motion: BoundaryMotion, t: float) -> float:
@@ -224,11 +228,11 @@ def _gauge_log(motion: BoundaryMotion, t_from: float, t_to: float) -> float:
         return 0.0
     D = motion.physics.D
 
-    def integrand(z):
-        return potential_value(motion, z) ** (2.0 / 3.0) / eval_motion(motion, z).L ** 2
+    def integrand(z):  # P^(2/3) / L^2
+        st = eval_motion(motion, z)
+        return _potential(st, D) ** (2.0 / 3.0) / st.L ** 2
 
-    val, _ = quad(integrand, t_from, t_to, **_QUAD_OPTS)
-    return _SLOPE_SUM * D * val
+    return _SLOPE_SUM * D * time_integral(integrand, t_from, t_to)
 
 
 def subsolution(motion: BoundaryMotion, xi, t: float, t_ref: float) -> np.ndarray:

@@ -6,9 +6,9 @@ Sturm-Liouville modes g_n(xi) carried by exp(sigma_n s(t)) and multiplied by
 an explicit exponential prefactor.  Each closed-form case (fixed, linear,
 square-root and quadratic-in-time length) has its own reduction of the two
 prefactor integrals; the ``generic`` evaluation route instead computes both
-integrals by adaptive quadrature.  The two routes are algebraically identical,
-so their agreement is a strong transcription check and is enforced in the
-test suite at relative 1e-9.
+integrals by ``motion.time_integral``, the package's one checked quadrature.
+The two routes are algebraically identical, so their agreement is a strong
+transcription check and is enforced in the test suite at relative 1e-9.
 
 Radially symmetric balls |x| < R(t) with R^2 quadratic in t separate the same
 way; ``build_radial_series`` handles those with a fixed centre.  Interval,
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .eigen import EigenSystem, solve_radial, solve_sl
@@ -34,6 +33,7 @@ from .motion import (
     CaseKind,
     DomainCollapsedError,
     SeparableMotion,
+    _quadrature_rescale,
     classify,
     eval_motion,
     motion_content_hash,
@@ -67,8 +67,6 @@ __all__ = [
     "series_to_csv",
     "series_manifest",
 ]
-
-_QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 400}
 
 # A mode tail larger than this fraction of the total triggers TruncationWarning.
 _TAIL_RTOL = 1e-8
@@ -191,15 +189,6 @@ def _sum_modes(sol, xi: np.ndarray, log_theta: np.ndarray,
     return total
 
 
-def _quad_s(motion: BoundaryMotion, t: float) -> float:
-    """Rescaled time by direct quadrature, independent of the closed forms."""
-    if t == 0.0:
-        return 0.0
-    L0sq = motion.L0 ** 2
-    val, _ = quad(lambda z: L0sq / eval_motion(motion, z).L ** 2, 0.0, t, **_QUAD_OPTS)
-    return val
-
-
 def _closed_drift(motion: SeparableMotion, t: float, L: float, s: float) -> float:
     """Closed form of integral Adot^2 / 4D over [0, t] for each separable case."""
     D = motion.physics.D
@@ -229,7 +218,7 @@ def eval_w(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.ndarray
         raise ValueError(f"unknown route {route!r}")
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
-    s = time_rescale(sol.motion, t) if route == "fast" else _quad_s(sol.motion, t)
+    s = time_rescale(sol.motion, t) if route == "fast" else _quadrature_rescale(sol.motion, t)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s)
 
 
@@ -250,7 +239,7 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
         s = time_rescale(m, t)
         drift = _closed_drift(m, t, state.L, s)
     else:
-        s = _quad_s(m, t)
+        s = _quadrature_rescale(m, t)
         drift = drift_integral(m, t)
     log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s, log_pre)

@@ -9,6 +9,11 @@ quadrature.  The rescaled time s(t) = integral of L0^2 / L(z)^2 is a separate
 call, ``time_rescale``, because critical and tabulated motions need adaptive
 quadrature for it.
 
+Every time integral of a motion (s(t) here, the frame drift in ``transforms``,
+the barrier gauge in ``critical``) goes through one checked quadrature,
+``time_integral``, built on QUADPACK's adaptive rule (Piessens et al.,
+*QUADPACK*, Springer 1983).
+
 Three families are supported:
 
 * ``SeparableMotion`` -- L(t)^2 = a t^2 + 2 b t + L0^2 together with a left
@@ -61,9 +66,8 @@ __all__ = [
 # and the quadratic length law degenerates to L = L0 + (b/L0) t.
 LINEAR_DEGENERACY_RTOL = 1e-12
 
-# Quadrature tolerance for s(t) when no closed form is available.
-_QUAD_EPSABS = 1e-10
-_QUAD_EPSREL = 1e-10
+# Tolerance of ``time_integral``, the one quadrature of every time integral.
+_QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 400}
 
 
 class DomainCollapsedError(ValueError):
@@ -370,11 +374,45 @@ def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
     return _tabulated_kinematics(motion, t)
 
 
+def time_integral(integrand, t_from: float, t_to: float) -> float:
+    """Integral of ``integrand(z)`` over [t_from, t_to], its error estimate checked.
+
+    The range is cut at the powers of ten inside it past t = 10, so algebraic
+    tails keep their resolution at any horizon; a range ending at t <= 10 is
+    one adaptive ``quad`` call.  Raises ``RuntimeError`` naming the interval
+    when the summed error estimate exceeds 1e-9 max(1, |value|).
+    """
+    cuts = [t_from]
+    edge = 10.0
+    while edge < t_to:
+        if edge > t_from:
+            cuts.append(edge)
+        edge *= 10.0
+    cuts.append(t_to)
+    val = err = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        v, e = quad(integrand, lo, hi, **_QUAD_OPTS)
+        val += v
+        err += e
+    if err > 1e-9 * max(1.0, abs(val)):
+        raise RuntimeError(
+            f"quadrature on [{t_from:.6g}, {t_to:.6g}] did not converge: "
+            f"error estimate {err:.3g} for the value {val:.10g}")
+    return val
+
+
+def _quadrature_rescale(motion: BoundaryMotion, t: float) -> float:
+    """s(t) by ``time_integral``, independent of the per-case closed forms."""
+    L0sq = motion.L0 ** 2
+    return time_integral(lambda z: L0sq / eval_motion(motion, z).L ** 2, 0.0, t)
+
+
 def time_rescale(motion: BoundaryMotion, t: float) -> float:
     """Rescaled time s(t) = integral_0^t L0^2 / L(z)^2 dz.
 
     Closed forms exist for every separable case; critical and tabulated
-    motions fall back to adaptive quadrature at absolute tolerance 1e-10.
+    motions fall back to ``time_integral``, at tolerance 1e-12 with its error
+    estimate checked.
     """
     if t < 0.0:
         raise ValueError(f"time_rescale requires t >= 0, got {t}")
@@ -399,10 +437,7 @@ def time_rescale(motion: BoundaryMotion, t: float) -> float:
         sb = math.sqrt(b * b - a * L0sq)
         ratio = ((a * t + b - sb) * (b + sb)) / ((b - sb) * (a * t + b + sb))
         return (L0sq / (2.0 * sb)) * math.log(abs(ratio))
-    L0sq = motion.L0 ** 2
-    val, _ = quad(lambda z: L0sq / eval_motion(motion, z).L ** 2, 0.0, t,
-                  epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=400)
-    return val
+    return _quadrature_rescale(motion, t)
 
 
 def _separable_horizon(m: SeparableMotion) -> float:

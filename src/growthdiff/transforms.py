@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
-from .motion import BoundaryMotion, CriticalMotion, eval_motion
+from .motion import BoundaryMotion, CriticalMotion, eval_motion, time_integral
 
 __all__ = [
     "xi_from_x",
@@ -45,8 +44,6 @@ __all__ = [
     "initial_W_from_psi",
 ]
 
-_QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 400}
-
 
 def xi_from_x(motion: BoundaryMotion, x, t: float):
     """Map physical position(s) to the reference coordinate xi = (x - A) L0 / L."""
@@ -62,16 +59,16 @@ def x_from_xi(motion: BoundaryMotion, xi, t: float):
 def drift_integral(motion: BoundaryMotion, t: float) -> float:
     """Accumulated frame-drift penalty: integral of Adot^2 / 4D over [0, t].
 
-    Evaluated by adaptive quadrature for every family, which keeps this
-    routine independent of the closed-form reductions used elsewhere.
+    Evaluated by ``motion.time_integral`` for every family (tolerance 1e-12,
+    error estimate checked), which keeps this routine independent of the
+    closed-form reductions used elsewhere.
     """
     if t < 0.0:
         raise ValueError(f"drift_integral requires t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     inv4d = 0.25 / motion.physics.D
-    val, _ = quad(lambda z: eval_motion(motion, z).Adot ** 2 * inv4d, 0.0, t, **_QUAD_OPTS)
-    return val
+    return time_integral(lambda z: eval_motion(motion, z).Adot ** 2 * inv4d, 0.0, t)
 
 
 def _critical_log_time_factor(motion: CriticalMotion, t: float) -> float:

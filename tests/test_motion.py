@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from growthdiff.motion import (CaseKind, CriticalMotion, DomainCollapsedError,
                                EtaSpec, PhysicsParams, SeparableMotion,
                                TabulatedMotion, classify, eval_motion,
                                motion_content_hash, motion_from_document,
-                               motion_to_document, time_rescale,
-                               validity_horizon)
+                               motion_to_document, time_integral,
+                               time_rescale, validity_horizon)
 
 
 def _tabulated_from(physics, A_fn, L_fn, t_max=6.0, samples=241):
@@ -152,6 +153,50 @@ class TestTimeRescale:
             rate = (time_rescale(motion, t + h) - time_rescale(motion, t - h)) / (2 * h)
             expect = motion.L0 ** 2 / eval_motion(motion, float(t)).L ** 2
             assert rate == pytest.approx(expect, rel=1e-6)
+
+    @pytest.mark.parametrize("t", [1e4, 1e5])
+    def test_critical_long_horizon_matches_split_reference(self, physics, t):
+        # One quad call over [0, 1e5] loses the 1/t^2 tail (relative error
+        # 2.8e-4); the reference splits at 81 geometric breakpoints.
+        motion = CriticalMotion(physics, alpha=1.5)
+        L0sq = motion.L0 ** 2
+        cuts = np.concatenate(([0.0], np.geomspace(1e-3, t, 80)))
+        ref = sum(quad(lambda z: L0sq / eval_motion(motion, z).L ** 2, lo, hi,
+                       epsabs=1e-14, epsrel=1e-14, limit=400)[0]
+                  for lo, hi in zip(cuts[:-1], cuts[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = time_rescale(motion, t)
+        assert s == pytest.approx(ref, rel=1e-12)
+
+
+class TestTimeIntegral:
+    def _record(self, monkeypatch):
+        calls = []
+
+        def recording(f, a, b, **kwargs):
+            calls.append((a, b))
+            return quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr("growthdiff.motion.quad", recording)
+        return calls
+
+    def test_short_range_is_one_call(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        assert time_integral(math.exp, 0.0, 10.0) == pytest.approx(math.expm1(10.0),
+                                                                   rel=1e-13)
+        assert calls == [(0.0, 10.0)]
+
+    def test_long_range_is_cut_at_powers_of_ten(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        val = time_integral(lambda z: 1.0 / (1.0 + z) ** 2, 3.0, 5000.0)
+        assert val == pytest.approx(1.0 / 4.0 - 1.0 / 5001.0, rel=1e-13)
+        assert calls == [(3.0, 10.0), (10.0, 100.0), (100.0, 1000.0), (1000.0, 5000.0)]
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unconverged_estimate_raises_naming_the_interval(self):
+        with pytest.raises(RuntimeError, match=r"quadrature on \[0, 5\]"):
+            time_integral(lambda z: math.sin(1e4 * z), 0.0, 5.0)
 
 
 class TestValidityHorizon:

@@ -390,8 +390,6 @@ def cmd_critical(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_NUMERIC
 
-    envelope_to_csv(envelope, out + "_envelope.csv")
-
     report = fit_exponent(motion, n_dim=n_dim, probes=probes, t_final=t_final,
                           window=window, grid_size=grid, dt=dt,
                           num_outputs=num_outputs, theta=theta, solution=sol)
@@ -409,6 +407,7 @@ def cmd_critical(args) -> int:
         "worst_xi": envelope.worst_xi,
         "slack_tol": slack_tol,
     }
+    envelope_to_csv(envelope, out + "_envelope.csv")
     write_json(out + "_report.json", document)
     print(f"wrote {out}_report.json and {out}_envelope.csv")
     print(f"fitted exponent {_g(report.fitted_exponent)}, "

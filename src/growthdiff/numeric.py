@@ -17,9 +17,9 @@ condition W'(0) = 0.
 One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
 unknown and are stored as exact zeros.  The coefficients depend on t alone,
-so the kernel builds them, and the implicit-side diagonals, for a block of
-``_BLOCK`` steps at a time; each step is then the explicit product on the
-field and one call to LAPACK's tridiagonal solver ``dgtsv``.
+so the kernel builds them, and the scaled implicit-side diagonals, for a
+block of ``_BLOCK`` steps at a time; each step is then one call to LAPACK's
+tridiagonal solver ``dgtsv`` and one vector update, with no explicit product.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -111,34 +111,32 @@ def _march(rows, v0, n_steps, dt, theta, out_idx):
     half-step times and returns the sub-diagonals, diagonals and
     super-diagonals of A there, one row per time; the Dirichlet neighbours
     are zero, so their couplings are simply left out.  The kernel calls it
-    once per block of ``_BLOCK`` steps, forms that block's implicit-side
-    diagonals, and then makes each step the five in-order right-hand-side
-    operations and one LAPACK ``dgtsv`` solve, which overwrites the step's
-    implicit-side rows in place.  Returns the unknowns at the step indices
-    ``out_idx``.
+    once per block of ``_BLOCK`` steps and forms that block's scaled
+    implicit-side diagonals.  Since I + (1-theta) dt A equals
+    (1/theta) I - ((1-theta)/theta) (I - theta dt A), each step is one LAPACK
+    ``dgtsv`` solve of (theta I - theta^2 dt A) z = v_old, which overwrites
+    the step's rows in place, and the update v_new = z - ((1-theta)/theta)
+    v_old.  At theta = 1/2 that is the implicit midpoint rule, a backward
+    Euler half step and a linear extrapolation; at theta = 1 the update
+    coefficient is zero.  Returns the unknowns at the step indices ``out_idx``.
     """
-    v = v0.copy()
+    v = v0
     snaps = np.empty((len(out_idx), v.size))
     slot = {k: i for i, k in enumerate(out_idx)}
     if 0 in slot:
         snaps[slot[0]] = v
-    explicit = (1.0 - theta) * dt
-    implicit = theta * dt
+    implicit = theta * theta * dt
+    carry = (1.0 - theta) / theta
     for first in range(0, n_steps, _BLOCK):
         ks = range(first, min(first + _BLOCK, n_steps))
         subs, diags, sups = rows((np.array(ks) + 0.5) * dt)
-        lower, mid, upper = subs * -implicit, 1.0 - implicit * diags, sups * -implicit
+        lower, mid, upper = subs * -implicit, theta - implicit * diags, sups * -implicit
         for j, k in enumerate(ks):
-            sub, diag, sup = subs[j], diags[j], sups[j]
-            rhs = diag * v
-            rhs[:-1] += sup * v[1:]
-            rhs[1:] += sub * v[:-1]
-            rhs *= explicit
-            rhs += v
-            v, info = dgtsv(lower[j], mid[j], upper[j], rhs, True, True, True, True)[3:]
+            z, info = dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:]
             if info:
                 raise np.linalg.LinAlgError(
                     f"theta step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
+            v = z - carry * v
             if k + 1 in slot:
                 if not np.all(np.isfinite(v)):
                     raise RuntimeError(

@@ -224,6 +224,15 @@ class TestCriticalCommand:
         assert rc == 3
         assert "numeric failure: probe value nonpositive" in capsys.readouterr().err
 
+    def test_failing_fit_leaves_no_artifacts(self, tmp_path, capsys):
+        # The envelope holds but the fit fails: neither file may be written.
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "2.5",
+                   "--n-dim", "3", "--t-final", "80", "--grid", "128",
+                   "--dt", "1e-2", "--num-outputs", "61"])
+        assert rc == 3
+        assert "numeric failure: probe value nonpositive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_probe_outside_the_domain_is_a_numeric_failure(self, capsys):
         # The first output time in the default window [10^(-0.5), 10] is
         # t = 0.32, where L = 1.447 is shorter than the default probe y = 2.

@@ -122,50 +122,56 @@ def _dense_operator(kind, motion, grid, t, n_dim):
 
 
 class TestMarchKernel:
-    @pytest.mark.parametrize("theta", [0.5, 0.75])
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
-    def test_steps_match_dense_full_system_solve(self, physics, kind, theta):
-        dt, n_steps = 2e-3, 4
-        times = [k * dt for k in range(n_steps + 1)]
+    @staticmethod
+    def _run(physics, kind, dt, output_times, theta=0.5):
+        T = output_times[-1]
         if kind == "u":
             motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
             sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16,
-                          dt=dt, T=times[-1], output_times=times, theta=theta)
+                          dt=dt, T=T, output_times=output_times, theta=theta)
         elif kind == "w":
             motion = CriticalMotion(physics, alpha=1.5)
             sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=16,
-                          dt=dt, T=times[-1], output_times=times, theta=theta)
+                          dt=dt, T=T, output_times=output_times, theta=theta)
         else:
             motion = CriticalMotion(physics, alpha=2.5)
             R0 = 0.5 * motion.L0
             sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
-                               grid_size=16, dt=dt, T=times[-1], output_times=times,
+                               grid_size=16, dt=dt, T=T, output_times=output_times,
                                theta=theta)
+        return motion, sol
+
+    @staticmethod
+    def _dense_march(kind, motion, sol, dt, theta, n_steps):
+        """The explicit-product theta march on the full grid, by dense solves."""
         eye = np.eye(sol.grid.size)
         v = sol.values[0]
         for k in range(n_steps):
             A = _dense_operator(kind, motion, sol.grid, (k + 0.5) * dt, sol.n_dim)
             v = np.linalg.solve(eye - theta * dt * A, (eye + (1.0 - theta) * dt * A) @ v)
+            yield v
+
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_steps_match_dense_full_system_solve(self, physics, kind, theta):
+        dt, n_steps = 2e-3, 4
+        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)],
+                                theta)
+        for k, v in enumerate(self._dense_march(kind, motion, sol, dt, theta, n_steps)):
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v)))
 
-    @staticmethod
-    def _run(physics, kind, dt, output_times):
-        T = output_times[-1]
-        if kind == "u":
-            motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
-            sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16,
-                          dt=dt, T=T, output_times=output_times)
-        elif kind == "w":
-            motion = CriticalMotion(physics, alpha=1.5)
-            sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=16,
-                          dt=dt, T=T, output_times=output_times)
-        else:
-            motion = CriticalMotion(physics, alpha=2.5)
-            R0 = 0.5 * motion.L0
-            sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
-                               grid_size=16, dt=dt, T=T, output_times=output_times)
-        return motion, sol
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_long_march_matches_dense_explicit_product_march(self, physics, kind, theta):
+        # 2,000 steps: the update's roundoff must not build up against the
+        # explicit-product form of the same theta step.
+        dt, n_steps = 2e-3, 2000
+        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)],
+                                theta)
+        for k, v in enumerate(self._dense_march(kind, motion, sol, dt, theta, n_steps)):
+            assert (np.max(np.abs(sol.values[k + 1] - v))
+                    <= 1e-12 * np.max(np.abs(v))), f"step {k + 1}"
 
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
     def test_steps_across_block_seams_match_dense_solve(self, physics, kind):

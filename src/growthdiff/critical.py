@@ -10,8 +10,10 @@ in n space dimensions.  This module provides the machinery to verify that law
 numerically:
 
 * explicit super- and subsolution barriers for the potential-form field w,
-  calibrated against a finite-difference run and checked for sign violations;
-* the potential P(t) = Lddot L^3 / 4 D^2 whose growth drives the barriers;
+  calibrated against a finite-difference run and checked at its later output
+  times, with s(t) and the barrier gauge carried from one time to the next;
+* the potential P(t) = Lddot L^3 / 4 D^2 whose growth drives the barriers, and
+  its rate dP/dt in closed form from the motion's third derivative of L;
 * a fit of the decay exponent of psi at fixed distances from the moving
   endpoint, compared with the predicted value.  The plain log-log slope over
   a finite window still carries the t^(-1/2) relaxation of a pulled front, so
@@ -19,15 +21,15 @@ numerically:
 * one-sided comparison series for general motions with pinched potentials.
 
 The subsolution glues a scaled Airy function to its tangent line and then to
-zero; it exists only once P is large enough for the glued profile to fit
-inside the domain and is monotone only while P is nondecreasing, so all
-barrier routines start from a computed onset time rather than from zero.
+zero.  It fits the domain only once P is large enough, and is monotone only
+while P is nondecreasing, so barriers start from a computed onset time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -42,8 +44,10 @@ from .motion import (
     CaseKind,
     CriticalMotion,
     MotionState,
+    SeparableMotion,
     classify,
     eval_motion,
+    length_jerk,
     motion_content_hash,
     time_integral,
     time_rescale,
@@ -119,14 +123,17 @@ def _potential(st: MotionState, D: float) -> float:
     return st.Lddot * st.L ** 3 / (4.0 * D ** 2)
 
 
+def _potential_rate(motion: BoundaryMotion, st: MotionState, D: float) -> float:
+    """dP/dt from one kinematic state and the motion's third derivative of L."""
+    if isinstance(motion, SeparableMotion):
+        return 0.0                       # Lddot L^3 is the constant gamma0
+    return (length_jerk(motion, st) * st.L + 3.0 * st.Lddot * st.Ldot) * st.L ** 2 / (4.0 * D ** 2)
+
+
 def potential_rate(motion: BoundaryMotion, t: float) -> float:
-    """dP/dt by five-point central differences (the motions expose only Lddot)."""
-    h = 1e-4 * (1.0 + abs(t))
-    if t - 2.0 * h < 0.0:
-        p = [potential_value(motion, t + k * h) for k in range(3)]
-        return (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * h)
-    p = [potential_value(motion, t + k * h) for k in (-2, -1, 1, 2)]
-    return (p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h)
+    """dP/dt = (Ldddot L^3 + 3 Lddot L^2 Ldot) / 4 D^2 in closed form, Ldddot from
+    ``length_jerk``; exactly 0.0 on a separable motion, whose Lddot L^3 is constant."""
+    return _potential_rate(motion, eval_motion(motion, t), motion.physics.D)
 
 
 def potential_asymptote(motion: CriticalMotion) -> float:
@@ -141,11 +148,32 @@ def potential_asymptote(motion: CriticalMotion) -> float:
 # barriers for the potential-form field
 
 
-def _check_potential_sign(motion: BoundaryMotion, t: float) -> None:
-    for z in np.linspace(0.0, t, 128):
+def _check_potential_sign(motion: BoundaryMotion, points) -> None:
+    for z in points:
         if potential_value(motion, float(z)) < 0.0:
-            raise ValueError(
-                f"supersolution needs a nonnegative potential; P({z:.6g}) < 0")
+            raise ValueError(f"supersolution needs a nonnegative potential; P({z:.6g}) < 0")
+
+
+def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None) -> np.ndarray:
+    """Principal mode at rescaled time s: the interval's (n_dim None) in xi, a ball's in r."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    D, L0 = motion.physics.D, motion.L0
+    if n_dim is None:
+        return np.sin(np.pi * x / L0) * math.exp(-D * np.pi ** 2 * s / L0 ** 2)
+    R0 = 0.5 * L0
+    r_hat = x / R0
+    if n_dim == 1:
+        h0, lam = np.cos(0.5 * np.pi * r_hat), np.pi ** 2 / 4.0
+    elif n_dim == 2:
+        h0, lam = j0(_BESSEL_J0_ZERO * r_hat), _BESSEL_J0_ZERO ** 2
+    elif n_dim == 3:
+        arg = np.pi * r_hat
+        h0 = np.where(arg > 1e-8, np.sin(np.maximum(arg, 1e-300)) / np.maximum(arg, 1e-300),
+                      1.0 - arg ** 2 / 6.0)
+        lam = np.pi ** 2
+    else:
+        raise ValueError("radial barriers are only available for n_dim <= 3")
+    return h0 * math.exp(-D * lam * s / R0 ** 2)
 
 
 def supersolution(motion: BoundaryMotion, xi, t: float) -> np.ndarray:
@@ -155,11 +183,8 @@ def supersolution(motion: BoundaryMotion, xi, t: float) -> np.ndarray:
     the potential term only removes mass when P >= 0; refuses motions whose
     potential dips negative before t.
     """
-    _check_potential_sign(motion, t)
-    L0 = motion.L0
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    s = time_rescale(motion, t)
-    return np.sin(np.pi * xi / L0) * math.exp(-motion.physics.D * np.pi ** 2 * s / L0 ** 2)
+    _check_potential_sign(motion, np.linspace(0.0, t, 128))
+    return _upper_barrier(motion, xi, time_rescale(motion, t))
 
 
 def _min_potential(xi_extent_ratio: float) -> float:
@@ -176,9 +201,11 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
     dP/dt >= 0 from the onset to t_max.  Raises if no such time exists.
     """
     p_min = _min_potential(0.5 if radial else 1.0)
+    D = motion.physics.D
     ts = np.linspace(0.0, t_max, 4097)
-    pvals = np.array([potential_value(motion, float(t)) for t in ts])
-    rates = np.array([potential_rate(motion, float(t)) for t in ts])
+    pvals, rates = np.empty(ts.size), np.empty(ts.size)
+    for j, st in enumerate(eval_motion(motion, float(t)) for t in ts):
+        pvals[j], rates[j] = _potential(st, D), _potential_rate(motion, st, D)
     rate_tol = -1e-10 * max(1.0, float(np.max(np.abs(rates))))
     # rates[i:] all clear the tolerance iff their minimum does; a NaN fails both.
     ok = (pvals >= p_min) & (np.minimum.accumulate(rates[::-1])[::-1] >= rate_tol)
@@ -196,10 +223,9 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
     return float(ts[i])
 
 
-def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float):
-    """Piecewise barrier value, xi-derivative and second derivative at time t."""
+def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float):
+    """Piecewise barrier value, xi-derivative and second derivative at potential P(t)."""
     L0 = motion.L0
-    P = potential_value(motion, t)
     if P <= 0.0:
         raise ValueError(f"barrier undefined: P({t}) = {P:.3g} is not positive")
     p13 = P ** (1.0 / 3.0)
@@ -219,29 +245,44 @@ def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float):
     val = np.where(dead, 0.0, val)
     der = np.where(dead, 0.0, der)
     der2 = np.where(dead, 0.0, der2)
-    return val, der, der2, P, p13
+    return val, der, der2
 
 
-def _gauge_log(motion: BoundaryMotion, t_from: float, t_to: float) -> float:
-    """log of the slow gauge a(t) multiplying the barrier, accumulated on [t_from, t_to]."""
+def _clock(motion: BoundaryMotion, t_from: float, t_to: float) -> tuple[float, float]:
+    """Increments of s(t) and of the gauge log a(t) = _SLOPE_SUM D int P^(2/3) / L^2
+    over [t_from, t_to]; both quadratures share their nodes, so each state is read once."""
     if t_to == t_from:
-        return 0.0
-    D = motion.physics.D
+        return 0.0, 0.0
+    D, L0sq = motion.physics.D, motion.L0 ** 2
+    state = cache(lambda z: eval_motion(motion, z))
+    ds = time_integral(lambda z: L0sq / state(z).L ** 2, t_from, t_to)
+    dg = time_integral(lambda z: _potential(state(z), D) ** (2.0 / 3.0) / state(z).L ** 2,
+                       t_from, t_to)
+    return ds, _SLOPE_SUM * D * dg
 
-    def integrand(z):  # P^(2/3) / L^2
-        st = eval_motion(motion, z)
-        return _potential(st, D) ** (2.0 / 3.0) / st.L ** 2
 
-    return _SLOPE_SUM * D * time_integral(integrand, t_from, t_to)
+def _lower_barrier(motion: BoundaryMotion, x, t: float, P: float, log_gauge: float,
+                   n_dim: int | None = None) -> np.ndarray:
+    """Airy barrier at P(t) and log a(t): a wbar(xi) on the interval (n_dim None),
+    a wtilde(R0 - r) / r^((n-1)/2) on a ball, where it must fit the half domain."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if n_dim is None:
+        return _barrier_profile(motion, x, t, P)[0] * math.exp(log_gauge)
+    if P < _min_potential(0.5):
+        raise ValueError("barrier does not fit in the half domain at this time")
+    w1 = _barrier_profile(motion, 0.5 * motion.L0 - x, t, P)[0]
+    out = np.zeros_like(x)
+    mask = w1 > 0.0
+    out[mask] = math.exp(log_gauge) * w1[mask] / x[mask] ** (0.5 * (n_dim - 1))
+    return out
 
 
 def subsolution(motion: BoundaryMotion, xi, t: float, t_ref: float) -> np.ndarray:
     """Glued Airy barrier a(t) * wbar(xi, t), valid for t >= t_ref (the onset)."""
     if t < t_ref:
         raise ValueError(f"barrier is only defined from its onset t_ref={t_ref}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    val = _barrier_profile(motion, xi, t)[0]
-    return val * math.exp(_gauge_log(motion, t_ref, t))
+    return _lower_barrier(motion, xi, t, potential_value(motion, t),
+                          _clock(motion, t_ref, t)[1])
 
 
 def radial_subsolution(motion: BoundaryMotion, r, t: float, n_dim: int,
@@ -256,46 +297,22 @@ def radial_subsolution(motion: BoundaryMotion, r, t: float, n_dim: int,
         raise ValueError("radial barriers are only available for n_dim <= 3")
     if t < t_ref:
         raise ValueError(f"barrier is only defined from its onset t_ref={t_ref}")
-    R0 = 0.5 * motion.L0
-    if potential_value(motion, t) < _min_potential(0.5):
-        raise ValueError("barrier does not fit in the half domain at this time")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    w1 = _barrier_profile(motion, R0 - r, t)[0]
-    gauge = math.exp(_gauge_log(motion, t_ref, t))
-    power = 0.5 * (n_dim - 1)
-    out = np.zeros_like(r)
-    mask = w1 > 0.0
-    out[mask] = gauge * w1[mask] / r[mask] ** power
-    return out
+    return _lower_barrier(motion, r, t, potential_value(motion, t),
+                          _clock(motion, t_ref, t)[1], n_dim)
 
 
 def radial_supersolution(motion: BoundaryMotion, r, t: float, n_dim: int) -> np.ndarray:
     """Principal-mode barrier h0(r/R0) exp(-D lambda0 s / R0^2) for the ball field."""
-    _check_potential_sign(motion, t)
-    R0 = 0.5 * motion.L0
-    r_hat = np.atleast_1d(np.asarray(r, dtype=float)) / R0
-    if n_dim == 1:
-        h0, lam = np.cos(0.5 * np.pi * r_hat), np.pi ** 2 / 4.0
-    elif n_dim == 2:
-        h0, lam = j0(_BESSEL_J0_ZERO * r_hat), _BESSEL_J0_ZERO ** 2
-    elif n_dim == 3:
-        arg = np.pi * r_hat
-        h0 = np.where(arg > 1e-8, np.sin(np.maximum(arg, 1e-300)) / np.maximum(arg, 1e-300),
-                      1.0 - arg ** 2 / 6.0)
-        lam = np.pi ** 2
-    else:
-        raise ValueError("radial barriers are only available for n_dim <= 3")
-    s = time_rescale(motion, t)
-    return h0 * math.exp(-motion.physics.D * lam * s / R0 ** 2)
+    _check_potential_sign(motion, np.linspace(0.0, t, 128))
+    return _upper_barrier(motion, r, time_rescale(motion, t), n_dim)
 
 
 # ---------------------------------------------------------------------------
 # residual sign checks
 
 
-def _potential_term(motion: BoundaryMotion, xi: np.ndarray, t: float) -> np.ndarray:
-    """Zeroth-order coefficient of the potential-form equation at (xi, t)."""
-    st = eval_motion(motion, t)
+def _potential_term(motion: BoundaryMotion, xi: np.ndarray, st: MotionState) -> np.ndarray:
+    """Zeroth-order coefficient of the potential-form equation at (xi, st.t)."""
     L0 = motion.L0
     return (st.Lddot * st.L / (4.0 * motion.physics.D)) * (xi / L0) * (xi / L0 - 1.0)
 
@@ -304,7 +321,7 @@ def supersolution_residual(motion: BoundaryMotion, xi, t: float) -> np.ndarray:
     """time-derivative minus spatial operator for the sine barrier; >= 0 when P >= 0."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     # The diffusion part cancels exactly, leaving minus the potential term.
-    return -_potential_term(motion, xi, t) * supersolution(motion, xi, t)
+    return -_potential_term(motion, xi, eval_motion(motion, t)) * supersolution(motion, xi, t)
 
 
 def subsolution_residual(motion: BoundaryMotion, xi, t: float,
@@ -315,15 +332,16 @@ def subsolution_residual(motion: BoundaryMotion, xi, t: float,
     are reported as exactly zero.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    val, der, der2, P, _ = _barrier_profile(motion, xi, t)
-    L = eval_motion(motion, t).L
+    st = eval_motion(motion, t)
     D = motion.physics.D
-    d_eff = D * (motion.L0 / L) ** 2
-    pdot = potential_rate(motion, t)
-    gauge_rate = _SLOPE_SUM * D * P ** (2.0 / 3.0) / L ** 2
+    P = _potential(st, D)
+    val, der, der2 = _barrier_profile(motion, xi, t, P)
+    d_eff = D * (motion.L0 / st.L) ** 2
+    pdot = _potential_rate(motion, st, D)
+    gauge_rate = _SLOPE_SUM * D * P ** (2.0 / 3.0) / st.L ** 2
     dt_part = (pdot / (3.0 * P)) * (xi * der - val) + gauge_rate * val
-    residual = dt_part - d_eff * der2 - _potential_term(motion, xi, t) * val
-    return np.where(val > 0.0, residual * math.exp(_gauge_log(motion, t_ref, t)), 0.0)
+    residual = dt_part - d_eff * der2 - _potential_term(motion, xi, st) * val
+    return np.where(val > 0.0, residual * math.exp(_clock(motion, t_ref, t)[1]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +366,6 @@ class EnvelopePair:
     worst_xi: float
 
 
-def _barrier_pair(motion, grid, t, t_ref, kind, n_dim):
-    if kind == "radial":
-        return (radial_subsolution(motion, grid, t, n_dim, t_ref),
-                radial_supersolution(motion, grid, t, n_dim))
-    return subsolution(motion, grid, t, t_ref), supersolution(motion, grid, t)
-
-
 def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
                     slack_tol: float = 1e-8) -> EnvelopePair:
     """Calibrate barriers at one snapshot and check them at all later ones.
@@ -370,21 +381,34 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
         raise ValueError(f"envelopes apply to potential-form runs, not {solution.kind!r}")
     if solution.motion_hash != motion_content_hash(motion):
         raise ValueError("solution was computed for a different motion")
-    kind = solution.kind
-    n_dim = solution.n_dim
+    radial = solution.kind == "radial"
+    n_dim = solution.n_dim if radial else None
     t_end = float(solution.times[-1])
-    onset = subsolution_onset(motion, t_end, radial=(kind == "radial"))
+    onset = subsolution_onset(motion, t_end, radial=radial)
     check = np.nonzero(solution.times >= onset - 1e-12)[0]
     if check.size < 2:
         raise ValueError(
             f"no room to verify: barrier onset {onset:.4g} leaves fewer than "
             "two output times")
-    t_cal = float(solution.times[check[0]])
+    times = [float(t) for t in solution.times[check]]
+    t_cal = times[0]
+    _check_potential_sign(motion, np.unique(np.concatenate(
+        [np.linspace(0.0, t, 128) for t in times])))
 
     grid = solution.grid
+    lower = np.empty((check.size, grid.size))
+    upper = np.empty_like(lower)
+    s, log_gauge = time_rescale(motion, t_cal), _clock(motion, onset, t_cal)[1]
+    for row, t in enumerate(times):
+        if row:
+            ds, dg = _clock(motion, times[row - 1], t)
+            s, log_gauge = s + ds, log_gauge + dg
+        lower[row] = _lower_barrier(motion, grid, t, potential_value(motion, t),
+                                    log_gauge, n_dim)
+        upper[row] = _upper_barrier(motion, grid, s, n_dim)
+
     interior = slice(1, -1)
-    w_cal = solution.values[check[0]]
-    sub_cal, sup_cal = _barrier_pair(motion, grid, t_cal, onset, kind, n_dim)
+    w_cal, sub_cal, sup_cal = solution.values[check[0]], lower[0], upper[0]
     pos = sup_cal[interior] > 0.0
     C2 = float(np.max(w_cal[interior][pos] / sup_cal[interior][pos]))
     mask = sub_cal > 1e-14 * np.max(sub_cal)
@@ -395,24 +419,17 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
         raise ValueError(
             "field is not positive where the subsolution lives at t_cal; "
             "calibration impossible")
+    lower *= C1
+    upper *= C2
 
-    lower = np.empty((check.size, grid.size))
-    upper = np.empty_like(lower)
-    field = np.empty_like(lower)
+    field = solution.values[check]
     worst = np.inf
     worst_t = worst_xi = float("nan")
-    for row, i in enumerate(check):
-        t = float(solution.times[i])
-        sub_t, sup_t = _barrier_pair(motion, grid, t, onset, kind, n_dim)
-        lower[row] = C1 * sub_t
-        upper[row] = C2 * sup_t
-        field[row] = solution.values[i]
-        scale = float(np.max(np.abs(field[row])))
+    for t, lo, mid, hi in zip(times, lower, field, upper):
+        scale = float(np.max(np.abs(mid)))
         if scale == 0.0:
             continue
-        slack_up = (upper[row] - field[row]) / scale
-        slack_lo = (field[row] - lower[row]) / scale
-        for slack in (slack_up, slack_lo):
+        for slack in ((hi - mid) / scale, (mid - lo) / scale):
             j = int(np.argmin(slack))
             if slack[j] < worst:
                 worst, worst_t, worst_xi = float(slack[j]), t, float(grid[j])

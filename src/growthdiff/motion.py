@@ -4,10 +4,10 @@ The physical problem lives on A(t) < x < A(t) + L(t) with homogeneous Dirichlet
 ends.  Everything downstream (series solutions, finite-difference solvers,
 envelope bounds) is driven by the kinematics collected here.  ``eval_motion``
 is the one way to read them at time t: the interval length L, the left
-endpoint A and their first two derivatives, as a ``MotionState``.  It runs no
-quadrature.  The rescaled time s(t) = integral of L0^2 / L(z)^2 is a separate
-call, ``time_rescale``, because critical and tabulated motions need adaptive
-quadrature for it.
+endpoint A and their first two derivatives, as a ``MotionState``; no
+quadrature.  ``length_jerk`` adds L's third derivative to a state.  The
+rescaled time s(t) = integral of L0^2 / L(z)^2 is ``time_rescale``'s job,
+with adaptive quadrature on critical and tabulated motions.
 
 Every time integral of a motion (s(t) here, the frame drift in ``transforms``,
 the barrier gauge in ``critical``) goes through one checked quadrature,
@@ -54,6 +54,7 @@ __all__ = [
     "DomainCollapsedError",
     "classify",
     "eval_motion",
+    "length_jerk",
     "time_rescale",
     "validity_horizon",
     "motion_to_document",
@@ -87,7 +88,7 @@ class PhysicsParams:
         if not (self.f0 > 0.0):
             raise ValueError(f"growth rate f0 must be positive, got {self.f0}")
 
-    @property
+    @cached_property
     def c_star(self) -> float:
         """Spreading speed 2 sqrt(D f0) of the unconstrained problem."""
         return 2.0 * math.sqrt(self.D * self.f0)
@@ -117,6 +118,9 @@ class EtaSpec:
 
     def d2(self, t: float) -> float:
         return self.k * self.p * (self.p - 1.0) * (1.0 + t) ** (self.p - 2.0)
+
+    def d3(self, t: float) -> float:
+        return self.k * self.p * (self.p - 1.0) * (self.p - 2.0) * (1.0 + t) ** (self.p - 3.0)
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,7 @@ class CriticalMotion:
         if not (self.L0_offset > 0.0):
             raise ValueError(f"L0_offset must be positive, got {self.L0_offset}")
 
-    @property
+    @cached_property
     def t0(self) -> float:
         return (0.5 * self.L0_offset + self.eta.value(0.0)) / self.physics.c_star
 
@@ -372,6 +376,15 @@ def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
     if isinstance(motion, CriticalMotion):
         return _critical_kinematics(motion, t)
     return _tabulated_kinematics(motion, t)
+
+
+def length_jerk(motion: BoundaryMotion, st: MotionState) -> float:
+    """Third derivative of L at the state's time, which ``eval_motion`` does not read."""
+    if isinstance(motion, SeparableMotion):
+        return -3.0 * motion.gamma0 * st.Ldot / st.L ** 4
+    if isinstance(motion, CriticalMotion):
+        return 2.0 * (-2.0 * motion.alpha / (1.0 + st.t) ** 3 - motion.eta.d3(st.t))
+    return float(motion._spline(st.t, 3)[1])
 
 
 def time_integral(integrand, t_from: float, t_to: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+import growthdiff.critical as critical
 from growthdiff.airy import airy_ai, airy_first_zero
 from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  _probe_log_psi,
@@ -20,7 +21,7 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  supersolution_residual, verify_envelope,
                                  verify_nested)
 from growthdiff.exact import build_series, eval_series
-from growthdiff.motion import (CriticalMotion, PhysicsParams, SeparableMotion,
+from growthdiff.motion import (CriticalMotion, EtaSpec, PhysicsParams, SeparableMotion,
                                TabulatedMotion, eval_motion)
 from growthdiff.numeric import solve_radial, solve_u, solve_w
 from growthdiff.transforms import psi_from_W, u_from_w
@@ -31,6 +32,13 @@ from growthdiff.transforms import psi_from_W, u_from_w
 AI0, AIP0 = airy_ai(0.0)
 C1_ZERO = airy_first_zero()
 SLOPE_SUM = AI0 / AIP0 + C1_ZERO
+
+
+def richardson_rate(f, t, h):
+    """Five-point central difference of f at t, Richardson-extrapolated from h and h/2."""
+    def five(k):
+        return (f(t - 2.0 * k) - 8.0 * f(t - k) + 8.0 * f(t + k) - f(t + 2.0 * k)) / (12.0 * k)
+    return (16.0 * five(0.5 * h) - five(h)) / 15.0
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +119,27 @@ class TestPotential:
         assert abs(potential_rate(crit15, 1e3) / coeff - 1.0) < 0.05
         assert potential_rate(crit15, 4.0) > 0.0
 
+    @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(0.5, 1.0, -0.5)])
+    def test_critical_rate_matches_extrapolated_difference(self, physics, eta):
+        motion = CriticalMotion(physics, alpha=1.5, eta=eta)
+        for t in (0.5, 4.0, 37.0, 900.0):
+            ref = richardson_rate(lambda z: potential_value(motion, z), t, 0.02 * (1.0 + t))
+            assert potential_rate(motion, t) == pytest.approx(ref, rel=1e-9)
+
+    def test_separable_rate_is_exactly_zero(self, physics):
+        for motion in (SeparableMotion.symmetric(physics, 2.0, a=1.0),
+                       SeparableMotion.sqrt_length(physics, 1.0, 1.0, gamma1=0.2),
+                       SeparableMotion(physics, 1.0, 2.0, 1.0, gamma1=0.2)):
+            for t in (0.0, 0.7, 3.1):
+                assert potential_rate(motion, t) == 0.0
+
+    def test_tabulated_rate_matches_extrapolated_difference(self, wobble):
+        # Each stencil stays inside one spline piece, where P is a polynomial.
+        knot = wobble.times[1]
+        for t in (knot * (i + 0.5) for i in (3, 170, 555, 998)):
+            ref = richardson_rate(lambda z: potential_value(wobble, z), t, 2e-4)
+            assert abs(potential_rate(wobble, t) - ref) <= 1e-8 * max(1.0, abs(ref))
+
     def test_asymptote_rejects_separable_motions(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         with pytest.raises(ValueError, match="critical"):
@@ -131,6 +160,17 @@ class TestOnset:
 
     def test_ball_onset_is_later(self, crit15, onset15):
         assert subsolution_onset(crit15, 80.0, radial=True) > onset15
+
+    def test_reads_one_state_per_sample(self, crit15, onset15, monkeypatch):
+        reads, root_reads = [], []
+        monkeypatch.setattr(critical, "eval_motion",
+                            lambda m, t: reads.append(t) or eval_motion(m, t))
+        real_brentq = critical.brentq
+        monkeypatch.setattr(critical, "brentq", lambda f, a, b, **kw: real_brentq(
+            lambda z: root_reads.append(z) or f(z), a, b, **kw))
+        assert subsolution_onset(crit15, 80.0) == onset15
+        assert root_reads
+        assert len(reads) <= 4097 + len(root_reads)
 
     def test_bounded_potential_has_no_onset(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
@@ -323,6 +363,41 @@ class TestVerifyEnvelope:
         run = solve_w(motion, lambda xi: np.sin(0.5 * np.pi * xi),
                       grid_size=64, dt=1e-2, T=2.0, output_times=[0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="barrier onset"):
+            verify_envelope(motion, run)
+
+    def test_rows_equal_the_barriers_from_scratch(self, crit15, interval_run,
+                                                  crit25, ball_run):
+        cases = ((crit15, interval_run,
+                  lambda m, x, t, on: subsolution(m, x, t, on),
+                  lambda m, x, t: supersolution(m, x, t)),
+                 (crit25, ball_run,
+                  lambda m, x, t, on: radial_subsolution(m, x, t, 3, on),
+                  lambda m, x, t: radial_supersolution(m, x, t, 3)))
+        for motion, run, sub, sup in cases:
+            pair = verify_envelope(motion, run)
+            for t, lower, upper in zip(pair.times, pair.lower, pair.upper):
+                t = float(t)
+                np.testing.assert_allclose(
+                    lower, pair.C1 * sub(motion, pair.grid, t, pair.onset), rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(
+                    upper, pair.C2 * sup(motion, pair.grid, t), rtol=1e-13, atol=0.0)
+
+    def test_sign_check_covers_every_checked_time(self, crit15, interval_run, monkeypatch):
+        seen = set()
+        real = critical.potential_value
+        monkeypatch.setattr(critical, "potential_value",
+                            lambda m, t, radial=False: seen.add(t) or real(m, t, radial))
+        pair = verify_envelope(crit15, interval_run)
+        for t in pair.times:
+            assert seen.issuperset(np.linspace(0.0, float(t), 128).tolist())
+
+    def test_negative_early_potential_is_refused(self, physics):
+        # P(0) = -0.75, but P grows past the fit threshold by t = 5.93.
+        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.0, 4.0, -0.5))
+        assert potential_value(motion, 0.0) == pytest.approx(-0.75, rel=1e-12)
+        assert subsolution_onset(motion, 40.0) == pytest.approx(5.93, abs=5e-3)
+        run = solve_critical(motion, 1, 40.0, 128, 1e-2, 21, 0.5)
+        with pytest.raises(ValueError, match="nonnegative potential"):
             verify_envelope(motion, run)
 
     def test_csv_export(self, crit15, interval_run, tmp_path):

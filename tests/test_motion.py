@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 from growthdiff.motion import (CaseKind, CriticalMotion, DomainCollapsedError,
                                EtaSpec, PhysicsParams, SeparableMotion,
                                TabulatedMotion, classify, eval_motion,
-                               motion_content_hash, motion_from_document,
+                               length_jerk, motion_content_hash, motion_from_document,
                                motion_to_document, time_integral,
                                time_rescale, validity_horizon)
 
@@ -108,6 +108,39 @@ class TestEvalMotion:
             assert st.t == 3.0 and st.L > 0.0
         with pytest.raises(AssertionError, match="quadrature called"):
             time_rescale(tab, 3.0)
+
+    def test_critical_constants_are_computed_once(self, physics):
+        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5))
+        st = eval_motion(motion, 2.0)
+        assert vars(physics)["c_star"] == 2.0 * math.sqrt(physics.D * physics.f0)
+        t0 = (0.5 * motion.L0_offset + motion.eta.value(0.0)) / physics.c_star
+        assert vars(motion)["t0"] == t0
+        fresh = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5))
+        assert fresh == motion and hash(fresh) == hash(motion)
+        assert eval_motion(fresh, 2.0) == st
+
+    def test_eta_third_derivative_differentiates_the_second(self):
+        eta = EtaSpec(0.5, 1.0, -0.5)
+        h = 1e-4
+        for t in (0.0, 0.8, 12.0):
+            diff = (eta.d2(t + h) - eta.d2(t - h)) / (2.0 * h)
+            assert eta.d3(t) == pytest.approx(diff, rel=1e-6)
+
+    @pytest.mark.parametrize("builder", [
+        lambda ph: CriticalMotion(ph, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5)),
+        lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.2),
+        lambda ph: _tabulated_from(ph, lambda t: -0.5 * (2.0 + t + 0.1 * np.sin(t)),
+                                   lambda t: 2.0 + t + 0.1 * np.sin(t)),
+    ])
+    def test_length_jerk_differentiates_the_acceleration(self, physics, builder):
+        motion = builder(physics)
+        # Tabulated points sit mid-piece: the spline's Lddot is linear there.
+        h = 1e-3
+        for t in (0.0125 * 61, 0.0125 * 203):
+            acc = [eval_motion(motion, t + k * h).Lddot for k in (-1, 1)]
+            diff = (acc[1] - acc[0]) / (2.0 * h)
+            assert length_jerk(motion, eval_motion(motion, t)) == pytest.approx(
+                diff, rel=1e-5, abs=1e-9)
 
 
 class TestTimeRescale:

@@ -4,7 +4,7 @@ One binary with five subcommands:
 
   eigen      quadratic-potential modes on an interval (or a ball with --n-dim)
   exact      eigenfunction-series solution of a separable run, written as CSV
-  numeric    theta-scheme finite-difference run in u, w or radial form
+  numeric    Crank-Nicolson finite-difference run in u, w or radial form
   compare    series vs. finite differences on one configuration, with a
              per-time relative sup-norm table
   critical   decay-exponent fit and barrier-envelope check for a spreading
@@ -260,7 +260,6 @@ def cmd_numeric(args) -> int:
         raise ConfigError(f"form must be u, w or radial, got {form!r}")
     grid = _integer(cfg, "grid", 512)
     dt = _number(cfg, "dt", 1e-3)
-    theta = _number(cfg, "theta", 0.5)
     t_final = _number(cfg, "t_final", 1.0)
     times = _output_times(cfg, t_final)
     out = cfg.get("out", "numeric")
@@ -269,12 +268,11 @@ def cmd_numeric(args) -> int:
         n_dim = _integer(cfg, "n_dim", 3)
         W0 = _initial_condition(cfg.get("ic", "dome"), motion, radial=True)
         sol = solve_radial(motion, W0, n_dim, grid_size=grid, dt=dt,
-                           T=t_final, output_times=times, theta=theta)
+                           T=t_final, output_times=times)
     else:
         ic = _initial_condition(cfg.get("ic", "sine"), motion)
         solver = solve_u if form == "u" else solve_w
-        sol = solver(motion, ic, grid_size=grid, dt=dt, T=t_final,
-                     output_times=times, theta=theta)
+        sol = solver(motion, ic, grid_size=grid, dt=dt, T=t_final, output_times=times)
     grid_to_csv(sol, out + ".csv")
     manifest = grid_manifest(sol)
     manifest["motion"] = motion_to_document(motion)
@@ -291,7 +289,6 @@ def cmd_compare(args) -> int:
     series_grid = _integer(cfg, "series_grid", 512)
     grid = _integer(cfg, "grid", 512)
     dt = _number(cfg, "dt", 1e-3)
-    theta = _number(cfg, "theta", 0.5)
     tol = _number(cfg, "tol", 1e-4)
     t_final = _number(cfg, "t_final", 1.0)
     times = [t for t in _output_times(cfg, t_final) if t > 0.0]
@@ -300,8 +297,7 @@ def cmd_compare(args) -> int:
     out = cfg.get("out", "compare")
 
     sol = build_series(motion, u0, grid_size=series_grid, num_modes=modes)
-    run = solve_u(motion, u0, grid_size=grid, dt=dt, T=max(times),
-                  output_times=times, theta=theta)
+    run = solve_u(motion, u0, grid_size=grid, dt=dt, T=max(times), output_times=times)
 
     rows = []
     worst = (-math.inf, math.nan, math.nan)  # (relative error, xi, t)
@@ -329,7 +325,7 @@ def cmd_compare(args) -> int:
         "series_grid": series_grid,
         "num_modes": modes,
         "dt": run.dt,
-        "theta": theta,
+        "theta": 0.5,      # Crank-Nicolson; the record keeps the report format
         "tol": tol,
         "worst_rel_linf": worst[0],
         "worst_xi": worst[1],
@@ -366,7 +362,6 @@ def cmd_critical(args) -> int:
     grid = _integer(cfg, "grid", 1024)
     dt = _number(cfg, "dt", 2e-3)
     num_outputs = _integer(cfg, "num_outputs", 81)
-    theta = _number(cfg, "theta", 0.5)
     tol = _number(cfg, "tol", 0.05)
     slack_tol = _number(cfg, "slack_tol", 1e-8)
     window = None
@@ -382,7 +377,7 @@ def cmd_critical(args) -> int:
         window = (lo, hi)
     out = cfg.get("out", "critical")
 
-    sol = solve_critical(motion, n_dim, t_final, grid, dt, num_outputs, theta)
+    sol = solve_critical(motion, n_dim, t_final, grid, dt, num_outputs)
 
     try:
         envelope = verify_envelope(motion, sol, slack_tol=slack_tol)
@@ -392,7 +387,7 @@ def cmd_critical(args) -> int:
 
     report = fit_exponent(motion, n_dim=n_dim, probes=probes, t_final=t_final,
                           window=window, grid_size=grid, dt=dt,
-                          num_outputs=num_outputs, theta=theta, solution=sol)
+                          num_outputs=num_outputs, solution=sol)
     document = fit_report_document(report)
     document["motion"] = motion_to_document(motion)
     document["motion_hash"] = motion_content_hash(motion)
@@ -484,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--t-final", dest="t_final", type=float)
     p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--theta", type=float, help="implicitness in [0.5, 1]")
     p.set_defaults(handler=cmd_numeric)
 
     p = sub.add_parser("compare", help="series vs. finite differences")
@@ -497,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--t-final", dest="t_final", type=float)
     p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--theta", type=float, help="implicitness in [0.5, 1]")
     p.add_argument("--tol", type=float)
     p.set_defaults(handler=cmd_compare)
 
@@ -517,7 +510,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--num-outputs", dest="num_outputs", type=int)
-    p.add_argument("--theta", type=float, help="implicitness in [0.5, 1]")
     p.add_argument("--tol", type=float)
     p.add_argument("--slack-tol", dest="slack_tol", type=float)
     p.set_defaults(handler=cmd_critical)

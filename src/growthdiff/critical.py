@@ -74,8 +74,6 @@ __all__ = [
     "subsolution_onset",
     "supersolution",
     "subsolution",
-    "radial_subsolution",
-    "radial_supersolution",
     "supersolution_residual",
     "subsolution_residual",
     "verify_envelope",
@@ -176,15 +174,16 @@ def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None
     return h0 * math.exp(-D * lam * s / R0 ** 2)
 
 
-def supersolution(motion: BoundaryMotion, xi, t: float) -> np.ndarray:
-    """Decaying sine barrier sin(pi xi / L0) exp(-D pi^2 s(t) / L0^2).
+def supersolution(motion: BoundaryMotion, x, t: float, n_dim: int | None = None) -> np.ndarray:
+    """Decaying principal-mode barrier: sin(pi xi / L0) exp(-D pi^2 s(t) / L0^2) on
+    the interval (n_dim None), h0(r/R0) exp(-D lambda0 s(t) / R0^2) on a ball.
 
     Lies above any solution of the potential form (up to calibration) because
     the potential term only removes mass when P >= 0; refuses motions whose
     potential dips negative before t.
     """
     _check_potential_sign(motion, np.linspace(0.0, t, 128))
-    return _upper_barrier(motion, xi, time_rescale(motion, t))
+    return _upper_barrier(motion, x, time_rescale(motion, t), n_dim)
 
 
 def _min_potential(xi_extent_ratio: float) -> float:
@@ -255,10 +254,15 @@ def _clock(motion: BoundaryMotion, t_from: float, t_to: float) -> tuple[float, f
         return 0.0, 0.0
     D, L0sq = motion.physics.D, motion.L0 ** 2
     state = cache(lambda z: eval_motion(motion, z))
+
+    def gauge(z):
+        P = _potential(state(z), D)
+        if P < 0.0:
+            raise ValueError(f"barrier gauge needs a nonnegative potential; P({z:.6g}) = {P:.6g}")
+        return P ** (2.0 / 3.0) / state(z).L ** 2
+
     ds = time_integral(lambda z: L0sq / state(z).L ** 2, t_from, t_to)
-    dg = time_integral(lambda z: _potential(state(z), D) ** (2.0 / 3.0) / state(z).L ** 2,
-                       t_from, t_to)
-    return ds, _SLOPE_SUM * D * dg
+    return ds, _SLOPE_SUM * D * time_integral(gauge, t_from, t_to)
 
 
 def _lower_barrier(motion: BoundaryMotion, x, t: float, P: float, log_gauge: float,
@@ -277,34 +281,21 @@ def _lower_barrier(motion: BoundaryMotion, x, t: float, P: float, log_gauge: flo
     return out
 
 
-def subsolution(motion: BoundaryMotion, xi, t: float, t_ref: float) -> np.ndarray:
-    """Glued Airy barrier a(t) * wbar(xi, t), valid for t >= t_ref (the onset)."""
-    if t < t_ref:
-        raise ValueError(f"barrier is only defined from its onset t_ref={t_ref}")
-    return _lower_barrier(motion, xi, t, potential_value(motion, t),
-                          _clock(motion, t_ref, t)[1])
+def subsolution(motion: BoundaryMotion, x, t: float, t_ref: float,
+                n_dim: int | None = None) -> np.ndarray:
+    """Glued Airy barrier, valid for t >= t_ref (the onset): a(t) * wbar(xi, t) on
+    the interval (n_dim None), a(t) * wtilde(R0 - r, t) / r^((n-1)/2) on a ball.
 
-
-def radial_subsolution(motion: BoundaryMotion, r, t: float, n_dim: int,
-                       t_ref: float) -> np.ndarray:
-    """Ball barrier wtilde(R0 - r, t) / r^((n-1)/2), vanishing near the centre.
-
-    The division is harmless because the barrier is identically zero for
-    r below R0 - xi*; two-sided critical bounds are only available for
-    n_dim <= 3, where the curvature term has the right sign.
+    The ball barrier vanishes near the centre, so the division is harmless;
+    two-sided critical bounds are only available for n_dim <= 3, where the
+    curvature term has the right sign.
     """
-    if n_dim not in (1, 2, 3):
+    if n_dim not in (None, 1, 2, 3):
         raise ValueError("radial barriers are only available for n_dim <= 3")
     if t < t_ref:
         raise ValueError(f"barrier is only defined from its onset t_ref={t_ref}")
-    return _lower_barrier(motion, r, t, potential_value(motion, t),
+    return _lower_barrier(motion, x, t, potential_value(motion, t),
                           _clock(motion, t_ref, t)[1], n_dim)
-
-
-def radial_supersolution(motion: BoundaryMotion, r, t: float, n_dim: int) -> np.ndarray:
-    """Principal-mode barrier h0(r/R0) exp(-D lambda0 s / R0^2) for the ball field."""
-    _check_potential_sign(motion, np.linspace(0.0, t, 128))
-    return _upper_barrier(motion, r, time_rescale(motion, t), n_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +611,7 @@ def _fit_log_decay(times: np.ndarray, logs) -> tuple:
 
 
 def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size: int,
-                   dt: float, num_outputs: int, theta: float) -> GridSolution:
+                   dt: float, num_outputs: int) -> GridSolution:
     """Potential-form run of a critical motion from its principal-mode profile.
 
     The output times are 0 and a geometric grid of ``num_outputs`` points from
@@ -632,18 +623,17 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
     if n_dim == 1:
         w0 = lambda xi: np.sin(np.pi * xi / motion.L0)
         return solve_w(motion, w0, grid_size=grid_size, dt=dt, T=t_final,
-                       output_times=outputs, theta=theta)
+                       output_times=outputs)
     R0 = 0.5 * motion.L0
     W0 = lambda r: np.cos(0.5 * np.pi * r / R0)
     return solve_radial(motion, W0, n_dim, grid_size=grid_size, dt=dt, T=t_final,
-                        output_times=outputs, theta=theta)
+                        output_times=outputs)
 
 
 def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
                  probes=(0.5, 1.0, 2.0), t_final: float = 1e3,
                  window: tuple | None = None, grid_size: int = 1024,
                  dt: float = 2e-3, num_outputs: int = 81,
-                 theta: float = 0.5,
                  solution: GridSolution | None = None) -> CriticalFitReport:
     """Fit the decay exponent of psi at fixed offsets behind the moving boundary.
 
@@ -674,8 +664,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         alpha = motion.alpha
         predicted = -1.0 - 0.5 * n_dim + alpha * ph.c_star / (2.0 * ph.D)
         if solution is None:
-            solution = solve_critical(motion, n_dim, t_final, grid_size, dt,
-                                      num_outputs, theta)
+            solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
         else:
             if solution.motion_hash != motion_content_hash(motion):
                 raise ValueError("solution was computed for a different motion")

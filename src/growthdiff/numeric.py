@@ -6,20 +6,21 @@ Three forms are integrated on the fixed reference domain:
 * ``solve_w``      -- potential form of w(xi, t) for centred motions (A = -L/2);
 * ``solve_radial`` -- potential form of W(r, t) on a ball of diameter L(t).
 
-All three use a theta-weighted implicit step (Crank-Nicolson by default) with
+All three march Crank-Nicolson, written as the implicit midpoint rule, with
 coefficients frozen at the half step, which keeps the scheme second order in
-time even though the coefficients are time dependent.  theta must lie in
-[1/2, 1], where the scheme is A-stable, so no step size limit applies.  Spatial
-discretisation is the standard second-order stencil; the radial solver uses a
-conservative finite-volume form whose r = 0 row encodes the regularity
-condition W'(0) = 0.
+time even though the coefficients are time dependent.  The scheme is
+A-stable, so no step size limit applies.  Spatial discretisation is the
+standard second-order stencil; the radial solver uses a conservative
+finite-volume form whose r = 0 row encodes the regularity condition
+W'(0) = 0.
 
 One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
 unknown and are stored as exact zeros.  The coefficients depend on t alone,
 so the kernel builds them, and the scaled implicit-side diagonals, for a
 block of ``_BLOCK`` steps at a time; each step is then one call to LAPACK's
-tridiagonal solver ``dgtsv`` and one vector update, with no explicit product.
+tridiagonal solver ``dgtsv`` and one vector update, v <- z - v, with no
+explicit product.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -62,7 +63,6 @@ class GridSolution:
     times: np.ndarray      # output times, snapped to step multiples
     values: np.ndarray     # shape (len(times), len(grid))
     dt: float              # effective step actually used
-    theta: float
     n_dim: int
     motion_hash: str
 
@@ -79,11 +79,9 @@ class GridSolution:
 
 
 def _prepare_run(motion: BoundaryMotion, ic, grid: np.ndarray, dt: float,
-                 T: float, output_times, theta: float):
+                 T: float, output_times):
     if not (dt > 0.0) or not (T > 0.0):
         raise ValueError("dt and T must be positive")
-    if not (0.5 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0.5, 1], got {theta}")
     if T >= validity_horizon(motion):
         raise DomainCollapsedError(
             f"T={T} reaches the collapse time {validity_horizon(motion)}")
@@ -104,39 +102,36 @@ def _prepare_run(motion: BoundaryMotion, ic, grid: np.ndarray, dt: float,
 _BLOCK = 32  # steps whose rows are built together; 16-128 time alike
 
 
-def _march(rows, v0, n_steps, dt, theta, out_idx):
-    """Advance (I - theta dt A) v_new = (I + (1-theta) dt A) v_old.
+def _march(rows, v0, n_steps, dt, out_idx):
+    """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old.
 
     ``v0`` holds the interior unknowns only.  ``rows(ts)`` takes an array of
     half-step times and returns the sub-diagonals, diagonals and
     super-diagonals of A there, one row per time; the Dirichlet neighbours
     are zero, so their couplings are simply left out.  The kernel calls it
     once per block of ``_BLOCK`` steps and forms that block's scaled
-    implicit-side diagonals.  Since I + (1-theta) dt A equals
-    (1/theta) I - ((1-theta)/theta) (I - theta dt A), each step is one LAPACK
-    ``dgtsv`` solve of (theta I - theta^2 dt A) z = v_old, which overwrites
-    the step's rows in place, and the update v_new = z - ((1-theta)/theta)
-    v_old.  At theta = 1/2 that is the implicit midpoint rule, a backward
-    Euler half step and a linear extrapolation; at theta = 1 the update
-    coefficient is zero.  Returns the unknowns at the step indices ``out_idx``.
+    implicit-side diagonals.  Since I + dt/2 A equals 2 I - (I - dt/2 A),
+    each step is the implicit midpoint rule: one LAPACK ``dgtsv`` solve of
+    (1/2 I - dt/4 A) z = v_old, a backward Euler half step that overwrites
+    the step's rows in place, and the linear extrapolation v_new = z - v_old.
+    Returns the unknowns at the step indices ``out_idx``.
     """
     v = v0
     snaps = np.empty((len(out_idx), v.size))
     slot = {k: i for i, k in enumerate(out_idx)}
     if 0 in slot:
         snaps[slot[0]] = v
-    implicit = theta * theta * dt
-    carry = (1.0 - theta) / theta
+    implicit = 0.25 * dt
     for first in range(0, n_steps, _BLOCK):
         ks = range(first, min(first + _BLOCK, n_steps))
         subs, diags, sups = rows((np.array(ks) + 0.5) * dt)
-        lower, mid, upper = subs * -implicit, theta - implicit * diags, sups * -implicit
+        lower, mid, upper = subs * -implicit, 0.5 - implicit * diags, sups * -implicit
         for j, k in enumerate(ks):
             z, info = dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:]
             if info:
                 raise np.linalg.LinAlgError(
-                    f"theta step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
-            v = z - carry * v
+                    f"step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
+            v = z - v
             if k + 1 in slot:
                 if not np.all(np.isfinite(v)):
                     raise RuntimeError(
@@ -146,8 +141,7 @@ def _march(rows, v0, n_steps, dt, theta, out_idx):
 
 
 def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
-           dt: float, T: float, output_times, theta: float, n_dim: int,
-           make_rows) -> GridSolution:
+           dt: float, T: float, output_times, n_dim: int, make_rows) -> GridSolution:
     """Shared run: grid, checks, the march and the ``GridSolution``.
 
     ``make_rows(nodes, h)`` receives the interior nodes and the spacing and
@@ -159,7 +153,7 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     grid = np.linspace(0.0, extent, grid_size + 1)
     h = extent / grid_size
     field0, n_steps, dt_eff, out_idx = _prepare_run(
-        motion, ic, grid, dt, T, output_times, theta)
+        motion, ic, grid, dt, T, output_times)
     interior = slice(0, -1) if kind == "radial" else slice(1, -1)
     scale = np.max(np.abs(field0)) or 1.0
     if kind == "radial":
@@ -169,15 +163,14 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
         raise ValueError("initial data must vanish at both endpoints")
     rows = make_rows(grid[interior], h)
     values = np.zeros((len(out_idx), grid.size))
-    values[:, interior] = _march(rows, field0[interior], n_steps, dt_eff, theta,
-                                 out_idx)
+    values[:, interior] = _march(rows, field0[interior], n_steps, dt_eff, out_idx)
     times = np.array([i * dt_eff for i in out_idx])
-    return GridSolution(kind, grid, times, values, dt_eff, theta, n_dim,
+    return GridSolution(kind, grid, times, values, dt_eff, n_dim,
                         motion_content_hash(motion))
 
 
 def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
-            T: float = 1.0, output_times=None, theta: float = 0.5) -> GridSolution:
+            T: float = 1.0, output_times=None) -> GridSolution:
     """Integrate the advection-diffusion-growth form of u on [0, L0].
 
     Rejects runs whose cell Peclet number |V| h / D_eff exceeds 2 at any step:
@@ -208,12 +201,11 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
                     (d_eff / h ** 2 + adv)[:, :-1])
         return rows
 
-    return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, theta, 1,
-                  make_rows)
+    return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, 1, make_rows)
 
 
 def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
-            T: float = 1.0, output_times=None, theta: float = 0.5) -> GridSolution:
+            T: float = 1.0, output_times=None) -> GridSolution:
     """Integrate the potential form of w on [0, L0]; needs a centred motion."""
     require_centered(motion, T)
     L0 = motion.L0
@@ -232,13 +224,11 @@ def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
             return off, -2.0 * d_eff / h ** 2 + pot, off
         return rows
 
-    return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, theta, 1,
-                  make_rows)
+    return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, 1, make_rows)
 
 
 def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
-                 dt: float = 1e-3, T: float = 1.0, output_times=None,
-                 theta: float = 0.5) -> GridSolution:
+                 dt: float = 1e-3, T: float = 1.0, output_times=None) -> GridSolution:
     """Integrate the radial potential form of W on [0, R0] with R = L/2.
 
     ``motion`` describes the ball diameter and must be centred.  The r = 0 row
@@ -267,8 +257,8 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
             return low[:, 1:], -(up + low) + pot, up[:, :-1]
         return rows
 
-    return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, theta,
-                  n_dim, make_rows)
+    return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, n_dim,
+                  make_rows)
 
 
 def grid_to_csv(solution: GridSolution, path) -> None:
@@ -285,7 +275,7 @@ def grid_manifest(solution: GridSolution) -> dict:
         "schema_version": 1,
         "kind": solution.kind,
         "scheme": "theta-implicit, coefficients at the half step",
-        "theta": solution.theta,
+        "theta": 0.5,      # Crank-Nicolson; the record keeps the manifest format
         "grid_size": solution.grid_size,
         "dt": solution.dt,
         "n_dim": solution.n_dim,

@@ -63,7 +63,7 @@ def spread15(physics1):
 def long_run(spread15):
     # Potential-form run to t = 10^3; about a minute.  Reused by the
     # exponent fit, the envelope check and the gradient band.
-    return solve_critical(spread15, 1, 1e3, 1024, 2e-3, 81, 0.5)
+    return solve_critical(spread15, 1, 1e3, 1024, 2e-3, 81)
 
 
 @pytest.fixture(scope="module")

@@ -270,3 +270,31 @@ def test_reruns_are_byte_identical(tmp_path, argv, artifacts):
     for suffix in artifacts:
         one = (tmp_path / ("one" + suffix)).read_bytes()
         assert one and one == (tmp_path / ("two" + suffix)).read_bytes()
+
+
+_SHORT_RUNS = {
+    "numeric": ["numeric", "--family", "symmetric", "--D", "1", "--f0", "1",
+                "--L0", "2", "--a", "0.1", "--b", "0.2", "--form", "w",
+                "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"],
+    "compare": ["compare", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", PI,
+                "--t-final", "0.2", "--grid", "64", "--dt", "1e-2"],
+    "critical": ["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                 "--t-final", "20", "--grid", "64", "--dt", "1e-2",
+                 "--num-outputs", "21", "--tol", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHORT_RUNS))
+class TestThetaIsNotAnOption:
+    # Every march is Crank-Nicolson; there is no implicitness to choose.
+    def test_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_SHORT_RUNS[command] + ["--theta", "0.75"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --theta 0.75" in capsys.readouterr().err
+
+    def test_config_key_is_rejected(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 0.75}))
+        assert main(_SHORT_RUNS[command] + ["--config", str(cfg)]) == 2
+        assert "unknown config keys: theta" in capsys.readouterr().err

@@ -14,9 +14,8 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  envelope_to_csv, eval_bound, fit_exponent,
                                  fit_report_document,
                                  potential_asymptote, potential_rate,
-                                 potential_value,
-                                 radial_subsolution, radial_supersolution,
-                                 solve_critical, subsolution, subsolution_onset,
+                                 potential_value, solve_critical,
+                                 subsolution, subsolution_onset,
                                  subsolution_residual, supersolution,
                                  supersolution_residual, verify_envelope,
                                  verify_nested)
@@ -73,12 +72,12 @@ def ball_run(crit25):
 
 @pytest.fixture(scope="module")
 def w_snapshot(crit15):
-    return solve_critical(crit15, 1, 40.0, 256, 1e-2, 21, 0.5)
+    return solve_critical(crit15, 1, 40.0, 256, 1e-2, 21)
 
 
 @pytest.fixture(scope="module")
 def ball_snapshot(crit25):
-    return solve_critical(crit25, 3, 40.0, 256, 1e-2, 21, 0.5)
+    return solve_critical(crit25, 3, 40.0, 256, 1e-2, 21)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +238,18 @@ class TestGauge:
         assert d2 < 0.6 * d1
         assert d3 < 0.6 * d2
 
+    @pytest.mark.parametrize("barrier", [
+        lambda m, x, t, t_ref: subsolution(m, x, t, t_ref),
+        lambda m, x, t, t_ref: subsolution(m, x, t, t_ref, 3),
+        subsolution_residual,
+    ], ids=["interval", "ball", "residual"])
+    def test_reference_before_a_nonnegative_potential_is_refused(self, physics, barrier):
+        # P(0) = -0.75, so P^(2/3) is complex at the gauge's first nodes.
+        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.0, 4.0, -0.5))
+        with pytest.raises(ValueError,
+                           match=r"nonnegative potential; P\([0-9.e+-]+\) = -[0-9.e+-]+$"):
+            barrier(motion, [0.1], 10.0, 0.0)
+
 
 class TestSupersolution:
     def test_matches_rescaled_sine_decay(self, physics):
@@ -267,32 +278,32 @@ class TestRadialBarriers:
     def test_one_dimensional_ball_is_the_interval_barrier(self, crit25):
         R0 = 0.5 * crit25.L0
         r = np.linspace(1e-3, R0, 33)
-        assert np.array_equal(radial_subsolution(crit25, r, 30.0, 1, 30.0),
+        assert np.array_equal(subsolution(crit25, r, 30.0, 30.0, 1),
                               subsolution(crit25, R0 - r, 30.0, 30.0))
 
     def test_three_dimensional_barrier_lives_in_a_shell(self, crit25):
         R0 = 0.5 * crit25.L0
         r = np.linspace(1e-3, R0, 33)
-        vals = radial_subsolution(crit25, r, 30.0, 3, 30.0)
+        vals = subsolution(crit25, r, 30.0, 30.0, 3)
         assert np.all(vals[:3] == 0.0)
         assert np.any(vals > 0.0)
         assert vals[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_high_dimensions(self, crit25):
         with pytest.raises(ValueError, match="n_dim <= 3"):
-            radial_subsolution(crit25, [0.2], 30.0, 4, 30.0)
+            subsolution(crit25, [0.2], 30.0, 30.0, 4)
 
     def test_rejects_profiles_wider_than_the_half_domain(self, crit15):
         # At t = 5 the interval barrier exists but the ball variant does not.
         assert potential_value(crit15, 5.0) > (-SLOPE_SUM) ** 3
         with pytest.raises(ValueError, match="does not fit"):
-            radial_subsolution(crit15, [0.2], 5.0, 3, 5.0)
+            subsolution(crit15, [0.2], 5.0, 5.0, 3)
 
     def test_supersolution_vanishes_at_the_ball_boundary(self, crit25):
         R0 = 0.5 * crit25.L0
         r = np.linspace(0.0, R0, 9)
         for n_dim in (1, 2, 3):
-            vals = radial_supersolution(crit25, r, 2.0, n_dim)
+            vals = supersolution(crit25, r, 2.0, n_dim)
             assert vals[0] > 0.0
             assert abs(vals[-1]) < 1e-12 * vals[0]
 
@@ -300,13 +311,13 @@ class TestRadialBarriers:
         R0 = 0.5 * crit25.L0
         s = quad(lambda z: (crit25.L0 / eval_motion(crit25, z).L) ** 2,
                  0.0, 2.0, epsabs=1e-12, epsrel=1e-12)[0]
-        centre = radial_supersolution(crit25, np.array([0.0]), 2.0, 3)[0]
+        centre = supersolution(crit25, np.array([0.0]), 2.0, 3)[0]
         assert centre == pytest.approx(
             math.exp(-crit25.physics.D * np.pi ** 2 * s / R0 ** 2), rel=1e-9)
 
     def test_supersolution_rejects_high_dimensions(self, crit25):
         with pytest.raises(ValueError, match="n_dim <= 3"):
-            radial_supersolution(crit25, [0.1], 1.0, 4)
+            supersolution(crit25, [0.1], 1.0, 4)
 
 
 class TestResidualSigns:
@@ -371,8 +382,8 @@ class TestVerifyEnvelope:
                   lambda m, x, t, on: subsolution(m, x, t, on),
                   lambda m, x, t: supersolution(m, x, t)),
                  (crit25, ball_run,
-                  lambda m, x, t, on: radial_subsolution(m, x, t, 3, on),
-                  lambda m, x, t: radial_supersolution(m, x, t, 3)))
+                  lambda m, x, t, on: subsolution(m, x, t, on, 3),
+                  lambda m, x, t: supersolution(m, x, t, 3)))
         for motion, run, sub, sup in cases:
             pair = verify_envelope(motion, run)
             for t, lower, upper in zip(pair.times, pair.lower, pair.upper):
@@ -396,7 +407,7 @@ class TestVerifyEnvelope:
         motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.0, 4.0, -0.5))
         assert potential_value(motion, 0.0) == pytest.approx(-0.75, rel=1e-12)
         assert subsolution_onset(motion, 40.0) == pytest.approx(5.93, abs=5e-3)
-        run = solve_critical(motion, 1, 40.0, 128, 1e-2, 21, 0.5)
+        run = solve_critical(motion, 1, 40.0, 128, 1e-2, 21)
         with pytest.raises(ValueError, match="nonnegative potential"):
             verify_envelope(motion, run)
 

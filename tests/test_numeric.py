@@ -123,22 +123,21 @@ def _dense_operator(kind, motion, grid, t, n_dim):
 
 class TestMarchKernel:
     @staticmethod
-    def _run(physics, kind, dt, output_times, theta=0.5):
+    def _run(physics, kind, dt, output_times):
         T = output_times[-1]
         if kind == "u":
             motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
             sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16,
-                          dt=dt, T=T, output_times=output_times, theta=theta)
+                          dt=dt, T=T, output_times=output_times)
         elif kind == "w":
             motion = CriticalMotion(physics, alpha=1.5)
             sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=16,
-                          dt=dt, T=T, output_times=output_times, theta=theta)
+                          dt=dt, T=T, output_times=output_times)
         else:
             motion = CriticalMotion(physics, alpha=2.5)
             R0 = 0.5 * motion.L0
             sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
-                               grid_size=16, dt=dt, T=T, output_times=output_times,
-                               theta=theta)
+                               grid_size=16, dt=dt, T=T, output_times=output_times)
         return motion, sol
 
     @staticmethod
@@ -151,24 +150,23 @@ class TestMarchKernel:
             v = np.linalg.solve(eye - theta * dt * A, (eye + (1.0 - theta) * dt * A) @ v)
             yield v
 
-    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    # The kernel's one step is Crank-Nicolson, the reference's theta = 1/2.
+    @pytest.mark.parametrize("theta", [0.5])
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
     def test_steps_match_dense_full_system_solve(self, physics, kind, theta):
         dt, n_steps = 2e-3, 4
-        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)],
-                                theta)
+        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
         for k, v in enumerate(self._dense_march(kind, motion, sol, dt, theta, n_steps)):
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v)))
 
-    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("theta", [0.5])
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
     def test_long_march_matches_dense_explicit_product_march(self, physics, kind, theta):
         # 2,000 steps: the update's roundoff must not build up against the
-        # explicit-product form of the same theta step.
+        # explicit-product form of the same step.
         dt, n_steps = 2e-3, 2000
-        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)],
-                                theta)
+        motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
         for k, v in enumerate(self._dense_march(kind, motion, sol, dt, theta, n_steps)):
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-12 * np.max(np.abs(v))), f"step {k + 1}"
@@ -176,7 +174,7 @@ class TestMarchKernel:
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
     def test_steps_across_block_seams_match_dense_solve(self, physics, kind):
         # Two block seams and a short last block: each step, from the stored
-        # slice before it, is one dense full-grid theta step.
+        # slice before it, is one dense full-grid Crank-Nicolson step.
         dt, n_steps = 2e-3, 2 * _BLOCK + 6
         motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
         assert sol.times.size == n_steps + 1
@@ -303,9 +301,6 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"grid_size": 4},
         {"dt": -1e-3},
-        {"theta": 1.5},
-        {"theta": 0.0},
-        {"theta": 0.49},
     ])
     def test_parameter_validation(self, physics, kwargs):
         motion = SeparableMotion.fixed_length(physics, 1.0)

@@ -1,163 +1,31 @@
-"""Self-contained Airy function kernel.
+"""Airy function Ai, its derivative and its first zero, from scipy.special.
 
-The critical-spreading subsolution is built from the Airy function Ai and its
-first negative zero, so the package carries its own evaluator instead of
-depending on a special-function library: a Maclaurin double series around the
-origin and Poincare asymptotic expansions for large |x|.
-
-The series branch is exact up to rounding but suffers growing cancellation for
-large positive x (the f and g series individually grow like Bi); the
-asymptotic branch has a floor set by its smallest term, roughly exp(-4/3 x^1.5).
-The switch point 6.0 keeps the series cancellation below ~1e-12 absolute while
-the asymptotic floor there is already ~1e-13, so both branches are trustworthy
-on a neighbourhood of the switch.
+The critical-spreading subsolution is built from Ai on [c1, 0], where c1 is
+the largest (first negative) zero of Ai.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
+import numpy as np
+from scipy.special import ai_zeros, airy
 
 __all__ = ["airy_ai", "airy_first_zero"]
 
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)      # Ai(0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
 
-_SERIES_RADIUS = 6.0
-_MAX_SERIES_TERMS = 40
-_MAX_ASYMP_TERMS = 40
+def airy_ai(x):
+    """(Ai(x), Ai'(x)): two floats for a scalar x, two arrays for an array.
 
-
-def _ai_maclaurin(x: float) -> tuple[float, float]:
-    """(Ai, Ai') from the two solutions of y'' = x y with analytic data at 0."""
-    x3 = x * x * x
-    f = 1.0
-    fp = 0.0
-    cf = 1.0   # term of the f-series: x^{3k} coefficient times x^{3k}
-    g = x
-    gp = 1.0
-    cg = x     # term of the g-series: x^{3k+1}
-    for k in range(1, _MAX_SERIES_TERMS + 1):
-        cf *= x3 / ((3 * k) * (3 * k - 1))
-        cg *= x3 / ((3 * k + 1) * (3 * k))
-        f += cf
-        g += cg
-        if x != 0.0:
-            fp += cf * (3 * k) / x
-        gp += cg * (3 * k + 1) / x if x != 0.0 else 0.0
-        if abs(cf) < 1e-18 * abs(f) and abs(cg) < 1e-18 * max(abs(g), 1e-300):
-            break
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
-
-
-def _asymptotic_coeffs(zeta: float) -> tuple[float, float]:
-    """Truncated sums S_u = sum (-1)^k u_k zeta^-k and S_v likewise, stopping
-    at the smallest term of the divergent expansion."""
-    su = 1.0
-    sv = 1.0
-    u = 1.0
-    term_prev = 1.0
-    sign = 1.0
-    for k in range(1, _MAX_ASYMP_TERMS + 1):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        term = u / zeta ** k
-        if term > term_prev:
-            break  # past the optimal truncation point
-        sign = -sign
-        su += sign * term
-        sv += sign * v / zeta ** k
-        term_prev = term
-    return su, sv
-
-
-def _ai_asymptotic_pos(x: float) -> tuple[float, float]:
-    zeta = (2.0 / 3.0) * x ** 1.5
-    su, sv = _asymptotic_coeffs(zeta)
-    pref = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    return pref * su / x ** 0.25, -pref * sv * x ** 0.25
-
-
-def _osc_sums(zeta: float):
-    """Even/odd-index partial sums of the u_k and v_k expansions used on the
-    oscillatory side."""
-    us = [1.0]
-    vs = [1.0]
-    u = 1.0
-    for k in range(1, _MAX_ASYMP_TERMS + 1):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        us.append(u)
-        vs.append(u * (6 * k + 1) / (1 - 6 * k))
-        if u / zeta ** k > us[-2] / zeta ** (k - 1):
-            us.pop()
-            vs.pop()
-            break
-    s_u_even = sum((-1) ** j * us[2 * j] / zeta ** (2 * j) for j in range((len(us) + 1) // 2))
-    s_u_odd = sum((-1) ** j * us[2 * j + 1] / zeta ** (2 * j + 1) for j in range(len(us) // 2))
-    s_v_even = sum((-1) ** j * vs[2 * j] / zeta ** (2 * j) for j in range((len(vs) + 1) // 2))
-    s_v_odd = sum((-1) ** j * vs[2 * j + 1] / zeta ** (2 * j + 1) for j in range(len(vs) // 2))
-    return s_u_even, s_u_odd, s_v_even, s_v_odd
-
-
-def _ai_asymptotic_neg(x: float) -> tuple[float, float]:
-    t = -x
-    zeta = (2.0 / 3.0) * t ** 1.5
-    sue, suo, sve, svo = _osc_sums(zeta)
-    w = zeta - 0.25 * math.pi
-    rt = math.sqrt(math.pi)
-    ai = (math.cos(w) * sue + math.sin(w) * suo) / (rt * t ** 0.25)
-    aip = (t ** 0.25 / rt) * (math.sin(w) * sve - math.cos(w) * svo)
+    Raises ValueError unless every entry of x is finite.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"airy_ai requires a finite argument, got {x}")
+    ai, aip, _, _ = airy(x)
+    if x.ndim == 0:
+        return float(ai), float(aip)
     return ai, aip
 
 
-def airy_ai(x: float) -> tuple[float, float]:
-    """Airy function of the first kind.
-
-    Parameters
-    ----------
-    x : float
-        Finite real argument.
-
-    Returns
-    -------
-    (ai, aip) : tuple of float
-        Value and first derivative of Ai at x.
-    """
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"airy_ai requires a finite argument, got {x}")
-    if abs(x) <= _SERIES_RADIUS:
-        return _ai_maclaurin(x)
-    if x > 0.0:
-        return _ai_asymptotic_pos(x)
-    return _ai_asymptotic_neg(x)
-
-
-@lru_cache(maxsize=1)
 def airy_first_zero() -> float:
-    """Largest (first negative) zero of Ai, bracketed in (-2.4, -2.3).
-
-    Bisection narrows the bracket, then Newton iterations polish to full
-    double precision.  The result is cached.
-    """
-    lo, hi = -2.4, -2.3
-    flo = airy_ai(lo)[0]
-    if not (flo < 0.0 < airy_ai(hi)[0]):
-        raise RuntimeError("Airy zero bracket lost")
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        fmid = airy_ai(mid)[0]
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(6):
-        ai, aip = airy_ai(z)
-        step = ai / aip
-        z -= step
-        if abs(step) < 1e-16:
-            break
-    return z
+    """Largest (first negative) zero of Ai, about -2.3381."""
+    return float(ai_zeros(1)[0][0])

@@ -100,12 +100,6 @@ class EnvelopeViolationError(RuntimeError):
     """A calibrated barrier was crossed by more than the allowed slack."""
 
 
-def _ai_vec(z: np.ndarray):
-    """Ai and Ai' at every point of a 1-D array."""
-    pairs = np.array([airy_ai(float(zz)) for zz in z]).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
 # ---------------------------------------------------------------------------
 # potential
 
@@ -165,10 +159,7 @@ def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None
     elif n_dim == 2:
         h0, lam = j0(_BESSEL_J0_ZERO * r_hat), _BESSEL_J0_ZERO ** 2
     elif n_dim == 3:
-        arg = np.pi * r_hat
-        h0 = np.where(arg > 1e-8, np.sin(np.maximum(arg, 1e-300)) / np.maximum(arg, 1e-300),
-                      1.0 - arg ** 2 / 6.0)
-        lam = np.pi ** 2
+        h0, lam = np.sinc(r_hat), np.pi ** 2
     else:
         raise ValueError("radial barriers are only available for n_dim <= 3")
     return h0 * math.exp(-D * lam * s / R0 ** 2)
@@ -235,12 +226,13 @@ def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float)
     # (and further out the dead zone) takes over.
     curved = z <= 0.0
     ai, aip = np.zeros((2,) + z.shape)
-    ai[curved], aip[curved] = _ai_vec(z[curved])
+    ai[curved], aip[curved] = airy_ai(z[curved])
     val = np.where(curved, ai / p13, (_AI0 + _AIP0 * z) / p13)
     der = np.where(curved, aip / L0, _AIP0 / L0)
     # Ai'' = z Ai on the curved part; the tangent part is linear.
     der2 = np.where(curved, p13 * z * ai / L0 ** 2, 0.0)
-    dead = xi_hat >= xi_star_hat
+    # Pin the defining zero: Ai at the computed c1 is roundoff, not 0.
+    dead = (xi_hat >= xi_star_hat) | (xi_hat == 0.0)
     val = np.where(dead, 0.0, val)
     der = np.where(dead, 0.0, der)
     der2 = np.where(dead, 0.0, der2)
@@ -654,7 +646,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     ph = motion.physics
     if window is None:
         window = (t_final / 10 ** 1.5, t_final)
-    if window[0] >= window[1] or window[1] > t_final * (1.0 + 1e-12):
+    if not 0.0 < window[0] < window[1] <= t_final * (1.0 + 1e-12):
         raise ValueError(f"fit window {window} must sit inside (0, t_final]")
     if math.log10(window[1] / window[0]) < 1.5 - 1e-9:
         raise ValueError("fit window must span at least 1.5 decades")

@@ -181,7 +181,7 @@ class TestBarrierProfile:
     # t_ref = t keeps the gauge factor at exactly one.
 
     def test_vanishes_at_left_endpoint(self, crit15):
-        assert abs(subsolution(crit15, [0.0], 10.0, 10.0)[0]) < 1e-12
+        assert subsolution(crit15, [0.0], 10.0, 10.0)[0] == 0.0
 
     def test_left_slope_is_airy_derivative_at_its_zero(self, crit15):
         h = 1e-5
@@ -572,6 +572,11 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="inside"):
             fit_exponent(crit15, window=(2.5, 100.0), t_final=80.0,
                          solution=interval_run)
+
+    @pytest.mark.parametrize("window", [(0.0, 80.0), (-1.0, 80.0)])
+    def test_window_must_start_above_zero(self, crit15, window):
+        with pytest.raises(ValueError, match=r"must sit inside \(0, t_final\]"):
+            fit_exponent(crit15, window=window, t_final=80.0)
 
     def test_numeric_route_rejects_foreign_solutions(self, interval_run):
         other = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.0)

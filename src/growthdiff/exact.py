@@ -193,7 +193,7 @@ def _closed_drift(motion: SeparableMotion, t: float, L: float, s: float) -> floa
     """Closed form of integral Adot^2 / 4D over [0, t] for each separable case."""
     D = motion.physics.D
     L0, g1, c = motion.L0, motion.gamma1, motion.c
-    kind = classify(motion).kind
+    kind = motion.case_kind
     if kind is CaseKind.FIXED_LENGTH:
         acc = g1 * g1 * t ** 3 / (3.0 * L0 ** 6) + c * g1 * t * t / L0 ** 3 + c * c * t
     elif kind is CaseKind.LINEAR_LENGTH:

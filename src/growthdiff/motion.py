@@ -5,7 +5,9 @@ ends.  Everything downstream (series solutions, finite-difference solvers,
 envelope bounds) is driven by the kinematics collected here.  ``eval_motion``
 is the one way to read them at time t: the interval length L, the left
 endpoint A and their first two derivatives, as a ``MotionState``; no
-quadrature.  ``length_jerk`` adds L's third derivative to a state.  The
+quadrature.  Each state is one pass: a separable motion computes its case
+and gamma0 once per motion, and a tabulated one sums one spline piece.
+``length_jerk`` adds L's third derivative to a state.  The
 rescaled time s(t) = integral of L0^2 / L(z)^2 is ``time_rescale``'s job,
 with adaptive quadrature on critical and tabulated motions.
 
@@ -24,14 +26,16 @@ Three families are supported:
   at the spreading speed c* = 2 sqrt(D f0) minus a logarithmic lag
   alpha * log(t + 1) and a decaying perturbation eta(t).
 * ``TabulatedMotion`` -- cubic-spline interpolation of sampled (A, L) for
-  motions outside the closed-form families, read through one two-column
-  spline.
+  motions outside the closed-form families.  A state reads the one piece of
+  the two-column spline that holds t, summed as scipy sums it, so the values
+  are the spline's own to the last bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -110,16 +114,27 @@ class EtaSpec:
         if self.k != 0.0 and not (self.p < 0.0):
             raise ValueError(f"eta exponent p must be negative, got {self.p}")
 
+    # With k = 0 the power term is a signed zero, and adding or subtracting it
+    # leaves every kinematic value unchanged, so it is not computed.
+
     def value(self, t: float) -> float:
+        if self.k == 0.0:
+            return self.eta0
         return self.eta0 + self.k * (1.0 + t) ** self.p
 
     def d1(self, t: float) -> float:
+        if self.k == 0.0:
+            return 0.0
         return self.k * self.p * (1.0 + t) ** (self.p - 1.0)
 
     def d2(self, t: float) -> float:
+        if self.k == 0.0:
+            return 0.0
         return self.k * self.p * (self.p - 1.0) * (1.0 + t) ** (self.p - 2.0)
 
     def d3(self, t: float) -> float:
+        if self.k == 0.0:
+            return 0.0
         return self.k * self.p * (self.p - 1.0) * (self.p - 2.0) * (1.0 + t) ** (self.p - 3.0)
 
 
@@ -178,10 +193,18 @@ class SeparableMotion:
             return SeparableMotion(physics, a, b, L0, 0.0, -0.5 * b / L0, -0.5 * L0)
         return SeparableMotion(physics, a, b, L0, -0.5 * gamma0, 0.0, 0.0)
 
-    @property
+    # The case facts below are computed once per motion.  They are not
+    # fields, so equality, hashing and the motion document never see them.
+
+    @cached_property
     def gamma0(self) -> float:
         """Separability constant Lddot * L^3 = a L0^2 - b^2."""
         return self.a * self.L0 ** 2 - self.b ** 2
+
+    @cached_property
+    def case_kind(self) -> CaseKind:
+        """The closed-form case of this length law, as ``classify`` reports it."""
+        return classify(self).kind
 
 
 @dataclass(frozen=True)
@@ -217,7 +240,10 @@ class CriticalMotion:
 class TabulatedMotion:
     """Twice-differentiable spline interpolation of sampled endpoint data.
 
-    The samples are read through one cubic spline with the columns (A, L).
+    The samples define one cubic spline with the columns (A, L).  A state is
+    read from the one spline piece that holds t: its cubic is summed once for
+    each of A, L and their derivatives, with scipy ``PPoly``'s interval rule
+    and summation order, so every value equals the spline's own bit for bit.
     """
 
     physics: PhysicsParams
@@ -249,7 +275,13 @@ class TabulatedMotion:
     def _spline(self) -> CubicSpline:
         return CubicSpline(self.times, np.column_stack((self.A_values, self.L_values)))
 
-    @property
+    @cached_property
+    def _pieces(self) -> np.ndarray:
+        """One row per spline piece: A's then L's coefficients, highest power first."""
+        c = self._spline.c
+        return c.transpose(1, 2, 0).reshape(c.shape[1], 8)
+
+    @cached_property
     def L0(self) -> float:
         return float(self._spline(0.0)[1])
 
@@ -318,7 +350,7 @@ def _separable_kinematics(m: SeparableMotion, t: float):
     L = math.sqrt(Lsq)
     Ldot = (m.a * t + m.b) / L
     Lddot = m.gamma0 / L ** 3
-    kind = classify(m).kind
+    kind = m.case_kind
     g1, c, d = m.gamma1, m.c, m.d
     if kind is CaseKind.FIXED_LENGTH:
         A = g1 * t * t / (2.0 * m.L0 ** 3) + c * t + d
@@ -356,15 +388,41 @@ def _critical_kinematics(m: CriticalMotion, t: float):
     return MotionState(t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
 
 
+def _spline_piece(m: TabulatedMotion, t: float):
+    """A's and L's coefficients on the spline piece holding t, and t's offset in it.
+
+    scipy's interval rule: times[i] <= t < times[i + 1], with t = times[-1]
+    (or beyond) in the last piece and t < times[0] in the first.
+    """
+    times = m.times
+    i = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
+    a3, a2, a1, a0, l3, l2, l1, l0 = m._pieces[i].tolist()
+    return (a3, a2, a1, a0), (l3, l2, l1, l0), t - times[i]
+
+
+def _cubic_read(c, s: float):
+    """Value, first and second derivative of c3 s^3 + c2 s^2 + c1 s + c0.
+
+    Each sum runs in scipy ``PPoly``'s order: from the constant term up,
+    starting at 0.0, each term (coefficient * s^j) * k!/(k - nu)!, with s^j
+    built by repeated multiplication.
+    """
+    c3, c2, c1, c0 = c
+    s2 = s * s
+    return (0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s),
+            0.0 + c1 + c2 * s * 2.0 + c3 * s2 * 3.0,
+            0.0 + c2 * 2.0 + c3 * s * 6.0)
+
+
 def _tabulated_kinematics(m: TabulatedMotion, t: float):
     if t > m.times[-1]:
         raise ValueError(f"t={t} beyond tabulated range [0, {m.times[-1]}]")
-    A, L = m._spline(t)
+    cA, cL, s = _spline_piece(m, t)
+    L, Ldot, Lddot = _cubic_read(cL, s)
     if L <= 0.0:
         raise DomainCollapsedError(f"tabulated length is non-positive at t={t}")
-    (Adot, Ldot), (Addot, Lddot) = m._spline(t, 1), m._spline(t, 2)
-    return MotionState(t, float(L), float(Ldot), float(Lddot),
-                       float(A), float(Adot), float(Addot))
+    A, Adot, Addot = _cubic_read(cA, s)
+    return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
 
 def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
@@ -384,7 +442,8 @@ def length_jerk(motion: BoundaryMotion, st: MotionState) -> float:
         return -3.0 * motion.gamma0 * st.Ldot / st.L ** 4
     if isinstance(motion, CriticalMotion):
         return 2.0 * (-2.0 * motion.alpha / (1.0 + st.t) ** 3 - motion.eta.d3(st.t))
-    return float(motion._spline(st.t, 3)[1])
+    l3 = _spline_piece(motion, st.t)[1][0]
+    return 0.0 + l3 * 6.0           # PPoly's sum for the third derivative
 
 
 def time_integral(integrand, t_from: float, t_to: float) -> float:
@@ -432,19 +491,19 @@ def time_rescale(motion: BoundaryMotion, t: float) -> float:
     if t == 0.0:
         return 0.0
     if isinstance(motion, SeparableMotion):
-        tag = classify(motion)
+        kind = motion.case_kind
         L0sq = motion.L0 ** 2
         a, b = motion.a, motion.b
-        if tag.kind is CaseKind.FIXED_LENGTH:
+        if kind is CaseKind.FIXED_LENGTH:
             return t
-        if tag.kind is CaseKind.LINEAR_LENGTH:
+        if kind is CaseKind.LINEAR_LENGTH:
             slope = b / motion.L0
             return motion.L0 * t / (motion.L0 + slope * t)
-        if tag.kind is CaseKind.SQRT_LENGTH:
+        if kind is CaseKind.SQRT_LENGTH:
             rho = b
             return (L0sq / (2.0 * rho)) * math.log1p(2.0 * rho * t / L0sq)
-        if tag.kind is CaseKind.QUAD_POS:
-            sq = math.sqrt(tag.gamma0)
+        if kind is CaseKind.QUAD_POS:
+            sq = math.sqrt(motion.gamma0)
             return (L0sq / sq) * (math.atan((a * t + b) / sq) - math.atan(b / sq))
         # QUAD_NEG: partial fractions around the real roots of L^2.
         sb = math.sqrt(b * b - a * L0sq)
@@ -497,7 +556,8 @@ def _tabulated_horizon(m: TabulatedMotion) -> float:
     i = below[0]
     if i == 0:
         return 0.0
-    return brentq(lambda t: float(m._spline(t)[1]), ts[i - 1], ts[i], xtol=1e-13)
+    return brentq(lambda t: _cubic_read(*_spline_piece(m, t)[1:])[0], ts[i - 1], ts[i],
+                  xtol=1e-13)
 
 
 def validity_horizon(motion: BoundaryMotion) -> float:

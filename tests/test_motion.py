@@ -126,6 +126,27 @@ class TestEvalMotion:
             diff = (eta.d2(t + h) - eta.d2(t - h)) / (2.0 * h)
             assert eta.d3(t) == pytest.approx(diff, rel=1e-6)
 
+    @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(0.3, 0.0, -0.5),
+                                     EtaSpec(0.5, 1.0, -0.5), EtaSpec(-0.2, -0.4, -1.5)])
+    def test_critical_states_match_the_power_formulas(self, physics, rng, eta):
+        # With k = 0, eta and its derivatives skip the power; the states and
+        # jerks are the ones the always-power formulas give, bit for bit.
+        motion = CriticalMotion(physics, alpha=1.5, eta=eta)
+        cs, alpha, k, p = physics.c_star, motion.alpha, eta.k, eta.p
+        t0 = (0.5 * motion.L0_offset + (eta.eta0 + k * (1.0 + 0.0) ** p)) / cs
+        for t in rng.uniform(0.0, 300.0, 500):
+            t = float(t)
+            value = eta.eta0 + k * (1.0 + t) ** p
+            d1 = k * p * (1.0 + t) ** (p - 1.0)
+            d2 = k * p * (p - 1.0) * (1.0 + t) ** (p - 2.0)
+            d3 = k * p * (p - 1.0) * (p - 2.0) * (1.0 + t) ** (p - 3.0)
+            L = 2.0 * (cs * (t + t0) - alpha * math.log1p(t) - value)
+            Ldot = 2.0 * (cs - alpha / (1.0 + t) - d1)
+            Lddot = 2.0 * (alpha / (1.0 + t) ** 2 - d2)
+            st = eval_motion(motion, t)
+            assert tuple(st) == (t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
+            assert length_jerk(motion, st) == 2.0 * (-2.0 * alpha / (1.0 + t) ** 3 - d3)
+
     @pytest.mark.parametrize("builder", [
         lambda ph: CriticalMotion(ph, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5)),
         lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.2),
@@ -300,8 +321,66 @@ class TestTabulated:
         ts = np.linspace(0.0, 2.0, 41)
         motion = TabulatedMotion(physics, tuple(ts), tuple(-ts), tuple(1.0 - ts))
         assert validity_horizon(motion) == pytest.approx(1.0, rel=1e-6)
-        with pytest.raises(DomainCollapsedError):
+        with pytest.raises(DomainCollapsedError,
+                           match=r"^tabulated length is non-positive at t=1\.5$"):
             eval_motion(motion, 1.5)
+
+    def test_out_of_range_names_the_table(self, physics):
+        motion = _tabulated_from(physics, lambda t: -0.5 * (2.0 + t), lambda t: 2.0 + t)
+        with pytest.raises(ValueError,
+                           match=r"^t=6\.5 beyond tabulated range \[0, 6\.0\]$"):
+            eval_motion(motion, 6.5)
+
+    @pytest.mark.parametrize("start", [0.0, -0.75])
+    def test_piece_read_is_the_spline_read(self, physics, rng, start):
+        # Every breakpoint, both ends, t = 0 and random points: the one-piece
+        # read returns each CubicSpline derivative to the last bit.
+        ts = np.concatenate(([start], np.sort(rng.uniform(0.0, 4.0, 37)), [4.0]))
+        L = 2.0 + ts + 0.1 * np.sin(3.0 * ts)
+        A = np.sin(3.0 * ts)             # crosses zero, so no term dominates
+        motion = TabulatedMotion(physics, tuple(ts), tuple(A), tuple(L))
+        spline = motion._spline
+        points = [float(t) for t in ts if t >= 0.0] + [0.0, motion.times[-1]]
+        points += [float(t) for t in rng.uniform(0.0, motion.times[-1], 200)]
+        for t in points:
+            st = eval_motion(motion, t)
+            for nu, (a, l) in enumerate(((st.A, st.L), (st.Adot, st.Ldot),
+                                         (st.Addot, st.Lddot))):
+                assert (a, l) == tuple(float(v) for v in spline(t, nu)), (t, nu)
+            assert length_jerk(motion, st) == float(spline(t, 3)[1]), t
+
+
+class TestCachedCaseFacts:
+    @pytest.mark.parametrize("motion,kind", [
+        (lambda ph: SeparableMotion.fixed_length(ph, 2.0, 0.3, 0.1), CaseKind.FIXED_LENGTH),
+        (lambda ph: SeparableMotion.linear_length(ph, 2.0, 0.7, 0.2), CaseKind.LINEAR_LENGTH),
+        (lambda ph: SeparableMotion.sqrt_length(ph, 2.0, 0.5, 0.2), CaseKind.SQRT_LENGTH),
+        (lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, 0.25), CaseKind.QUAD_NEG),
+        (lambda ph: SeparableMotion(ph, 1.0, 0.5, 1.0, 0.25), CaseKind.QUAD_POS),
+    ])
+    def test_cached_kind_is_a_fresh_classify(self, physics, motion, kind):
+        motion = motion(physics)
+        eval_motion(motion, 0.3)
+        assert motion.case_kind is kind is classify(motion).kind
+        assert vars(motion)["case_kind"] is kind
+        assert vars(motion)["gamma0"] == motion.a * motion.L0 ** 2 - motion.b ** 2
+
+    @pytest.mark.parametrize("builder", [
+        lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.25, c=-0.5, d=0.125),
+        lambda ph: _tabulated_from(ph, lambda t: -0.5 * (2.0 + t), lambda t: 2.0 + t),
+    ])
+    def test_warm_reads_leave_identity_unchanged(self, physics, builder):
+        motion, cold = builder(physics), builder(physics)
+        doc, digest, key = motion_to_document(motion), motion_content_hash(motion), hash(motion)
+        for t in (0.0, 0.4, 1.7):
+            length_jerk(motion, eval_motion(motion, t))
+        time_rescale(motion, 1.7)
+        validity_horizon(motion)
+        assert motion.L0 > 0.0
+        assert len(vars(motion)) > len(vars(cold))       # the caches are filled
+        assert motion_to_document(motion) == doc
+        assert motion_content_hash(motion) == digest
+        assert motion == cold and hash(motion) == key == hash(cold)
 
 
 class TestSerialization:

@@ -141,33 +141,30 @@ class TestMarchKernel:
         return motion, sol
 
     @staticmethod
-    def _dense_march(kind, motion, sol, dt, theta, n_steps):
-        """The explicit-product theta march on the full grid, by dense solves."""
+    def _dense_march(kind, motion, sol, dt, n_steps):
+        """The explicit-product Crank-Nicolson march on the full grid, by dense solves."""
         eye = np.eye(sol.grid.size)
         v = sol.values[0]
         for k in range(n_steps):
             A = _dense_operator(kind, motion, sol.grid, (k + 0.5) * dt, sol.n_dim)
-            v = np.linalg.solve(eye - theta * dt * A, (eye + (1.0 - theta) * dt * A) @ v)
+            v = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ v)
             yield v
 
-    # The kernel's one step is Crank-Nicolson, the reference's theta = 1/2.
-    @pytest.mark.parametrize("theta", [0.5])
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
-    def test_steps_match_dense_full_system_solve(self, physics, kind, theta):
+    def test_steps_match_dense_full_system_solve(self, physics, kind):
         dt, n_steps = 2e-3, 4
         motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
-        for k, v in enumerate(self._dense_march(kind, motion, sol, dt, theta, n_steps)):
+        for k, v in enumerate(self._dense_march(kind, motion, sol, dt, n_steps)):
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v)))
 
-    @pytest.mark.parametrize("theta", [0.5])
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
-    def test_long_march_matches_dense_explicit_product_march(self, physics, kind, theta):
+    def test_long_march_matches_dense_explicit_product_march(self, physics, kind):
         # 2,000 steps: the update's roundoff must not build up against the
         # explicit-product form of the same step.
         dt, n_steps = 2e-3, 2000
         motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
-        for k, v in enumerate(self._dense_march(kind, motion, sol, dt, theta, n_steps)):
+        for k, v in enumerate(self._dense_march(kind, motion, sol, dt, n_steps)):
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-12 * np.max(np.abs(v))), f"step {k + 1}"
 

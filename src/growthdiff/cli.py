@@ -7,8 +7,8 @@ One binary with five subcommands:
   numeric    Crank-Nicolson finite-difference run in u, w or radial form
   compare    series vs. finite differences on one configuration, with a
              per-time relative sup-norm table
-  critical   decay-exponent fit and barrier-envelope check for a spreading
-             front at the critical speed
+  critical   ``critical.run_critical``, the one critical pipeline: exponent
+             fit and barrier envelope for a front at the critical speed
 
 Options come from flags, or from a JSON file via --config whose keys are the
 flags' argparse names (``t_final`` for --t-final); flags take precedence and
@@ -26,8 +26,7 @@ import sys
 
 import numpy as np
 
-from .critical import (EnvelopeViolationError, envelope_to_csv, fit_exponent,
-                       fit_report_document, solve_critical, verify_envelope)
+from .critical import envelope_to_csv, fit_window, run_critical
 from .eigen import eigen_header, eigen_to_csv, solve_radial as radial_modes, solve_sl
 from .exact import build_series, eval_series, series_manifest, series_to_csv
 from .motion import (CriticalMotion, DomainCollapsedError, EtaSpec,
@@ -52,6 +51,17 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
+def _float(value, message):
+    # NaN is refused: it compares False with everything, so it turns gates off.
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(message)
+    if math.isnan(number):
+        raise ConfigError(message)
+    return number
+
+
 def _float_list(value, name):
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
@@ -59,10 +69,7 @@ def _float_list(value, name):
         parts = value
     else:
         raise ConfigError(f"{name} must be a comma-separated list or array")
-    try:
-        out = [float(p) for p in parts]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} contains a non-numeric entry: {value!r}")
+    out = [_float(p, f"{name} contains a non-numeric entry: {value!r}") for p in parts]
     if not out:
         raise ConfigError(f"{name} must not be empty")
     return out
@@ -103,10 +110,7 @@ def _number(cfg, name, default=None):
     value = cfg.get(name, default)
     if value is None:
         return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return _float(value, f"{name} must be a number, got {value!r}")
 
 
 def _integer(cfg, name, default=None):
@@ -366,42 +370,17 @@ def cmd_critical(args) -> int:
     slack_tol = _number(cfg, "slack_tol", 1e-8)
     window = None
     if cfg.get("window") is not None:
-        bounds = _float_list(cfg["window"], "window")
-        if len(bounds) != 2:
+        window = tuple(_float_list(cfg["window"], "window"))
+        if len(window) != 2:
             raise ConfigError(f"window must be two numbers lo,hi, got {cfg['window']!r}")
-        lo, hi = bounds
-        if not (0.0 < lo < hi <= t_final):
-            raise ConfigError(f"window ({lo}, {hi}) must sit inside (0, t_final]")
-        if math.log10(hi / lo) < 1.5 - 1e-9:
-            raise ConfigError("window must span at least 1.5 decades")
-        window = (lo, hi)
+    try:
+        window = fit_window(t_final, window, probes)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     out = cfg.get("out", "critical")
 
-    sol = solve_critical(motion, n_dim, t_final, grid, dt, num_outputs)
-
-    try:
-        envelope = verify_envelope(motion, sol, slack_tol=slack_tol)
-    except EnvelopeViolationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NUMERIC
-
-    report = fit_exponent(motion, n_dim=n_dim, probes=probes, t_final=t_final,
-                          window=window, grid_size=grid, dt=dt,
-                          num_outputs=num_outputs, solution=sol)
-    document = fit_report_document(report)
-    document["motion"] = motion_to_document(motion)
-    document["motion_hash"] = motion_content_hash(motion)
-    document["tol"] = tol
-    document["envelope"] = {
-        "C1": envelope.C1,
-        "C2": envelope.C2,
-        "t_cal": envelope.t_cal,
-        "onset": envelope.onset,
-        "worst_slack": envelope.worst_slack,
-        "worst_time": envelope.worst_time,
-        "worst_xi": envelope.worst_xi,
-        "slack_tol": slack_tol,
-    }
+    _, envelope, report, document = run_critical(
+        motion, n_dim, probes, t_final, window, grid, dt, num_outputs, slack_tol, tol)
     envelope_to_csv(envelope, out + "_envelope.csv")
     write_json(out + "_report.json", document)
     print(f"wrote {out}_report.json and {out}_envelope.csv")

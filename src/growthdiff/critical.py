@@ -7,7 +7,7 @@ plain exponential rate: it follows the power law
     psi(A + y, t) = O( y * t^(-1 - n/2 + alpha c* / 2D) )
 
 in n space dimensions.  This module provides the machinery to verify that law
-numerically:
+numerically (``run_critical`` runs it end to end as one pipeline):
 
 * explicit super- and subsolution barriers for the potential-form field w,
   calibrated against a finite-difference run and checked at its later output
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -49,6 +50,7 @@ from .motion import (
     eval_motion,
     length_jerk,
     motion_content_hash,
+    motion_to_document,
     time_integral,
     time_rescale,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "EnvelopeViolationError",
     "EnvelopePair",
     "CriticalFitReport",
+    "CriticalRun",
     "BoundSeries",
     "potential_value",
     "potential_rate",
@@ -80,8 +83,10 @@ __all__ = [
     "envelope_to_csv",
     "boundary_gradient",
     "solve_critical",
+    "fit_window",
     "fit_exponent",
     "fit_report_document",
+    "run_critical",
     "verify_nested",
     "envelope_bounds_general",
     "eval_bound",
@@ -622,6 +627,32 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
                         output_times=outputs)
 
 
+# Stored output times are i * dt_eff, a rounding step off the requested ones
+# (past t_final, say); windows, and the times read from them, allow this slack.
+_WINDOW_SLACK = 1e-12
+
+
+def fit_window(t_final: float, window: tuple | None = None,
+               probes=(0.5, 1.0, 2.0)) -> tuple[float, float]:
+    """Check an exponent fit's inputs and return its window, before any solve.
+
+    The window (default: the last 1.5 decades) must sit inside (0, t_final]
+    and span 1.5 decades.  The probe offsets must be one or more finite
+    positive numbers; ``_probe_log_psi`` checks them against the domain.
+    """
+    if window is None:
+        window = (t_final / 10 ** 1.5, t_final)
+    if not 0.0 < window[0] < window[1] <= t_final * (1.0 + _WINDOW_SLACK):
+        raise ValueError(f"fit window {window} must sit inside (0, t_final]")
+    if math.log10(window[1] / window[0]) < 1.5 - 1e-9:
+        raise ValueError("fit window must span at least 1.5 decades")
+    y = np.asarray(probes, dtype=float)
+    if y.ndim != 1 or y.size == 0 or not np.all(np.isfinite(y) & (y > 0.0)):
+        raise ValueError(
+            f"probe offsets must be one or more finite positive numbers, got {probes!r}")
+    return float(window[0]), float(window[1])
+
+
 def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
                  probes=(0.5, 1.0, 2.0), t_final: float = 1e3,
                  window: tuple | None = None, grid_size: int = 1024,
@@ -631,8 +662,8 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
 
     For critical motions this runs the potential-form solver, reassembles
     psi(A + y, t) at each probe offset y, and regresses log psi on log t over
-    the fit window (default: the last 1.5 decades before t_final).  The
-    prediction is -1 - n/2 + alpha c* / 2D.
+    the fit window (``fit_window``; default: the last 1.5 decades before
+    t_final).  The prediction is -1 - n/2 + alpha c* / 2D.
 
     For the balanced linearly-spreading configuration the exact single-mode
     series replaces the solver and the prediction is the diffusive -3/2.
@@ -644,12 +675,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     least squares with the relaxation power fixed by theory.
     """
     ph = motion.physics
-    if window is None:
-        window = (t_final / 10 ** 1.5, t_final)
-    if not 0.0 < window[0] < window[1] <= t_final * (1.0 + 1e-12):
-        raise ValueError(f"fit window {window} must sit inside (0, t_final]")
-    if math.log10(window[1] / window[0]) < 1.5 - 1e-9:
-        raise ValueError("fit window must span at least 1.5 decades")
+    window = fit_window(t_final, window, probes)
 
     if isinstance(motion, CriticalMotion):
         route = "numeric"
@@ -666,7 +692,8 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
                     f"dimension, got a {solution.kind!r} run with n_dim={solution.n_dim}")
             grid_size = solution.grid_size
             dt = solution.dt
-        times = solution.times[(solution.times >= window[0]) & (solution.times <= window[1])]
+        lo, hi = window[0] * (1.0 - _WINDOW_SLACK), window[1] * (1.0 + _WINDOW_SLACK)
+        times = solution.times[(solution.times >= lo) & (solution.times <= hi)]
         if times.size < 8:
             raise ValueError(
                 f"only {times.size} output times fall in the fit window; need >= 8")
@@ -706,9 +733,45 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     slopes, limits, relax, rms = _fit_log_decay(times, logs)
     return CriticalFitReport(route, n_dim, alpha, predicted, float(np.mean(slopes)),
                              tuple(slopes), tuple(float(y) for y in probes),
-                             (float(window[0]), float(window[1])), float(t_final),
+                             window, float(t_final),
                              grid_size, dt, rms, float(np.mean(limits)),
                              tuple(limits), float(np.mean(relax)))
+
+
+class CriticalRun(NamedTuple):
+    """What ``run_critical`` computed; ``document`` is the report JSON."""
+
+    solution: GridSolution
+    envelope: EnvelopePair
+    report: CriticalFitReport
+    document: dict
+
+
+def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
+                 t_final: float = 1e3, window: tuple | None = None,
+                 grid_size: int = 1024, dt: float = 2e-3, num_outputs: int = 81,
+                 slack_tol: float = 1e-8, tol: float = 0.05) -> CriticalRun:
+    """Check the fit's inputs, march once, verify the envelope, fit, report.
+
+    The document is the fit report plus the motion, its hash, ``tol``
+    (recorded, not applied) and the envelope.  Nothing is written.
+    """
+    window = fit_window(t_final, window, probes)
+    solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
+    envelope = verify_envelope(motion, solution, slack_tol=slack_tol)
+    report = fit_exponent(motion, n_dim=n_dim, probes=probes, t_final=t_final,
+                          window=window, solution=solution)
+    document = fit_report_document(report)
+    document["motion"] = motion_to_document(motion)
+    document["motion_hash"] = motion_content_hash(motion)
+    document["tol"] = tol
+    document["envelope"] = {
+        "C1": envelope.C1, "C2": envelope.C2, "t_cal": envelope.t_cal,
+        "onset": envelope.onset, "worst_slack": envelope.worst_slack,
+        "worst_time": envelope.worst_time, "worst_xi": envelope.worst_xi,
+        "slack_tol": slack_tol,
+    }
+    return CriticalRun(solution, envelope, report, document)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from growthdiff.cli import main
+from growthdiff.critical import envelope_to_csv, run_critical
+from growthdiff.motion import CriticalMotion, EtaSpec, PhysicsParams
+from growthdiff.output import write_json
 
 PI = "3.141592653589793"
 
@@ -248,6 +251,32 @@ class TestCriticalCommand:
         assert main(["critical", "--D", "1", "--f0", "1"]) == 2
         assert "missing required field: alpha" in capsys.readouterr().err
 
+    def test_nonpositive_probe_is_a_config_error(self, tmp_path, capsys):
+        # Caught with the window, before the march, not at the first fitted time.
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                   "--t-final", "20", "--probes", "0,1"])
+        assert rc == 2
+        assert ("config error: probe offsets must be one or more finite positive "
+                "numbers, got (0.0, 1.0)") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_artifacts_are_the_pipeline_products(self, tmp_path):
+        # The command writes run_critical's document and envelope, nothing else.
+        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                   "--t-final", "20", "--grid", "64", "--dt", "1e-2",
+                   "--num-outputs", "21", "--tol", "10", "--out", "cli"])
+        assert rc == 0
+        motion = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.5,
+                                eta=EtaSpec(p=-0.5))     # the CLI's --eta-p default
+        run = run_critical(motion, t_final=20.0, grid_size=64, dt=1e-2,
+                           num_outputs=21, tol=10.0)
+        assert json.loads((tmp_path / "cli_report.json").read_text()) == run.document
+        write_json(tmp_path / "lib_report.json", run.document)
+        envelope_to_csv(run.envelope, tmp_path / "lib_envelope.csv")
+        for suffix in ("_report.json", "_envelope.csv"):
+            assert ((tmp_path / ("cli" + suffix)).read_bytes()
+                    == (tmp_path / ("lib" + suffix)).read_bytes())
+
 
 @pytest.mark.parametrize("argv, artifacts", [
     (["eigen", "--D", "1", "--L0", "2", "--gamma0", "0", "--gamma1", "0",
@@ -282,6 +311,20 @@ _SHORT_RUNS = {
                  "--t-final", "20", "--grid", "64", "--dt", "1e-2",
                  "--num-outputs", "21", "--tol", "10"],
 }
+
+
+@pytest.mark.parametrize("argv", [
+    _SHORT_RUNS["critical"] + ["--probes=nan"],
+    _SHORT_RUNS["critical"] + ["--tol", "nan"],
+    _SHORT_RUNS["critical"] + ["--slack-tol", "nan"],
+    ["compare", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", PI,
+     "--t-final", "1.0", "--grid", "32", "--tol", "nan"],
+], ids=["critical-probes", "critical-tol", "critical-slack-tol", "compare-tol"])
+def test_nan_is_a_config_error(tmp_path, capsys, argv):
+    # Every comparison with NaN is False, so a NaN tolerance would pass any run.
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(_SHORT_RUNS))

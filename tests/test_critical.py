@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,7 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  envelope_to_csv, eval_bound, fit_exponent,
                                  fit_report_document,
                                  potential_asymptote, potential_rate,
-                                 potential_value, solve_critical,
+                                 potential_value, run_critical, solve_critical,
                                  subsolution, subsolution_onset,
                                  subsolution_residual, supersolution,
                                  supersolution_residual, verify_envelope,
@@ -578,6 +579,27 @@ class TestFitExponent:
         with pytest.raises(ValueError, match=r"must sit inside \(0, t_final\]"):
             fit_exponent(crit15, window=window, t_final=80.0)
 
+    @pytest.mark.parametrize("probes", [(), (0.0, 1.0), (-0.5,), (math.nan,), (math.inf,)],
+                             ids=["empty", "zero", "negative", "nan", "inf"])
+    def test_probes_are_checked_before_the_solve(self, crit15, probes, monkeypatch):
+        monkeypatch.setattr(critical, "solve_critical", _no_solve)
+        with pytest.raises(ValueError, match="probe offsets must be one or more "
+                                             "finite positive numbers"):
+            fit_exponent(crit15, probes=probes, t_final=80.0)
+
+    def test_final_output_time_overshooting_t_final_is_fitted(self, crit15, monkeypatch):
+        # 20 / 0.017 rounds to 1176 steps of 0.0170068..., so the last stored
+        # time is 20.000000000000004, a rounding step past the window's end.
+        sol = solve_critical(crit15, 1, 20.0, 64, 0.017, 21)
+        assert sol.times[-1] > 20.0
+        fitted = []
+        real = critical._probe_log_psi
+        monkeypatch.setattr(critical, "_probe_log_psi",
+                            lambda *a: fitted.append(a[3]) or real(*a))
+        fit_exponent(crit15, t_final=20.0, solution=sol)
+        assert fitted[0].size == 15
+        assert fitted[0][-1] == sol.times[-1]
+
     def test_numeric_route_rejects_foreign_solutions(self, interval_run):
         other = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.0)
         with pytest.raises(ValueError, match="different motion"):
@@ -614,6 +636,45 @@ class TestFitExponent:
         slope = np.linalg.lstsq(design, np.asarray(fitted), rcond=None)[0][1]
         expected = ph.c_star / (2.0 * ph.D)
         assert abs(slope - expected) / expected < 0.10
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve_critical was called")
+
+
+def _assert_fields_equal(one, two):
+    for field in dataclasses.fields(one):
+        a, b = getattr(one, field.name), getattr(two, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestRunCritical:
+    ARGS = dict(t_final=20.0, grid_size=64, dt=1e-2, num_outputs=21)
+
+    def test_products_equal_the_separate_calls(self, crit15):
+        run = run_critical(crit15, slack_tol=1e-6, tol=10.0, **self.ARGS)
+        sol = solve_critical(crit15, 1, 20.0, 64, 1e-2, 21)
+        _assert_fields_equal(run.solution, sol)
+        _assert_fields_equal(run.envelope, verify_envelope(crit15, sol, slack_tol=1e-6))
+        _assert_fields_equal(run.report, fit_exponent(crit15, t_final=20.0, solution=sol))
+        assert list(run.document) == list(fit_report_document(run.report)) + [
+            "motion", "motion_hash", "tol", "envelope"]
+        assert run.document["tol"] == 10.0
+        assert run.document["envelope"]["slack_tol"] == 1e-6
+        assert run.document["envelope"]["C2"] == run.envelope.C2
+
+    @pytest.mark.parametrize("bad", [
+        dict(window=(2.0, 20.0)), dict(window=(0.0, 20.0)), dict(window=(0.5, 25.0)),
+        dict(probes=()), dict(probes=(0.0, 1.0)), dict(probes=(math.nan,)),
+    ], ids=["short-window", "window-at-zero", "window-past-t-final", "no-probes",
+            "zero-probe", "nan-probe"])
+    def test_bad_fit_inputs_cost_no_solve(self, crit15, bad, monkeypatch):
+        monkeypatch.setattr(critical, "solve_critical", _no_solve)
+        with pytest.raises(ValueError, match="fit window|probe offsets"):
+            run_critical(crit15, **bad, **self.ARGS)
 
 
 class TestComparisonBounds:

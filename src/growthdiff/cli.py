@@ -329,7 +329,6 @@ def cmd_compare(args) -> int:
         "series_grid": series_grid,
         "num_modes": modes,
         "dt": run.dt,
-        "theta": 0.5,      # Crank-Nicolson; the record keeps the report format
         "tol": tol,
         "worst_rel_linf": worst[0],
         "worst_xi": worst[1],
@@ -350,9 +349,8 @@ def cmd_critical(args) -> int:
     _require(cfg, "D", "f0", "alpha")
     try:
         physics = PhysicsParams(D=_number(cfg, "D"), f0=_number(cfg, "f0"))
-        eta = EtaSpec(eta0=_number(cfg, "eta0", 0.0),
-                      k=_number(cfg, "eta_k", 0.0),
-                      p=_number(cfg, "eta_p", -0.5))
+        # EtaSpec stores k = 0 with p = -1.0; the -0.5 default applies only when k != 0.
+        eta = EtaSpec(k=_number(cfg, "eta_k", 0.0), p=_number(cfg, "eta_p", -0.5))
         motion = CriticalMotion(physics, alpha=_number(cfg, "alpha"),
                                 L0_offset=_number(cfg, "L0_offset", 1.0),
                                 eta=eta)
@@ -479,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0", type=float)
     p.add_argument("--alpha", type=float, help="logarithmic lag coefficient")
     p.add_argument("--L0-offset", dest="L0_offset", type=float)
-    p.add_argument("--eta0", type=float)
     p.add_argument("--eta-k", dest="eta_k", type=float)
     p.add_argument("--eta-p", dest="eta_p", type=float)
     p.add_argument("--n-dim", dest="n_dim", type=int)

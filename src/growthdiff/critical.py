@@ -109,10 +109,9 @@ class EnvelopeViolationError(RuntimeError):
 # potential
 
 
-def potential_value(motion: BoundaryMotion, t: float, radial: bool = False) -> float:
-    """P = Lddot L^3 / 4 D^2; the ball variant Q = Rddot R^3 / 4 D^2 = P / 16."""
-    P = _potential(eval_motion(motion, t), motion.physics.D)
-    return P / 16.0 if radial else P
+def potential_value(motion: BoundaryMotion, t: float) -> float:
+    """P = Lddot L^3 / 4 D^2."""
+    return _potential(eval_motion(motion, t), motion.physics.D)
 
 
 def _potential(st: MotionState, D: float) -> float:
@@ -354,6 +353,18 @@ class EnvelopePair:
     worst_xi: float
 
 
+def _check_run(motion: BoundaryMotion, solution: GridSolution, user: str,
+               n_dim: int | None = None) -> None:
+    """Raise unless ``solution`` is a potential-form run (of dimension ``n_dim``,
+    if given) of ``motion``; the kind is checked first, then the motion hash."""
+    if solution.kind not in ("w", "radial") or n_dim not in (None, solution.n_dim):
+        dimension = "" if n_dim is None else " of that dimension"
+        raise ValueError(f"{user} needs a potential-form run{dimension}, got a "
+                         f"{solution.kind!r} run with n_dim={solution.n_dim}")
+    if solution.motion_hash != motion_content_hash(motion):
+        raise ValueError("solution was computed for a different motion")
+
+
 def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
                     slack_tol: float = 1e-8) -> EnvelopePair:
     """Calibrate barriers at one snapshot and check them at all later ones.
@@ -365,10 +376,7 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     the field's sup norm; a deeper violation raises EnvelopeViolationError
     with its location.
     """
-    if solution.kind not in ("w", "radial"):
-        raise ValueError(f"envelopes apply to potential-form runs, not {solution.kind!r}")
-    if solution.motion_hash != motion_content_hash(motion):
-        raise ValueError("solution was computed for a different motion")
+    _check_run(motion, solution, "verify_envelope")
     radial = solution.kind == "radial"
     n_dim = solution.n_dim if radial else None
     t_end = float(solution.times[-1])
@@ -459,8 +467,7 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
     slope of the stored field times dxi/dx = L0/L, times the psi/w (or psi/W)
     factor of ``transforms`` at the endpoint.
     """
-    if solution.kind not in ("w", "radial"):
-        raise ValueError(f"gradient trace applies to potential-form runs, not {solution.kind!r}")
+    _check_run(motion, solution, "boundary_gradient")
     grid = solution.grid
     h = grid[1] - grid[0]
     out = np.empty(solution.times.size)
@@ -684,12 +691,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         if solution is None:
             solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
         else:
-            if solution.motion_hash != motion_content_hash(motion):
-                raise ValueError("solution was computed for a different motion")
-            if solution.kind not in ("w", "radial") or solution.n_dim != n_dim:
-                raise ValueError(
-                    f"fit_exponent with n_dim={n_dim} needs a potential-form run of that "
-                    f"dimension, got a {solution.kind!r} run with n_dim={solution.n_dim}")
+            _check_run(motion, solution, f"fit_exponent with n_dim={n_dim}", n_dim)
             grid_size = solution.grid_size
             dt = solution.dt
         lo, hi = window[0] * (1.0 - _WINDOW_SLACK), window[1] * (1.0 + _WINDOW_SLACK)

@@ -234,10 +234,9 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
     m = sol.motion
-    state = eval_motion(m, t)
     if route == "fast":
         s = time_rescale(m, t)
-        drift = _closed_drift(m, t, state.L, s)
+        drift = _closed_drift(m, t, eval_motion(m, t).L, s)
     else:
         s = _quadrature_rescale(m, t)
         drift = drift_integral(m, t)

@@ -100,27 +100,30 @@ class PhysicsParams:
 
 @dataclass(frozen=True)
 class EtaSpec:
-    """Decaying perturbation eta(t) = eta0 + k (1 + t)^p with p < 0.
+    """Decaying perturbation eta(t) = k (1 + t)^p with p < 0.
 
     The derivatives of eta must vanish at infinity for the critical-case
-    asymptotics to hold, hence the sign restriction on p (ignored when k = 0).
+    asymptotics to hold, hence the sign restriction on p.  With k = 0 (of
+    either sign) p plays no part, so the spec is stored as k = 0.0, p = -1.0.
     """
 
-    eta0: float = 0.0
     k: float = 0.0
     p: float = -1.0
 
     def __post_init__(self) -> None:
-        if self.k != 0.0 and not (self.p < 0.0):
+        if self.k == 0.0:
+            object.__setattr__(self, "k", 0.0)
+            object.__setattr__(self, "p", -1.0)
+        elif not (self.p < 0.0):
             raise ValueError(f"eta exponent p must be negative, got {self.p}")
 
-    # With k = 0 the power term is a signed zero, and adding or subtracting it
-    # leaves every kinematic value unchanged, so it is not computed.
+    # With k = 0, eta and its derivatives are zero, and subtracting them
+    # leaves every kinematic value unchanged, so they are not computed.
 
     def value(self, t: float) -> float:
         if self.k == 0.0:
-            return self.eta0
-        return self.eta0 + self.k * (1.0 + t) ** self.p
+            return 0.0
+        return self.k * (1.0 + t) ** self.p
 
     def d1(self, t: float) -> float:
         if self.k == 0.0:
@@ -212,8 +215,8 @@ class CriticalMotion:
     """Symmetric interval spreading at c* with a logarithmic lag.
 
     L(t) = 2 (c* (t + t0) - alpha log(t + 1) - eta(t)) and A = -L/2.  The
-    start-time shift t0 only adds a constant to the lag terms, so it stays in
-    the admissible perturbation class; it is chosen so L(0) = L0_offset > 0.
+    start-time shift t0, chosen so L(0) = L0_offset > 0, only adds a constant to
+    the lag terms; it absorbs any constant part of eta, so ``EtaSpec`` has none.
     """
 
     physics: PhysicsParams
@@ -583,8 +586,7 @@ def motion_to_document(motion: BoundaryMotion) -> dict:
     if isinstance(motion, CriticalMotion):
         return {"family": "critical", "physics": phys,
                 "params": {"alpha": motion.alpha, "L0_offset": motion.L0_offset,
-                           "eta": {"eta0": motion.eta.eta0, "k": motion.eta.k,
-                                   "p": motion.eta.p}}}
+                           "eta": {"k": motion.eta.k, "p": motion.eta.p}}}
     if isinstance(motion, TabulatedMotion):
         return {"family": "tabulated", "physics": phys,
                 "params": {"times": list(motion.times), "A": list(motion.A_values),
@@ -606,8 +608,7 @@ def motion_from_document(doc: dict) -> BoundaryMotion:
     if family == "critical":
         eta = params.get("eta", {})
         return CriticalMotion(phys, float(params["alpha"]), float(params["L0_offset"]),
-                              EtaSpec(float(eta.get("eta0", 0.0)), float(eta.get("k", 0.0)),
-                                      float(eta.get("p", -1.0))))
+                              EtaSpec(float(eta.get("k", 0.0)), float(eta.get("p", -1.0))))
     if family == "tabulated":
         return TabulatedMotion(phys, tuple(params["times"]), tuple(params["A"]),
                                tuple(params["L"]))

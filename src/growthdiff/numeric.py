@@ -274,8 +274,7 @@ def grid_manifest(solution: GridSolution) -> dict:
     return {
         "schema_version": 1,
         "kind": solution.kind,
-        "scheme": "theta-implicit, coefficients at the half step",
-        "theta": 0.5,      # Crank-Nicolson; the record keeps the manifest format
+        "scheme": "Crank-Nicolson (implicit midpoint), coefficients at the half step",
         "grid_size": solution.grid_size,
         "dt": solution.dt,
         "n_dim": solution.n_dim,

@@ -127,8 +127,8 @@ def w_from_u(motion: BoundaryMotion, xi, t: float, u_values):
 def initial_w_from_u(motion: BoundaryMotion, xi, u0_values):
     """Initial transform w(xi, 0) = u(xi, 0) exp(xi^2 Ldot(0)/(4 D L0) + xi Adot(0)/(2 D)).
 
-    Special case of ``w_from_u`` at t = 0, written out because it needs no
-    quadrature and is used to seed both the series expansion and the solvers.
+    Special case of ``w_from_u`` at t = 0, written out because every series
+    expansion is seeded from its bits, and ``w_from_u`` rounds some differently.
     """
     st = eval_motion(motion, 0.0)
     D = motion.physics.D

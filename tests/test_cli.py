@@ -6,7 +6,7 @@ import pytest
 
 from growthdiff.cli import main
 from growthdiff.critical import envelope_to_csv, run_critical
-from growthdiff.motion import CriticalMotion, EtaSpec, PhysicsParams
+from growthdiff.motion import CriticalMotion, PhysicsParams
 from growthdiff.output import write_json
 
 PI = "3.141592653589793"
@@ -266,8 +266,7 @@ class TestCriticalCommand:
                    "--t-final", "20", "--grid", "64", "--dt", "1e-2",
                    "--num-outputs", "21", "--tol", "10", "--out", "cli"])
         assert rc == 0
-        motion = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.5,
-                                eta=EtaSpec(p=-0.5))     # the CLI's --eta-p default
+        motion = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.5)
         run = run_critical(motion, t_final=20.0, grid_size=64, dt=1e-2,
                            num_outputs=21, tol=10.0)
         assert json.loads((tmp_path / "cli_report.json").read_text()) == run.document
@@ -341,3 +340,28 @@ class TestThetaIsNotAnOption:
         cfg.write_text(json.dumps({"theta": 0.75}))
         assert main(_SHORT_RUNS[command] + ["--config", str(cfg)]) == 2
         assert "unknown config keys: theta" in capsys.readouterr().err
+
+
+class TestEta0IsNotAnOption:
+    # A constant part of eta only shifts the start, which t0 already pins.
+    def test_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_SHORT_RUNS["critical"] + ["--eta0", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eta0 0.5" in capsys.readouterr().err
+
+    def test_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta0": 0.5}))
+        assert main(_SHORT_RUNS["critical"] + ["--config", str(cfg)]) == 2
+        assert "unknown config keys: eta0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["numeric", "compare"])
+def test_run_records_name_the_scheme_without_theta(command, tmp_path):
+    assert main(_SHORT_RUNS[command] + ["--out", "run"]) == 0
+    record = json.loads((tmp_path / "run.json").read_text())
+    assert "theta" not in record
+    if command == "numeric":
+        assert record["scheme"] == ("Crank-Nicolson (implicit midpoint), "
+                                    "coefficients at the half step")

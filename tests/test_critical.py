@@ -101,11 +101,6 @@ class TestPotential:
         for t in (0.0, 1.0, 2.5):
             assert potential_value(motion, t) == pytest.approx(1.0, rel=1e-12)
 
-    def test_ball_potential_is_one_sixteenth(self, physics):
-        motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
-        assert (potential_value(motion, 1.0, radial=True)
-                == pytest.approx(1.0 / 16.0, rel=1e-12))
-
     def test_critical_potential_grows_linearly(self, crit15):
         coeff = potential_asymptote(crit15)
         ph = crit15.physics
@@ -119,7 +114,7 @@ class TestPotential:
         assert abs(potential_rate(crit15, 1e3) / coeff - 1.0) < 0.05
         assert potential_rate(crit15, 4.0) > 0.0
 
-    @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(0.5, 1.0, -0.5)])
+    @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(1.0, -0.5)])
     def test_critical_rate_matches_extrapolated_difference(self, physics, eta):
         motion = CriticalMotion(physics, alpha=1.5, eta=eta)
         for t in (0.5, 4.0, 37.0, 900.0):
@@ -246,7 +241,7 @@ class TestGauge:
     ], ids=["interval", "ball", "residual"])
     def test_reference_before_a_nonnegative_potential_is_refused(self, physics, barrier):
         # P(0) = -0.75, so P^(2/3) is complex at the gauge's first nodes.
-        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.0, 4.0, -0.5))
+        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(4.0, -0.5))
         with pytest.raises(ValueError,
                            match=r"nonnegative potential; P\([0-9.e+-]+\) = -[0-9.e+-]+$"):
             barrier(motion, [0.1], 10.0, 0.0)
@@ -398,14 +393,14 @@ class TestVerifyEnvelope:
         seen = set()
         real = critical.potential_value
         monkeypatch.setattr(critical, "potential_value",
-                            lambda m, t, radial=False: seen.add(t) or real(m, t, radial))
+                            lambda m, t: seen.add(t) or real(m, t))
         pair = verify_envelope(crit15, interval_run)
         for t in pair.times:
             assert seen.issuperset(np.linspace(0.0, float(t), 128).tolist())
 
     def test_negative_early_potential_is_refused(self, physics):
         # P(0) = -0.75, but P grows past the fit threshold by t = 5.93.
-        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.0, 4.0, -0.5))
+        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(4.0, -0.5))
         assert potential_value(motion, 0.0) == pytest.approx(-0.75, rel=1e-12)
         assert subsolution_onset(motion, 40.0) == pytest.approx(5.93, abs=5e-3)
         run = solve_critical(motion, 1, 40.0, 128, 1e-2, 21)
@@ -449,6 +444,11 @@ class TestBoundaryGradient:
                        grid_size=32, dt=1e-3, T=0.01)
         with pytest.raises(ValueError, match="potential-form"):
             boundary_gradient(crit15, urun)
+
+    def test_rejects_foreign_solutions(self, interval_run):
+        other = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=0.5)
+        with pytest.raises(ValueError, match="different motion"):
+            boundary_gradient(other, interval_run)
 
     def test_interval_gradient_is_the_mapped_slope(self, crit15, w_snapshot):
         times, grads = boundary_gradient(crit15, w_snapshot)

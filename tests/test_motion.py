@@ -110,33 +110,33 @@ class TestEvalMotion:
             time_rescale(tab, 3.0)
 
     def test_critical_constants_are_computed_once(self, physics):
-        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5))
+        motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(1.0, -0.5))
         st = eval_motion(motion, 2.0)
         assert vars(physics)["c_star"] == 2.0 * math.sqrt(physics.D * physics.f0)
         t0 = (0.5 * motion.L0_offset + motion.eta.value(0.0)) / physics.c_star
         assert vars(motion)["t0"] == t0
-        fresh = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5))
+        fresh = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(1.0, -0.5))
         assert fresh == motion and hash(fresh) == hash(motion)
         assert eval_motion(fresh, 2.0) == st
 
     def test_eta_third_derivative_differentiates_the_second(self):
-        eta = EtaSpec(0.5, 1.0, -0.5)
+        eta = EtaSpec(1.0, -0.5)
         h = 1e-4
         for t in (0.0, 0.8, 12.0):
             diff = (eta.d2(t + h) - eta.d2(t - h)) / (2.0 * h)
             assert eta.d3(t) == pytest.approx(diff, rel=1e-6)
 
-    @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(0.3, 0.0, -0.5),
-                                     EtaSpec(0.5, 1.0, -0.5), EtaSpec(-0.2, -0.4, -1.5)])
+    @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(-0.0, -0.5),
+                                     EtaSpec(1.0, -0.5), EtaSpec(-0.4, -1.5)])
     def test_critical_states_match_the_power_formulas(self, physics, rng, eta):
         # With k = 0, eta and its derivatives skip the power; the states and
         # jerks are the ones the always-power formulas give, bit for bit.
         motion = CriticalMotion(physics, alpha=1.5, eta=eta)
         cs, alpha, k, p = physics.c_star, motion.alpha, eta.k, eta.p
-        t0 = (0.5 * motion.L0_offset + (eta.eta0 + k * (1.0 + 0.0) ** p)) / cs
+        t0 = (0.5 * motion.L0_offset + k * (1.0 + 0.0) ** p) / cs
         for t in rng.uniform(0.0, 300.0, 500):
             t = float(t)
-            value = eta.eta0 + k * (1.0 + t) ** p
+            value = k * (1.0 + t) ** p
             d1 = k * p * (1.0 + t) ** (p - 1.0)
             d2 = k * p * (p - 1.0) * (1.0 + t) ** (p - 2.0)
             d3 = k * p * (p - 1.0) * (p - 2.0) * (1.0 + t) ** (p - 3.0)
@@ -148,7 +148,7 @@ class TestEvalMotion:
             assert length_jerk(motion, st) == 2.0 * (-2.0 * alpha / (1.0 + t) ** 3 - d3)
 
     @pytest.mark.parametrize("builder", [
-        lambda ph: CriticalMotion(ph, alpha=1.5, eta=EtaSpec(0.5, 1.0, -0.5)),
+        lambda ph: CriticalMotion(ph, alpha=1.5, eta=EtaSpec(1.0, -0.5)),
         lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.2),
         lambda ph: _tabulated_from(ph, lambda t: -0.5 * (2.0 + t + 0.1 * np.sin(t)),
                                    lambda t: 2.0 + t + 0.1 * np.sin(t)),
@@ -387,7 +387,7 @@ class TestSerialization:
     @pytest.mark.parametrize("builder", [
         lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.25, c=-0.5, d=0.125),
         lambda ph: CriticalMotion(ph, alpha=1.5, L0_offset=2.0,
-                                  eta=EtaSpec(eta0=0.1, k=0.2, p=-1.0)),
+                                  eta=EtaSpec(k=0.2, p=-1.0)),
         lambda ph: _tabulated_from(ph, lambda t: -1.0 - 0.3 * t, lambda t: 2.0 + 0.6 * t),
     ])
     def test_round_trip_is_bit_stable(self, physics, builder):
@@ -396,6 +396,26 @@ class TestSerialization:
         back = motion_from_document(doc)
         assert motion_to_document(back) == doc
         assert motion_content_hash(back) == motion_content_hash(motion)
+
+    def test_unperturbed_eta_is_stored_one_way(self, physics):
+        # With k = 0 the exponent plays no part, so it does not split a motion
+        # into two documents.
+        assert EtaSpec(k=0.0, p=-0.5) == EtaSpec() == EtaSpec(k=0.0, p=2.0)
+        assert math.copysign(1.0, EtaSpec(k=-0.0).k) == 1.0    # JSON keeps a -0.0
+        default = CriticalMotion(physics, alpha=1.5)
+        for eta in (EtaSpec(k=-0.0), EtaSpec(k=0.0, p=-0.5)):
+            motion = CriticalMotion(physics, alpha=1.5, eta=eta)
+            assert motion_content_hash(motion) == motion_content_hash(default)
+
+    def test_eta_has_no_constant_part(self, physics):
+        # A constant shift of eta is absorbed by t0; an older document's eta0
+        # is not read.
+        with pytest.raises(TypeError):
+            EtaSpec(eta0=0.5)
+        doc = motion_to_document(CriticalMotion(physics, alpha=1.5))
+        assert doc["params"]["eta"] == {"k": 0.0, "p": -1.0}
+        doc["params"]["eta"] = {"eta0": 0.5, "k": 0.0, "p": -0.5}
+        assert motion_from_document(doc) == CriticalMotion(physics, alpha=1.5)
 
     def test_hash_distinguishes_parameters(self, physics):
         m1 = SeparableMotion.fixed_length(physics, 1.0, c=0.5)

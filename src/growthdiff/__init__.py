@@ -12,7 +12,6 @@ for intervals spreading at the critical speed.
 from .motion import (
     BoundaryMotion,
     CaseKind,
-    CaseTag,
     CriticalMotion,
     DomainCollapsedError,
     EtaSpec,

@@ -18,7 +18,8 @@ numerically (``run_critical`` runs it end to end as one pipeline):
   endpoint, compared with the predicted value.  The plain log-log slope over
   a finite window still carries the t^(-1/2) relaxation of a pulled front, so
   the fit also reports the limit of log psi = c + p log t + b t^(-1/2);
-* one-sided comparison series for general motions with pinched potentials.
+* one-sided comparison series for general motions with pinched potentials,
+  plain ``SeriesSolution``s read on ``exact.eval_series``'s generic route.
 
 The subsolution glues a scaled Airy function to its tangent line and then to
 zero.  It fits the domain only once P is large enough, and is monotone only
@@ -39,7 +40,7 @@ from scipy.special import j0, jn_zeros
 
 from .airy import airy_ai, airy_first_zero
 from .eigen import solve_sl
-from .exact import SeriesSolution, _sum_modes, eval_physical, expand
+from .exact import SeriesSolution, eval_physical, eval_series, expand, transform_ic
 from .motion import (
     BoundaryMotion,
     CaseKind,
@@ -57,7 +58,6 @@ from .motion import (
 from .numeric import GridSolution, solve_radial, solve_w
 from .output import write_csv
 from .transforms import (
-    initial_w_from_u,
     log_radial_factor,
     log_shape_factor,
     log_time_factor,
@@ -70,7 +70,6 @@ __all__ = [
     "EnvelopePair",
     "CriticalFitReport",
     "CriticalRun",
-    "BoundSeries",
     "potential_value",
     "potential_rate",
     "potential_asymptote",
@@ -680,6 +679,11 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     front still lags the limit by a t^(-1/2) relaxation.  ``limit_exponent``
     is the exponent p of log psi = c + p log t + b t^(-1/2), fitted by linear
     least squares with the relaxation power fixed by theory.
+
+    A critical motion may pass a finished potential-form ``solution`` in place
+    of the solve: the grid, dt and dimension then come from that run,
+    ``num_outputs`` is unused, and ``t_final`` must be the run's last stored
+    time (within ``_WINDOW_SLACK`` relative).
     """
     ph = motion.physics
     window = fit_window(t_final, window, probes)
@@ -692,6 +696,10 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
             solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
         else:
             _check_run(motion, solution, f"fit_exponent with n_dim={n_dim}", n_dim)
+            t_last = float(solution.times[-1])
+            if abs(t_last - t_final) > _WINDOW_SLACK * t_final:
+                raise ValueError(f"t_final={t_final} is not the run's last stored "
+                                 f"time {t_last}")
             grid_size = solution.grid_size
             dt = solution.dt
         lo, hi = window[0] * (1.0 - _WINDOW_SLACK), window[1] * (1.0 + _WINDOW_SLACK)
@@ -704,8 +712,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         # balanced spreading interval: exact series, no solver
         if n_dim != 1:
             raise ValueError("the series route is one-dimensional")
-        tag = classify(motion)
-        if tag.kind is not CaseKind.LINEAR_LENGTH:
+        if classify(motion) is not CaseKind.LINEAR_LENGTH:
             raise ValueError("series route needs a linearly spreading interval")
         slope = motion.b / motion.L0
         if (abs(slope - 2.0 * ph.c_star) > 1e-9 * ph.c_star
@@ -791,23 +798,10 @@ def verify_nested(inner: BoundaryMotion, outer: BoundaryMotion, t_max: float) ->
                 f"[{si.A:.6g}, {si.A + si.L:.6g}] vs [{so.A:.6g}, {so.A + so.L:.6g}]")
 
 
-@dataclass(frozen=True)
-class BoundSeries(SeriesSolution):
-    """One-sided comparison series: frozen-potential modes, true motion factors."""
-
-    side: str                   # "lower" or "upper"
-
-    @property
-    def sigma1(self) -> float:
-        return float(self.eigen.sigmas[0])
-
-
-def eval_bound(bound: BoundSeries, xi, t: float) -> np.ndarray:
-    """Evaluate a comparison series in scaled coordinates at time t."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    motion = bound.motion
-    log_pre = log_time_factor(motion, t) + log_shape_factor(motion, xi, t)
-    return _sum_modes(bound, xi, bound.eigen.sigmas * time_rescale(motion, t), log_pre)
+def eval_bound(bound: SeriesSolution, xi, t: float) -> np.ndarray:
+    """A comparison series is an ordinary ``SeriesSolution``: read it with
+    ``eval_series`` on the generic route, and with that evaluator's checks."""
+    return eval_series(bound, xi, t, route="generic")
 
 
 def envelope_bounds_general(motion: BoundaryMotion, u0,
@@ -815,13 +809,14 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
                             gamma1_lo: float, gamma1_hi: float,
                             t_max: float, grid_size: int = 512,
                             num_modes: int = 32, n_check: int = 1000) -> tuple:
-    """Comparison series from pinched potential coefficients.
+    """Comparison series (lower, upper) from pinched potential coefficients.
 
     Validates at n_check seeded random times that the motion's instantaneous
     coefficients Lddot L^3 and Addot L^3 stay inside the supplied brackets,
     then builds two frozen Sturm-Liouville systems (one per corner) sharing
-    the initial expansion of u0.  Evaluated with the true motion's time
-    rescaling and exponential factors, they bound the solution one-sidedly.
+    the initial expansion of u0, which must vanish at both ends.  Evaluated
+    with the true motion's time rescaling and exponential factors
+    (``eval_bound``), they bound the solution one-sidedly.
     """
     D = motion.physics.D
     L0 = motion.L0
@@ -843,10 +838,9 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
             f"t={worst[1]:.6g} by relative margin {worst[0]:.3e}")
 
     grid = np.linspace(0.0, L0, grid_size + 1)
-    u0_vals = np.asarray(u0(grid), dtype=float)
-    w0 = initial_w_from_u(motion, grid, u0_vals)
+    w0 = transform_ic(motion, grid, u0(grid))
     bounds = []
-    for side, g0, g1 in (("lower", gamma0_lo, gamma1_lo), ("upper", gamma0_hi, gamma1_hi)):
+    for g0, g1 in ((gamma0_lo, gamma1_lo), (gamma0_hi, gamma1_hi)):
         eig = solve_sl(D, L0, g0, g1, grid_size=grid_size, num_modes=num_modes)
-        bounds.append(BoundSeries(motion, eig, expand(w0, eig), side))
-    return bounds[0], bounds[1]
+        bounds.append(SeriesSolution(motion, eig, expand(w0, eig)))
+    return tuple(bounds)

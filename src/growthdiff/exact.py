@@ -12,7 +12,7 @@ transcription check and is enforced in the test suite at relative 1e-9.
 
 Radially symmetric balls |x| < R(t) with R^2 quadratic in t separate the same
 way; ``build_radial_series`` handles those with a fixed centre.  Interval,
-ball and comparison series (``critical.BoundSeries``) are all one
+ball and comparison series (``critical.envelope_bounds_general``) are all one
 ``SeriesSolution`` class, summed by one evaluator, ``_sum_modes``, which reads
 every tabulated mode shape through one spline call and checks the mode tail.
 """
@@ -133,9 +133,9 @@ def build_series(motion: SeparableMotion, u0, grid_size: int = 512,
     the solution is needed at times where exp(sigma_n t) amplifies the O(h^2)
     eigenvalue bias beyond the target accuracy.
     """
-    tag = classify(motion)
-    if tag.kind in (CaseKind.CRITICAL_CASE, CaseKind.GENERAL):
-        raise ValueError(f"series solutions need a separable motion, got {tag.kind.value}")
+    kind = classify(motion)
+    if kind in (CaseKind.CRITICAL_CASE, CaseKind.GENERAL):
+        raise ValueError(f"series solutions need a separable motion, got {kind.value}")
     eig = solve_sl(motion.physics.D, motion.L0, motion.gamma0, motion.gamma1,
                    grid_size=grid_size, num_modes=num_modes, extrapolate=extrapolate)
     u0_vals = np.asarray(u0(eig.grid) if callable(u0) else u0, dtype=float)
@@ -376,9 +376,9 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
     f0 - (c_eff + xi * v / L0)^2 / 4D, where v is the asymptotic length
     growth speed and c_eff the asymptotic endpoint drift.
     """
-    tag = classify(motion)
-    if tag.kind in (CaseKind.CRITICAL_CASE, CaseKind.GENERAL):
-        raise ValueError(f"growth verdicts need a separable motion, got {tag.kind.value}")
+    kind = classify(motion)
+    if kind in (CaseKind.CRITICAL_CASE, CaseKind.GENERAL):
+        raise ValueError(f"growth verdicts need a separable motion, got {kind.value}")
     horizon = validity_horizon(motion)
     if math.isfinite(horizon):
         return GrowthVerdict("collapse", collapse_time=horizon,
@@ -386,7 +386,7 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
     ph = motion.physics
     cs = ph.c_star
     L0, g1, c = motion.L0, motion.gamma1, motion.c
-    if tag.kind is CaseKind.FIXED_LENGTH:
+    if kind is CaseKind.FIXED_LENGTH:
         if g1 != 0.0:
             return GrowthVerdict(
                 "decay", note="accelerating endpoints on a fixed length force "
@@ -400,7 +400,7 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
                                  note="diffusive and drift losses exceed f0")
         return GrowthVerdict("marginal", rate=0.0,
                              note="f0 exactly balances the losses")
-    if tag.kind is CaseKind.SQRT_LENGTH:
+    if kind is CaseKind.SQRT_LENGTH:
         rate = ph.f0 - c * c / (4.0 * ph.D)
         if rate > 0.0:
             return GrowthVerdict("grow", window=(0.0, L0), rate=rate,
@@ -408,7 +408,7 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
         if rate < 0.0:
             return GrowthVerdict("decay", rate=rate, note="endpoint drift beats f0")
         return GrowthVerdict("marginal", rate=0.0, note="drift exactly balances f0")
-    if tag.kind is CaseKind.LINEAR_LENGTH:
+    if kind is CaseKind.LINEAR_LENGTH:
         v = motion.b / L0
         return _window_verdict((L0 / v) * (-cs - c), (L0 / v) * (cs - c), L0,
                                "growth where the local frame speed stays below c*")

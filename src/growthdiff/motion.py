@@ -54,7 +54,6 @@ __all__ = [
     "BoundaryMotion",
     "MotionState",
     "CaseKind",
-    "CaseTag",
     "DomainCollapsedError",
     "classify",
     "eval_motion",
@@ -207,7 +206,7 @@ class SeparableMotion:
     @cached_property
     def case_kind(self) -> CaseKind:
         """The closed-form case of this length law, as ``classify`` reports it."""
-        return classify(self).kind
+        return classify(self)
 
 
 @dataclass(frozen=True)
@@ -314,13 +313,7 @@ class CaseKind(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class CaseTag:
-    kind: CaseKind
-    gamma0: float | None
-
-
-def classify(motion: BoundaryMotion) -> CaseTag:
+def classify(motion: BoundaryMotion) -> CaseKind:
     """Sort a motion into its closed-form solution case.
 
     Tabulated motions are reported as GENERAL rather than rejected: they are
@@ -328,21 +321,21 @@ def classify(motion: BoundaryMotion) -> CaseTag:
     not for the per-case series formulas.
     """
     if isinstance(motion, CriticalMotion):
-        return CaseTag(CaseKind.CRITICAL_CASE, None)
+        return CaseKind.CRITICAL_CASE
     if isinstance(motion, TabulatedMotion):
-        return CaseTag(CaseKind.GENERAL, None)
+        return CaseKind.GENERAL
     a, b = motion.a, motion.b
     g0 = motion.gamma0
     if a == 0.0 and b == 0.0:
-        return CaseTag(CaseKind.FIXED_LENGTH, 0.0)
+        return CaseKind.FIXED_LENGTH
     if a == 0.0:
-        return CaseTag(CaseKind.SQRT_LENGTH, g0)
+        return CaseKind.SQRT_LENGTH
     scale = max(abs(a) * motion.L0 ** 2, b * b)
     if abs(g0) < LINEAR_DEGENERACY_RTOL * scale:
-        return CaseTag(CaseKind.LINEAR_LENGTH, 0.0)
+        return CaseKind.LINEAR_LENGTH
     if g0 < 0.0:
-        return CaseTag(CaseKind.QUAD_NEG, g0)
-    return CaseTag(CaseKind.QUAD_POS, g0)
+        return CaseKind.QUAD_NEG
+    return CaseKind.QUAD_POS
 
 
 def _separable_kinematics(m: SeparableMotion, t: float):

@@ -600,6 +600,18 @@ class TestFitExponent:
         assert fitted[0].size == 15
         assert fitted[0][-1] == sol.times[-1]
 
+    @pytest.mark.parametrize("t_final,window", [(1e3, (2.5, 80.0)), (40.0, (1.0, 40.0))],
+                             ids=["past-the-run", "inside-the-run"])
+    def test_numeric_route_needs_the_runs_own_t_final(self, crit15, interval_run,
+                                                      t_final, window, monkeypatch):
+        # The report would otherwise carry a t_final the fit never reached.
+        def no_probe(*args):
+            raise AssertionError("a probe was read")
+        monkeypatch.setattr(critical, "_probe_log_psi", no_probe)
+        with pytest.raises(ValueError, match=rf"t_final={t_final} is not the run's "
+                                             r"last stored time 80\.0"):
+            fit_exponent(crit15, t_final=t_final, window=window, solution=interval_run)
+
     def test_numeric_route_rejects_foreign_solutions(self, interval_run):
         other = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.0)
         with pytest.raises(ValueError, match="different motion"):
@@ -692,16 +704,18 @@ class TestComparisonBounds:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(eval_bound(lo, xi, t) - ref)) < 1e-9 * scale
             assert np.max(np.abs(eval_bound(hi, xi, t) - ref)) < 1e-9 * scale
-        assert lo.side == "lower"
-        assert hi.side == "upper"
-        assert lo.sigma1 == hi.sigma1
+            # Same coefficients, same route: the brackets are the series.
+            generic = eval_series(sol, xi, t, route="generic")
+            assert np.array_equal(eval_bound(lo, xi, t), generic)
+            assert np.array_equal(eval_bound(hi, xi, t), generic)
+        assert lo.eigen.sigmas[0] == hi.eigen.sigmas[0]
 
     def test_tabulated_motion_is_bracketed(self, wobble):
         u0 = lambda xi: np.sin(0.5 * np.pi * xi)
         lo, hi = envelope_bounds_general(wobble, u0, -6.5255, 0.3,
                                          -0.3, 3.4127, 2.0,
                                          grid_size=512, num_modes=32)
-        assert lo.sigma1 < hi.sigma1
+        assert lo.eigen.sigmas[0] < hi.eigen.sigmas[0]
         truth = solve_u(wobble, u0, grid_size=512, dt=5e-4, T=2.0,
                         output_times=[0.5, 1.5, 2.0])
         for t in (0.5, 1.5, 2.0):
@@ -713,6 +727,20 @@ class TestComparisonBounds:
             assert np.min(lower_margin) > -1e-8
             assert np.min(upper_margin[1:-1]) > 0.0
             assert np.min(lower_margin[1:-1]) > 0.0
+
+    def test_reading_is_confined_to_the_reference_interval(self, wobble):
+        lo, _ = envelope_bounds_general(wobble, lambda xi: np.sin(0.5 * np.pi * xi),
+                                        -6.5255, 0.3, -0.3, 3.4127, 2.0,
+                                        grid_size=128, num_modes=8, n_check=100)
+        for xi in ([-0.5, 1.0], [1.0, 2.7]):
+            with pytest.raises(ValueError, match=r"xi must lie in \[0, 2\.0\]"):
+                eval_bound(lo, xi, 1.0)
+
+    def test_initial_data_must_vanish_at_the_ends(self, wobble):
+        with pytest.raises(ValueError, match="must vanish at both interval endpoints"):
+            envelope_bounds_general(wobble, lambda xi: np.cos(np.pi * xi),
+                                    -6.5255, 0.3, -0.3, 3.4127, 2.0,
+                                    grid_size=128, num_modes=8, n_check=100)
 
     def test_rejects_escaping_coefficients(self, wobble):
         with pytest.raises(ValueError, match="escape the brackets"):

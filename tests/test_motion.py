@@ -33,36 +33,35 @@ class TestPhysicsParams:
 
 class TestClassify:
     def test_fixed(self, physics):
-        tag = classify(SeparableMotion(physics, 0.0, 0.0, 2.0))
-        assert tag.kind is CaseKind.FIXED_LENGTH
-        assert tag.gamma0 == 0.0
+        motion = SeparableMotion(physics, 0.0, 0.0, 2.0)
+        assert classify(motion) is CaseKind.FIXED_LENGTH
+        assert motion.gamma0 == 0.0
 
     def test_sqrt(self, physics):
-        tag = classify(SeparableMotion(physics, 0.0, 1.5, 2.0))
-        assert tag.kind is CaseKind.SQRT_LENGTH
-        assert tag.gamma0 == pytest.approx(-1.5 ** 2, rel=1e-15)
+        motion = SeparableMotion(physics, 0.0, 1.5, 2.0)
+        assert classify(motion) is CaseKind.SQRT_LENGTH
+        assert motion.gamma0 == pytest.approx(-1.5 ** 2, rel=1e-15)
 
     def test_quad_pos(self, physics):
-        tag = classify(SeparableMotion(physics, 1.0, 0.0, 1.0))
-        assert tag.kind is CaseKind.QUAD_POS
-        assert tag.gamma0 == 1.0
+        motion = SeparableMotion(physics, 1.0, 0.0, 1.0)
+        assert classify(motion) is CaseKind.QUAD_POS
+        assert motion.gamma0 == 1.0
 
     def test_quad_neg(self, physics):
-        tag = classify(SeparableMotion(physics, 1.0, 2.0, 1.0))
-        assert tag.kind is CaseKind.QUAD_NEG
-        assert tag.gamma0 == -3.0
+        motion = SeparableMotion(physics, 1.0, 2.0, 1.0)
+        assert classify(motion) is CaseKind.QUAD_NEG
+        assert motion.gamma0 == -3.0
 
     def test_linear_degenerate(self, physics):
         # a = slope^2, b = slope*L0 makes a L0^2 - b^2 vanish identically.
         motion = SeparableMotion.linear_length(physics, 2.0, 0.7)
-        tag = classify(motion)
-        assert tag.kind is CaseKind.LINEAR_LENGTH
-        assert abs(tag.gamma0) < 1e-12
+        assert classify(motion) is CaseKind.LINEAR_LENGTH
+        assert abs(motion.gamma0) < 1e-12
 
     def test_critical_and_tabulated(self, physics):
-        assert classify(CriticalMotion(physics, alpha=1.0)).kind is CaseKind.CRITICAL_CASE
+        assert classify(CriticalMotion(physics, alpha=1.0)) is CaseKind.CRITICAL_CASE
         tab = _tabulated_from(physics, lambda t: -1.0 - 0.1 * t, lambda t: 2.0 + 0.2 * t)
-        assert classify(tab).kind is CaseKind.GENERAL
+        assert classify(tab) is CaseKind.GENERAL
 
 
 class TestEvalMotion:
@@ -361,7 +360,7 @@ class TestCachedCaseFacts:
     def test_cached_kind_is_a_fresh_classify(self, physics, motion, kind):
         motion = motion(physics)
         eval_motion(motion, 0.3)
-        assert motion.case_kind is kind is classify(motion).kind
+        assert motion.case_kind is kind is classify(motion)
         assert vars(motion)["case_kind"] is kind
         assert vars(motion)["gamma0"] == motion.a * motion.L0 ** 2 - motion.b ** 2
 

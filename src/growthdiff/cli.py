@@ -328,7 +328,7 @@ def cmd_compare(args) -> int:
         "grid_size": grid,
         "series_grid": series_grid,
         "num_modes": modes,
-        "dt": run.dt,
+        "steps": run.steps._asdict(),
         "tol": tol,
         "worst_rel_linf": worst[0],
         "worst_xi": worst[1],

@@ -55,7 +55,7 @@ from .motion import (
     time_integral,
     time_rescale,
 )
-from .numeric import GridSolution, solve_radial, solve_w
+from .numeric import GridSolution, StepRecord, solve_radial, solve_w
 from .output import write_csv
 from .transforms import (
     log_radial_factor,
@@ -506,7 +506,7 @@ class CriticalFitReport:
     window: tuple
     t_final: float
     grid_size: int
-    dt: float
+    steps: StepRecord          # the run's step count and dt range; zeros on the series route
     residual_rms: float
     limit_exponent: float
     limit_per_probe: tuple
@@ -535,7 +535,7 @@ def fit_report_document(report: CriticalFitReport) -> dict:
         "window": list(report.window),
         "t_final": report.t_final,
         "grid_size": report.grid_size,
-        "dt": report.dt,
+        "steps": report.steps._asdict(),
         "residual_rms": report.residual_rms,
         "limit_exponent": report.limit_exponent,
         "limit_error": report.limit_error,
@@ -621,8 +621,7 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
     max(10 dt, 1e-2) to t_final.  n_dim = 1 runs ``solve_w`` from a sine;
     balls run ``solve_radial`` from the cosine dome.
     """
-    outputs = np.unique(np.concatenate(
-        [[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, num_outputs)]))
+    outputs = np.concatenate([[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, num_outputs)])
     if n_dim == 1:
         w0 = lambda xi: np.sin(np.pi * xi / motion.L0)
         return solve_w(motion, w0, grid_size=grid_size, dt=dt, T=t_final,
@@ -631,11 +630,6 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
     W0 = lambda r: np.cos(0.5 * np.pi * r / R0)
     return solve_radial(motion, W0, n_dim, grid_size=grid_size, dt=dt, T=t_final,
                         output_times=outputs)
-
-
-# Stored output times are i * dt_eff, a rounding step off the requested ones
-# (past t_final, say); windows, and the times read from them, allow this slack.
-_WINDOW_SLACK = 1e-12
 
 
 def fit_window(t_final: float, window: tuple | None = None,
@@ -648,7 +642,7 @@ def fit_window(t_final: float, window: tuple | None = None,
     """
     if window is None:
         window = (t_final / 10 ** 1.5, t_final)
-    if not 0.0 < window[0] < window[1] <= t_final * (1.0 + _WINDOW_SLACK):
+    if not 0.0 < window[0] < window[1] <= t_final:
         raise ValueError(f"fit window {window} must sit inside (0, t_final]")
     if math.log10(window[1] / window[0]) < 1.5 - 1e-9:
         raise ValueError("fit window must span at least 1.5 decades")
@@ -681,9 +675,9 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     least squares with the relaxation power fixed by theory.
 
     A critical motion may pass a finished potential-form ``solution`` in place
-    of the solve: the grid, dt and dimension then come from that run,
+    of the solve: the grid, steps and dimension then come from that run,
     ``num_outputs`` is unused, and ``t_final`` must be the run's last stored
-    time (within ``_WINDOW_SLACK`` relative).
+    time.  The series route marches nothing and refuses a ``solution``.
     """
     ph = motion.physics
     window = fit_window(t_final, window, probes)
@@ -696,20 +690,20 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
             solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
         else:
             _check_run(motion, solution, f"fit_exponent with n_dim={n_dim}", n_dim)
-            t_last = float(solution.times[-1])
-            if abs(t_last - t_final) > _WINDOW_SLACK * t_final:
+            if solution.times[-1] != t_final:
                 raise ValueError(f"t_final={t_final} is not the run's last stored "
-                                 f"time {t_last}")
-            grid_size = solution.grid_size
-            dt = solution.dt
-        lo, hi = window[0] * (1.0 - _WINDOW_SLACK), window[1] * (1.0 + _WINDOW_SLACK)
-        times = solution.times[(solution.times >= lo) & (solution.times <= hi)]
+                                 f"time {solution.times[-1]}")
+        grid_size, steps = solution.grid_size, solution.steps
+        times = solution.times[(solution.times >= window[0]) & (solution.times <= window[1])]
         if times.size < 8:
             raise ValueError(
                 f"only {times.size} output times fall in the fit window; need >= 8")
         logs = _probe_log_psi(motion, solution, [float(y) for y in probes], times)
     else:
         # balanced spreading interval: exact series, no solver
+        if solution is not None:
+            raise ValueError("fit_exponent reads a run only for a critical motion; "
+                             "the series route marches nothing")
         if n_dim != 1:
             raise ValueError("the series route is one-dimensional")
         if classify(motion) is not CaseKind.LINEAR_LENGTH:
@@ -724,7 +718,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         route = "series"
         alpha = 0.0
         predicted = -1.5
-        grid_size, dt = 0, 0.0
+        grid_size, steps = 0, StepRecord(0, 0.0, 0.0)
         eig = solve_sl(ph.D, motion.L0, motion.gamma0, 0.0, grid_size=1024,
                        num_modes=4, extrapolate=True)
         coeffs = np.zeros(eig.num_modes)
@@ -743,7 +737,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     return CriticalFitReport(route, n_dim, alpha, predicted, float(np.mean(slopes)),
                              tuple(slopes), tuple(float(y) for y in probes),
                              window, float(t_final),
-                             grid_size, dt, rms, float(np.mean(limits)),
+                             grid_size, steps, rms, float(np.mean(limits)),
                              tuple(limits), float(np.mean(relax)))
 
 

@@ -7,8 +7,8 @@ Three forms are integrated on the fixed reference domain:
 * ``solve_radial`` -- potential form of W(r, t) on a ball of diameter L(t).
 
 All three march Crank-Nicolson, written as the implicit midpoint rule, with
-coefficients frozen at the half step, which keeps the scheme second order in
-time even though the coefficients are time dependent.  The scheme is
+coefficients frozen at each step's midpoint, which keeps the scheme second
+order in time even though the coefficients are time dependent.  The scheme is
 A-stable, so no step size limit applies.  Spatial discretisation is the
 standard second-order stencil; the radial solver uses a conservative
 finite-volume form whose r = 0 row encodes the regularity condition
@@ -20,7 +20,8 @@ unknown and are stored as exact zeros.  The coefficients depend on t alone,
 so the kernel builds them, and the scaled implicit-side diagonals, for a
 block of ``_BLOCK`` steps at a time; each step is then one call to LAPACK's
 tridiagonal solver ``dgtsv`` and one vector update, v <- z - v, with no
-explicit product.
+explicit product.  An output time off the uniform step grid is an extra step
+boundary, so every stored time is the requested one.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -45,6 +47,7 @@ from .output import write_csv
 from .transforms import require_centered
 
 __all__ = [
+    "StepRecord",
     "GridSolution",
     "solve_u",
     "solve_w",
@@ -54,15 +57,23 @@ __all__ = [
 ]
 
 
+class StepRecord(NamedTuple):
+    """How a run marched: its step count and its shortest and longest step."""
+
+    count: int
+    dt_min: float
+    dt_max: float
+
+
 @dataclass(frozen=True)
 class GridSolution:
     """Time slices of one finite-difference run on the reference domain."""
 
     kind: str              # "u", "w" or "radial"
     grid: np.ndarray       # reference nodes (xi, or r for the radial kind)
-    times: np.ndarray      # output times, snapped to step multiples
+    times: np.ndarray      # the requested output times, sorted, each stored exactly
     values: np.ndarray     # shape (len(times), len(grid))
-    dt: float              # effective step actually used
+    steps: StepRecord      # the march's step count and dt range
     n_dim: int
     motion_hash: str
 
@@ -78,65 +89,79 @@ class GridSolution:
         return self.values[i]
 
 
-def _prepare_run(motion: BoundaryMotion, ic, grid: np.ndarray, dt: float,
-                 T: float, output_times):
-    if not (dt > 0.0) or not (T > 0.0):
-        raise ValueError("dt and T must be positive")
-    if T >= validity_horizon(motion):
-        raise DomainCollapsedError(
-            f"T={T} reaches the collapse time {validity_horizon(motion)}")
-    field0 = np.asarray(ic(grid) if callable(ic) else ic, dtype=float)
-    if field0.shape != grid.shape:
-        raise ValueError(f"initial data has shape {field0.shape}, grid has {grid.shape}")
-    n_steps = max(1, int(round(T / dt)))
-    dt_eff = T / n_steps
-    if output_times is None:
-        output_times = np.linspace(0.0, T, 11)
-    out = np.asarray(output_times, dtype=float)
-    if np.any(out < 0.0) or np.any(out > T * (1.0 + 1e-12)):
-        raise ValueError("output times must lie in [0, T]")
-    idx = sorted(set(int(round(t / dt_eff)) for t in out))
-    return field0, n_steps, dt_eff, idx
-
-
 _BLOCK = 32  # steps whose rows are built together; 16-128 time alike
 
 
-def _march(rows, v0, n_steps, dt, out_idx):
-    """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old.
+def _schedule(T: float, dt: float, times: np.ndarray):
+    """The steps, made a block at a time, the time each output is read at, and
+    the ``StepRecord``.
 
-    ``v0`` holds the interior unknowns only.  ``rows(ts)`` takes an array of
-    half-step times and returns the sub-diagonals, diagonals and
-    super-diagonals of A there, one row per time; the Dirichlet neighbours
-    are zero, so their couplings are simply left out.  The kernel calls it
-    once per block of ``_BLOCK`` steps and forms that block's scaled
-    implicit-side diagonals.  Since I + dt/2 A equals 2 I - (I - dt/2 A),
-    each step is the implicit midpoint rule: one LAPACK ``dgtsv`` solve of
-    (1/2 I - dt/4 A) z = v_old, a backward Euler half step that overwrites
-    the step's rows in place, and the linear extrapolation v_new = z - v_old.
-    Returns the unknowns at the step indices ``out_idx``.
+    The steps are the uniform grid k h, h = T/round(T/dt); an output time off
+    it by more than roundoff (1e-12 T) cuts its step.  Whole steps keep their
+    (k + 1/2) h midpoints and length h, so runs whose outputs sit on the grid
+    march the uniform steps bit for bit.  Blocks are ``_BLOCK`` grid steps; a
+    block with a cut step holds its pieces and a column of step lengths.
+    """
+    n = max(1, int(round(T / dt)))
+    h = T / n
+    k = np.rint(times / h)
+    on_grid = np.abs(times - k * h) <= 1e-12 * T
+    cuts = times[~on_grid]
+    cut_step = np.floor(cuts / h).astype(int)
+    split = {c: np.concatenate(([c * h], cuts[cut_step == c], [(c + 1) * h]))
+             for c in np.unique(cut_step).tolist()}
+    uncut = [[h]] if len(split) < n else []         # some step is left whole
+    dts = np.concatenate([np.diff(b) for b in split.values()] + uncut)
+    cut_blocks = {c // _BLOCK for c in split}
+
+    def blocks():
+        for a in range(0, n, _BLOCK):
+            ks = np.arange(a, min(a + _BLOCK, n))
+            if a // _BLOCK not in cut_blocks:
+                yield (ks + 0.5) * h, h, (ks + 1) * h
+                continue
+            b = np.union1d(np.append(ks, ks[-1] + 1) * h,
+                           cuts[cut_step // _BLOCK == a // _BLOCK])
+            kb = np.rint(b / h)
+            on_kb = b == kb * h
+            whole = on_kb[:-1] & on_kb[1:]               # both ends on the grid
+            yield (np.where(whole, (kb[:-1] + 0.5) * h, 0.5 * (b[:-1] + b[1:])),
+                   np.where(whole, h, np.diff(b))[:, None], b[1:])
+    return (blocks(), np.where(on_grid, k * h, times),
+            StepRecord(n + cuts.size, float(dts.min()), float(dts.max())))
+
+
+def _march(rows, v0, blocks, reads):
+    """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old, over
+    the (midpoints, lengths, end times) blocks of steps ``blocks`` yields.
+
+    ``v0`` holds the interior unknowns.  ``rows(ts)`` returns the sub-, main
+    and super-diagonals of A at a block's midpoints, one row per time, less
+    the couplings to the zero Dirichlet nodes.  As I + dt/2 A = 2 I - (I - dt/2 A),
+    a step is one LAPACK ``dgtsv`` solve of (1/2 I - dt/4 A) z = v_old, in
+    place on the step's rows, and v_new = z - v_old.  Returns the unknowns at
+    each of ``reads`` (0 or step ends).
     """
     v = v0
-    snaps = np.empty((len(out_idx), v.size))
-    slot = {k: i for i, k in enumerate(out_idx)}
-    if 0 in slot:
-        snaps[slot[0]] = v
-    implicit = 0.25 * dt
-    for first in range(0, n_steps, _BLOCK):
-        ks = range(first, min(first + _BLOCK, n_steps))
-        subs, diags, sups = rows((np.array(ks) + 0.5) * dt)
+    snaps = np.empty((len(reads), v.size))
+    slot = {}
+    for i, t in enumerate(reads.tolist()):
+        slot.setdefault(t, []).append(i)
+    snaps[slot.get(0.0, [])] = v
+    for mids, lengths, ends in blocks:
+        subs, diags, sups = rows(mids)
+        implicit = 0.25 * lengths
         lower, mid, upper = subs * -implicit, 0.5 - implicit * diags, sups * -implicit
-        for j, k in enumerate(ks):
+        for j, end in enumerate(ends.tolist()):
             z, info = dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:]
             if info:
                 raise np.linalg.LinAlgError(
-                    f"step to t={(k + 1) * dt:.6g} is singular (dgtsv info={info})")
+                    f"step to t={end:.6g} is singular (dgtsv info={info})")
             v = z - v
-            if k + 1 in slot:
+            if end in slot:
                 if not np.all(np.isfinite(v)):
-                    raise RuntimeError(
-                        f"solver produced non-finite values by t={(k + 1) * dt}")
-                snaps[slot[k + 1]] = v
+                    raise RuntimeError(f"solver produced non-finite values by t={end}")
+                snaps[slot[end]] = v
     return snaps
 
 
@@ -152,8 +177,18 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
         raise ValueError("grid_size must be at least 8")
     grid = np.linspace(0.0, extent, grid_size + 1)
     h = extent / grid_size
-    field0, n_steps, dt_eff, out_idx = _prepare_run(
-        motion, ic, grid, dt, T, output_times)
+    if not (dt > 0.0) or not (T > 0.0):
+        raise ValueError("dt and T must be positive")
+    if T >= validity_horizon(motion):
+        raise DomainCollapsedError(
+            f"T={T} reaches the collapse time {validity_horizon(motion)}")
+    field0 = np.asarray(ic(grid) if callable(ic) else ic, dtype=float)
+    if field0.shape != grid.shape:
+        raise ValueError(f"initial data has shape {field0.shape}, grid has {grid.shape}")
+    times = np.unique(np.linspace(0.0, T, 11) if output_times is None else
+                      np.asarray(output_times, dtype=float))
+    if not np.all((times >= 0.0) & (times <= T)):   # False for nan
+        raise ValueError("output times must lie in [0, T]")
     interior = slice(0, -1) if kind == "radial" else slice(1, -1)
     scale = np.max(np.abs(field0)) or 1.0
     if kind == "radial":
@@ -162,10 +197,10 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     elif abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
         raise ValueError("initial data must vanish at both endpoints")
     rows = make_rows(grid[interior], h)
-    values = np.zeros((len(out_idx), grid.size))
-    values[:, interior] = _march(rows, field0[interior], n_steps, dt_eff, out_idx)
-    times = np.array([i * dt_eff for i in out_idx])
-    return GridSolution(kind, grid, times, values, dt_eff, n_dim,
+    blocks, reads, steps = _schedule(T, dt, times)
+    values = np.zeros((times.size, grid.size))
+    values[:, interior] = _march(rows, field0[interior], blocks, reads)
+    return GridSolution(kind, grid, times, values, steps, n_dim,
                         motion_content_hash(motion))
 
 
@@ -270,13 +305,13 @@ def grid_to_csv(solution: GridSolution, path) -> None:
 
 
 def grid_manifest(solution: GridSolution) -> dict:
-    """JSON-ready run description: scheme, sizes and the motion content hash."""
+    """JSON-ready run description: scheme, sizes, step record and the motion content hash."""
     return {
         "schema_version": 1,
         "kind": solution.kind,
         "scheme": "Crank-Nicolson (implicit midpoint), coefficients at the half step",
         "grid_size": solution.grid_size,
-        "dt": solution.dt,
+        "steps": solution.steps._asdict(),
         "n_dim": solution.n_dim,
         "num_output_times": int(solution.times.size),
         "t_final": float(solution.times[-1]) if solution.times.size else None,

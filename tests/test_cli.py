@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import growthdiff.critical as critical
 from growthdiff.cli import main
 from growthdiff.critical import envelope_to_csv, run_critical
 from growthdiff.motion import CriticalMotion, PhysicsParams
@@ -218,34 +219,45 @@ class TestCriticalCommand:
         assert rc == 2
         assert "window must be two numbers" in capsys.readouterr().err
 
-    def test_probe_failure_is_a_numeric_failure(self, capsys):
-        # The n = 3 field at grid 128 decays to roundoff, so a probe value
-        # turns nonpositive and the fit raises RuntimeError.
-        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "2.5",
-                   "--n-dim", "3", "--t-final", "80", "--grid", "128",
-                   "--dt", "1e-2", "--num-outputs", "61"])
-        assert rc == 3
-        assert "numeric failure: probe value nonpositive" in capsys.readouterr().err
+    @pytest.fixture
+    def zeroed_slice(self, monkeypatch):
+        # The pipeline's run has a zero slice at its first stored time past
+        # t = 1: inside the default fit window [0.632, 20] but before the
+        # barrier onset (about 3.9), so the envelope holds and only the fit
+        # meets the nonpositive probe value, and raises RuntimeError.
+        real = critical.solve_critical
 
-    def test_failing_fit_leaves_no_artifacts(self, tmp_path, capsys):
+        def solve(*args):
+            run = real(*args)
+            run.values[np.argmax(run.times >= 1.0)] = 0.0
+            return run
+        monkeypatch.setattr(critical, "solve_critical", solve)
+        return ["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                "--t-final", "20", "--grid", "64", "--dt", "1e-2", "--num-outputs", "21"]
+
+    def test_probe_failure_is_a_numeric_failure(self, zeroed_slice, capsys):
+        rc = main(zeroed_slice)
+        assert rc == 3
+        assert ("numeric failure: probe value nonpositive at t=1.08508, offset y=0.5"
+                in capsys.readouterr().err)
+
+    def test_failing_fit_leaves_no_artifacts(self, tmp_path, zeroed_slice, capsys):
         # The envelope holds but the fit fails: neither file may be written.
-        rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "2.5",
-                   "--n-dim", "3", "--t-final", "80", "--grid", "128",
-                   "--dt", "1e-2", "--num-outputs", "61"])
+        rc = main(zeroed_slice)
         assert rc == 3
         assert "numeric failure: probe value nonpositive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_probe_outside_the_domain_is_a_numeric_failure(self, capsys):
         # The first output time in the default window [10^(-0.5), 10] is
-        # t = 0.32, where L = 1.447 is shorter than the default probe y = 2.
+        # t = 0.316228, where L = 1.4406 is shorter than the default probe y = 2.
         rc = main(["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
                    "--t-final", "10", "--grid", "64", "--dt", "1e-2",
                    "--num-outputs", "21"])
         assert rc == 3
         err = capsys.readouterr().err
         assert ("numeric failure: probe offset y=2.0 lies outside the domain "
-                "at t=0.32, where L(t)=1.447") in err
+                "at t=0.316228, where L(t)=1.4406") in err
 
     def test_missing_alpha(self, capsys):
         assert main(["critical", "--D", "1", "--f0", "1"]) == 2

@@ -340,7 +340,9 @@ class TestVerifyEnvelope:
     def test_field_stays_between_calibrated_barriers(self, crit15, interval_run):
         pair = verify_envelope(crit15, interval_run)
         assert pair.onset == pytest.approx(3.870427, abs=1e-3)
-        assert pair.t_cal == pytest.approx(4.185, rel=1e-9)
+        # t_cal is the first requested output time past the onset, stored exactly.
+        assert pair.t_cal == pytest.approx(4.18256, rel=1e-6)
+        assert pair.t_cal in interval_run.times
         assert pair.C1 == pytest.approx(0.0278165, rel=1e-3)
         assert pair.C2 == pytest.approx(0.6852952, rel=1e-3)
         assert pair.worst_slack == 0.0
@@ -419,7 +421,7 @@ class TestVerifyEnvelope:
         pair = verify_envelope(crit25, ball_run)
         assert pair.onset == pytest.approx(13.1177, abs=1e-3)
         assert pair.C1 > 0.0
-        assert pair.C2 == pytest.approx(0.452185, rel=1e-3)
+        assert pair.C2 == pytest.approx(0.45904, rel=1e-3)
         assert pair.worst_slack == 0.0
 
 
@@ -494,10 +496,10 @@ class TestProbes:
             assert np.max(np.abs(logs[:, i] - expect)) <= 1e-12
 
     def test_offset_beyond_the_ball_radius_is_rejected(self, crit25, ball_snapshot):
-        # The first output time in the window [40/10^1.5, 40] is t = 1.48,
+        # The first output time in the window [40/10^1.5, 40] is t = 1.48227,
         # where the radius is 1.19 < 2.
         with pytest.raises(ValueError, match=r"y=2.0 lies outside the domain at "
-                                             r"t=1.48, where R\(t\)=1.189"):
+                                             r"t=1.48227, where R\(t\)=1.19161"):
             fit_exponent(crit25, n_dim=3, probes=(0.5, 2.0), t_final=40.0,
                          solution=ball_snapshot)
 
@@ -564,7 +566,7 @@ class TestFitExponent:
         assert report.residual_rms < 0.3
         assert len(report.per_probe) == 3
         assert report.grid_size == interval_run.grid_size
-        assert report.dt == interval_run.dt
+        assert report.steps == interval_run.steps
 
     def test_window_validation(self, crit15, interval_run):
         with pytest.raises(ValueError, match="1.5 decades"):
@@ -587,21 +589,9 @@ class TestFitExponent:
                                              "finite positive numbers"):
             fit_exponent(crit15, probes=probes, t_final=80.0)
 
-    def test_final_output_time_overshooting_t_final_is_fitted(self, crit15, monkeypatch):
-        # 20 / 0.017 rounds to 1176 steps of 0.0170068..., so the last stored
-        # time is 20.000000000000004, a rounding step past the window's end.
-        sol = solve_critical(crit15, 1, 20.0, 64, 0.017, 21)
-        assert sol.times[-1] > 20.0
-        fitted = []
-        real = critical._probe_log_psi
-        monkeypatch.setattr(critical, "_probe_log_psi",
-                            lambda *a: fitted.append(a[3]) or real(*a))
-        fit_exponent(crit15, t_final=20.0, solution=sol)
-        assert fitted[0].size == 15
-        assert fitted[0][-1] == sol.times[-1]
-
-    @pytest.mark.parametrize("t_final,window", [(1e3, (2.5, 80.0)), (40.0, (1.0, 40.0))],
-                             ids=["past-the-run", "inside-the-run"])
+    @pytest.mark.parametrize("t_final,window", [(1e3, (2.5, 80.0)), (40.0, (1.0, 40.0)),
+                                                (math.nextafter(80.0, math.inf), (2.5, 80.0))],
+                             ids=["past-the-run", "inside-the-run", "one-ulp-past-the-run"])
     def test_numeric_route_needs_the_runs_own_t_final(self, crit15, interval_run,
                                                       t_final, window, monkeypatch):
         # The report would otherwise carry a t_final the fit never reached.
@@ -611,6 +601,14 @@ class TestFitExponent:
         with pytest.raises(ValueError, match=rf"t_final={t_final} is not the run's "
                                              r"last stored time 80\.0"):
             fit_exponent(crit15, t_final=t_final, window=window, solution=interval_run)
+
+    def test_series_route_refuses_a_run(self, physics, w_snapshot, monkeypatch):
+        # The series route marches nothing; a run handed to it would go unread.
+        monkeypatch.setattr(critical, "solve_sl", _no_solve)
+        cstar = physics.c_star
+        balanced = SeparableMotion.linear_length(physics, 1.0, 2.0 * cstar, c=-cstar)
+        with pytest.raises(ValueError, match="reads a run only for a critical motion"):
+            fit_exponent(balanced, t_final=40.0, solution=w_snapshot)
 
     def test_numeric_route_rejects_foreign_solutions(self, interval_run):
         other = CriticalMotion(PhysicsParams(D=1.0, f0=1.0), alpha=1.0)

@@ -7,8 +7,9 @@ from growthdiff.exact import (build_radial_series, build_series,
                               eval_radial_series, eval_series)
 from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
                                PhysicsParams, SeparableMotion, eval_motion)
-from growthdiff.numeric import (_BLOCK, grid_manifest, grid_to_csv, solve_radial, solve_u,
-                               solve_w)
+import growthdiff.numeric as numeric
+from growthdiff.numeric import (_BLOCK, StepRecord, grid_manifest, grid_to_csv, solve_radial,
+                               solve_u, solve_w)
 from growthdiff.transforms import initial_W_from_psi, psi_from_W, u_from_w
 
 
@@ -183,6 +184,22 @@ class TestMarchKernel:
                     <= 1e-13 * np.max(np.abs(v))), f"step {k} -> {k + 1}"
 
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_cut_step_matches_dense_solves(self, physics, kind):
+        # 0.0123 cuts the seventh step of 2e-3 in two; each piece is one dense
+        # Crank-Nicolson step at its own midpoint and with its own length.
+        times = [0.012, 0.0123, 0.014]
+        motion, sol = self._run(physics, kind, 2e-3, times)
+        assert sol.times.tolist() == times
+        assert sol.steps.count == 8
+        eye = np.eye(sol.grid.size)
+        for k, (a, b) in enumerate(zip(times, times[1:])):
+            A = _dense_operator(kind, motion, sol.grid, 0.5 * (a + b), sol.n_dim)
+            v = np.linalg.solve(eye - 0.5 * (b - a) * A,
+                                (eye + 0.5 * (b - a) * A) @ sol.values[k])
+            assert (np.max(np.abs(sol.values[k + 1] - v))
+                    <= 1e-13 * np.max(np.abs(v))), f"{a} -> {b}"
+
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
     def test_last_slice_does_not_depend_on_the_output_times(self, physics, kind):
         dt, n_steps = 2e-3, 2 * _BLOCK + 6
         every = [k * dt for k in range(n_steps + 1)]
@@ -298,12 +315,16 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"grid_size": 4},
         {"dt": -1e-3},
+        {"output_times": [0.0, math.nan]},
+        {"output_times": [0.2]},
+        {"output_times": [-1e-9]},
     ])
     def test_parameter_validation(self, physics, kwargs):
         motion = SeparableMotion.fixed_length(physics, 1.0)
         base = dict(grid_size=64, dt=1e-3, T=0.1)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid_size|positive|output times must "
+                                             r"lie in \[0, T\]"):
             solve_u(motion, lambda xi: np.sin(np.pi * xi), **base)
 
     def test_slice_requires_stored_time(self, physics):
@@ -328,3 +349,57 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,xi,value"
         assert len(lines) == 1 + 2 * 17
+
+
+class TestOutputTimes:
+    """Every stored time is a requested one: off-grid times are step boundaries."""
+
+    @staticmethod
+    def _solve(physics, dt, T, output_times):
+        motion = SeparableMotion.fixed_length(physics, 1.0)
+        return solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=64, dt=dt,
+                       T=T, output_times=output_times)
+
+    def test_off_grid_time_is_stored_exactly(self, physics):
+        sol = self._solve(physics, 1e-2, 1.0, [0.316228, 1.0])
+        assert sol.times.tolist() == [0.316228, 1.0]
+        # 100 uniform steps and the one extra boundary at 0.316228
+        assert sol.steps == StepRecord(101, pytest.approx(0.32 - 0.316228), 1e-2)
+        # The single sine mode decays like exp((f0 - D pi^2) t); read at the
+        # grid time 0.32 instead, it would be about 3 % low.
+        exact = math.exp((1.0 - math.pi ** 2) * 0.316228) * np.sin(np.pi * sol.grid)
+        assert np.max(np.abs(sol.slice_at(0.316228) - exact)) <= 5e-3 * np.max(exact)
+
+    def test_close_requests_stay_distinct(self, physics):
+        sol = self._solve(physics, 1e-2, 1.0, [0.5, 0.500001, 1.0])
+        assert sol.times.tolist() == [0.5, 0.500001, 1.0]
+        assert not np.array_equal(sol.values[0], sol.values[1])
+        assert sol.steps.count == 101
+
+    def test_roundoff_from_the_grid_adds_no_step(self, physics):
+        # 3 * 0.1 is 0.30000000000000004: read at the grid time 0.3, like 0.3
+        # itself, and both are stored as asked.
+        sol = self._solve(physics, 1e-2, 1.0, [0.3, 3 * 0.1, 1.0])
+        assert sol.times.tolist() == [0.3, 3 * 0.1, 1.0]
+        assert sol.steps == StepRecord(100, 1e-2, 1e-2)
+        assert np.array_equal(sol.values[0], sol.values[1])
+        ref = self._solve(physics, 1e-2, 1.0, [0.3, 1.0])
+        assert np.array_equal(sol.values[1:], ref.values)
+
+    def test_last_stored_time_is_T(self, physics):
+        # 20 / 0.017 rounds to 1176 steps of 0.0170068...; the last one ends at 20.
+        sol = self._solve(physics, 0.017, 20.0, [0.0, 20.0])
+        assert sol.times[-1] == 20.0
+        assert sol.steps.count == 1176
+
+    def test_manifest_records_the_steps_marched(self, physics, monkeypatch):
+        calls = []
+        real = numeric.dgtsv
+        monkeypatch.setattr(numeric, "dgtsv", lambda *a: calls.append(1) or real(*a))
+        sol = self._solve(physics, 1e-2, 0.5, [0.0, 0.123, 0.1234, 0.5])
+        doc = grid_manifest(sol)
+        assert "dt" not in doc
+        assert doc["steps"] == {"count": len(calls), "dt_min": sol.steps.dt_min,
+                                "dt_max": 1e-2}
+        assert len(calls) == 52
+        assert doc["steps"]["dt_min"] == pytest.approx(4e-4)   # 0.123 -> 0.1234

@@ -72,7 +72,7 @@ def _validate_sizes(grid_size: int, num_modes: int) -> None:
             f"num_modes must lie in [1, grid_size/4] = [1, {grid_size // 4}], got {num_modes}")
 
 
-def _solve_sl_raw(D, L0, gamma0, gamma1, grid_size, num_modes):
+def _solve_sl_raw(D, L0, gamma0, gamma1, grid_size, num_modes, vectors=True):
     h = L0 / grid_size
     xi = np.linspace(0.0, L0, grid_size + 1)
     interior = xi[1:-1]
@@ -80,9 +80,12 @@ def _solve_sl_raw(D, L0, gamma0, gamma1, grid_size, num_modes):
     diag = -2.0 * D / h ** 2 + q
     off = np.full(grid_size - 2, D / h ** 2)
     m = grid_size - 1
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(m - num_modes, m - 1))
+    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                             select_range=(m - num_modes, m - 1))
     # ascending from LAPACK; flip to descending so index 0 is the principal mode
+    if not vectors:
+        return found[::-1]
+    vals, vecs = found
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     modes = np.zeros((num_modes, grid_size + 1))
@@ -122,7 +125,8 @@ def solve_sl(D: float, L0: float, gamma0: float, gamma1: float,
     if extrapolate:
         if grid_size % 2 != 0:
             raise ValueError("extrapolation requires an even grid_size")
-        coarse, _, _, _ = _solve_sl_raw(D, L0, gamma0, gamma1, grid_size // 2, num_modes)
+        coarse = _solve_sl_raw(D, L0, gamma0, gamma1, grid_size // 2, num_modes,
+                               vectors=False)
         vals = (4.0 * vals - coarse) / 3.0
     return EigenSystem(vals, modes, xi, weights, D, L0, gamma0, gamma1)
 
@@ -158,7 +162,7 @@ def _radial_volumes(r: np.ndarray, h: float, n_dim: int) -> np.ndarray:
     return (hi ** n_dim - lo ** n_dim) / n_dim
 
 
-def _solve_radial_raw(D, R0, gamma0, n_dim, grid_size, num_modes):
+def _solve_radial_raw(D, R0, gamma0, n_dim, grid_size, num_modes, vectors=True):
     h = R0 / grid_size
     r = np.linspace(0.0, R0, grid_size + 1)
     # unknowns at j = 0 .. grid_size-1; Dirichlet at r = R0, regularity at r = 0
@@ -173,8 +177,11 @@ def _solve_radial_raw(D, R0, gamma0, n_dim, grid_size, num_modes):
     diag[1:] -= upper[1:] + lower
     off = np.sqrt(upper[:-1] * lower)             # symmetrised off-diagonal
     m = grid_size
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(m - num_modes, m - 1))
+    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                             select_range=(m - num_modes, m - 1))
+    if not vectors:
+        return found[::-1]
+    vals, vecs = found
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     # undo the diagonal similarity: v_j = q_j / sqrt(mu_j)
@@ -209,7 +216,8 @@ def solve_radial(D: float, R0: float, gamma0: float, n_dim: int,
     if extrapolate:
         if grid_size % 2 != 0:
             raise ValueError("extrapolation requires an even grid_size")
-        coarse, _, _, _ = _solve_radial_raw(D, R0, gamma0, n_dim, grid_size // 2, num_modes)
+        coarse = _solve_radial_raw(D, R0, gamma0, n_dim, grid_size // 2, num_modes,
+                                   vectors=False)
         vals = (4.0 * vals - coarse) / 3.0
     return EigenSystem(vals, modes, r, weights, D, R0, gamma0, 0.0,
                        n_dim=n_dim, radial=True)

@@ -16,12 +16,14 @@ W'(0) = 0.
 
 One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
-unknown and are stored as exact zeros.  The coefficients depend on t alone,
-so the kernel builds them, and the scaled implicit-side diagonals, for a
-block of ``_BLOCK`` steps at a time; each step is then one call to LAPACK's
-tridiagonal solver ``dgtsv`` and one vector update, v <- z - v, with no
-explicit product.  An output time off the uniform step grid is an extra step
-boundary, so every stored time is the requested one.
+unknown and are stored as exact zeros.  Each operator is a weighted sum
+A(t) = sum_j c_j(t) P_j of fixed tridiagonal profiles P_j, built once per
+run; the weights c_j are scalars read from the motion at one time.  The
+kernel reads the weights for a block of ``_BLOCK`` steps at a time and builds
+the block's scaled implicit-side diagonals in one matrix product; each step
+is then one call to LAPACK's tridiagonal solver ``dgtsv`` and one vector
+update, v <- z - v, with no explicit product.  An output time off the uniform
+step grid is an extra step boundary, so every stored time is the requested one.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -89,7 +91,7 @@ class GridSolution:
         return self.values[i]
 
 
-_BLOCK = 32  # steps whose rows are built together; 16-128 time alike
+_BLOCK = 32  # steps whose implicit sides are built together; 16-128 time alike
 
 
 def _schedule(T: float, dt: float, times: np.ndarray):
@@ -131,27 +133,39 @@ def _schedule(T: float, dt: float, times: np.ndarray):
             StepRecord(n + cuts.size, float(dts.min()), float(dts.max())))
 
 
-def _march(rows, v0, blocks, reads):
+def _profiles(n, *stencils):
+    """Tridiagonal profiles of order ``n`` as rows [sub | main | super], each
+    stencil a (sub, main, super) triple of arrays or scalars."""
+    return np.array([np.concatenate([np.broadcast_to(d, (m,)) for d, m in
+                                     zip(stencil, (n - 1, n, n - 1))])
+                     for stencil in stencils], dtype=float)
+
+
+def _march(profiles, weights, v0, blocks, reads):
     """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old, over
     the (midpoints, lengths, end times) blocks of steps ``blocks`` yields.
 
-    ``v0`` holds the interior unknowns.  ``rows(ts)`` returns the sub-, main
-    and super-diagonals of A at a block's midpoints, one row per time, less
-    the couplings to the zero Dirichlet nodes.  As I + dt/2 A = 2 I - (I - dt/2 A),
-    a step is one LAPACK ``dgtsv`` solve of (1/2 I - dt/4 A) z = v_old, in
-    place on the step's rows, and v_new = z - v_old.  Returns the unknowns at
-    each of ``reads`` (0 or step ends).
+    ``v0`` holds the interior unknowns.  The operator, less the couplings to
+    the zero Dirichlet nodes, is A(t) = sum_j c_j(t) P_j: row j of
+    ``profiles`` is the fixed P_j as ``_profiles`` lays it out, and
+    ``weights(ts)`` returns the (len(ts), J) scalars c_j at a block's
+    midpoints.  A block's implicit sides 1/2 I - dt/4 A are one product,
+    [1 | -dt/4 c] @ [1/2 I ; P].  As I + dt/2 A = 2 I - (I - dt/2 A), a step
+    is one LAPACK ``dgtsv`` solve of (1/2 I - dt/4 A) z = v_old, in place on
+    the step's row of that product, and v_new = z - v_old.  Returns the
+    unknowns at each of ``reads`` (0 or step ends).
     """
     v = v0
-    snaps = np.empty((len(reads), v.size))
+    n = v.size
+    basis = np.vstack((_profiles(n, (0.0, 0.5, 0.0)), profiles))
+    snaps = np.empty((len(reads), n))
     slot = {}
     for i, t in enumerate(reads.tolist()):
         slot.setdefault(t, []).append(i)
     snaps[slot.get(0.0, [])] = v
     for mids, lengths, ends in blocks:
-        subs, diags, sups = rows(mids)
-        implicit = 0.25 * lengths
-        lower, mid, upper = subs * -implicit, 0.5 - implicit * diags, sups * -implicit
+        sides = np.column_stack((np.ones(len(mids)), -0.25 * lengths * weights(mids))) @ basis
+        lower, mid, upper = sides[:, :n - 1], sides[:, n - 1:2 * n - 1], sides[:, 2 * n - 1:]
         for j, end in enumerate(ends.tolist()):
             z, info = dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:]
             if info:
@@ -166,12 +180,12 @@ def _march(rows, v0, blocks, reads):
 
 
 def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
-           dt: float, T: float, output_times, n_dim: int, make_rows) -> GridSolution:
+           dt: float, T: float, output_times, n_dim: int, make_basis) -> GridSolution:
     """Shared run: grid, checks, the march and the ``GridSolution``.
 
-    ``make_rows(nodes, h)`` receives the interior nodes and the spacing and
-    returns the ``rows(ts)`` that ``_march`` calls.  Interval runs have a
-    Dirichlet node at each end; radial runs only at r = R0.
+    ``make_basis(nodes, h)`` receives the interior nodes and the spacing and
+    returns the ``(profiles, weights)`` that ``_march`` takes.  Interval runs
+    have a Dirichlet node at each end; radial runs only at r = R0.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -196,10 +210,10 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
             raise ValueError("initial data must vanish on the ball boundary")
     elif abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
         raise ValueError("initial data must vanish at both endpoints")
-    rows = make_rows(grid[interior], h)
+    profiles, weights = make_basis(grid[interior], h)
     blocks, reads, steps = _schedule(T, dt, times)
     values = np.zeros((times.size, grid.size))
-    values[:, interior] = _march(rows, field0[interior], blocks, reads)
+    values[:, interior] = _march(profiles, weights, field0[interior], blocks, reads)
     return GridSolution(kind, grid, times, values, steps, n_dim,
                         motion_content_hash(motion))
 
@@ -214,15 +228,16 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
     L0 = motion.L0
     D, f0 = motion.physics.D, motion.physics.f0
 
-    def make_rows(xi, h):
-        ones = np.ones(xi.size)
+    def make_basis(xi, h):
+        ends = xi[[0, -1]]
 
-        def rows(ts):
-            states = [eval_motion(motion, float(t)) for t in ts]
-            d_eff = np.array([D * (L0 / st.L) ** 2 for st in states])[:, None]
-            Adot, Ldot, L = np.array([(st.Adot, st.Ldot, st.L) for st in states]).T[:, :, None]
-            vel = (Adot * L0 + xi * Ldot) / L
-            peclet = np.max(np.abs(vel), axis=1) * h / d_eff[:, 0]
+        def weights(ts):
+            states = [eval_motion(motion, t) for t in ts.tolist()]
+            # V = a + b xi with a = Adot L0 / L and b = Ldot / L
+            c = np.array([(D * (L0 / st.L) ** 2, st.Adot * L0 / st.L, st.Ldot / st.L, f0)
+                          for st in states])
+            # Each rounded step of a + b xi is monotone in xi, so max |V| is at an end node.
+            peclet = np.max(np.abs(c[:, 1:2] + c[:, 2:3] * ends), axis=1) * h / c[:, 0]
             bad = np.flatnonzero(peclet > 2.0)
             if bad.size:
                 t, peclet = ts[bad[0]], peclet[bad[0]]
@@ -230,13 +245,13 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
                 raise ValueError(
                     f"cell Peclet number {peclet:.2f} exceeds 2 at t={t:.6g}; "
                     f"increase grid_size to at least {need}")
-            adv = vel / (2.0 * h)
-            return ((d_eff / h ** 2 - adv)[:, 1:],
-                    (-2.0 * d_eff / h ** 2 + f0) * ones,
-                    (d_eff / h ** 2 + adv)[:, :-1])
-        return rows
+            return c
+        return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
+                         (-0.5 / h, 0.0, 0.5 / h),
+                         (-0.5 * xi[1:] / h, 0.0, 0.5 * xi[:-1] / h),
+                         (0.0, 1.0, 0.0)), weights
 
-    return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, 1, make_rows)
+    return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, 1, make_basis)
 
 
 def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
@@ -246,20 +261,16 @@ def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
     L0 = motion.L0
     D = motion.physics.D
 
-    def make_rows(xi, h):
-        shape = (xi / L0) * (xi / L0 - 1.0)
-        ones = np.ones(xi.size - 1)
-
-        def rows(ts):
-            states = [eval_motion(motion, float(t)) for t in ts]
-            d_eff = np.array([D * (L0 / st.L) ** 2 for st in states])[:, None]
+    def make_basis(xi, h):
+        def weights(ts):
+            states = [eval_motion(motion, t) for t in ts.tolist()]
             # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
-            pot = np.array([st.Lddot * st.L / (4.0 * D) for st in states])[:, None] * shape
-            off = (d_eff / h ** 2) * ones
-            return off, -2.0 * d_eff / h ** 2 + pot, off
-        return rows
+            return np.array([(D * (L0 / st.L) ** 2, st.Lddot * st.L / (4.0 * D))
+                             for st in states])
+        return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
+                         (0.0, (xi / L0) * (xi / L0 - 1.0), 0.0)), weights
 
-    return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, 1, make_rows)
+    return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, 1, make_basis)
 
 
 def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
@@ -275,25 +286,22 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
     R0 = 0.5 * motion.L0
     D = motion.physics.D
 
-    def make_rows(r, h):
+    def make_basis(r, h):
         cell = _radial_volumes(r, h, n_dim) * h
         face_hi = (r + 0.5 * h) ** (n_dim - 1)
         face_lo = np.concatenate(([0.0], face_hi[:-1]))
-        shape = r ** 2 / R0 ** 2 - 1.0
 
-        def rows(ts):
-            states = [eval_motion(motion, float(t)) for t in ts]
-            d_eff = np.array([D * (R0 / (0.5 * st.L)) ** 2 for st in states])[:, None]
+        def weights(ts):
+            states = [eval_motion(motion, t) for t in ts.tolist()]
             # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
-            pot = np.array([0.25 * st.Lddot * st.L / (4.0 * D)
-                            for st in states])[:, None] * shape
-            up = d_eff * face_hi / cell
-            low = d_eff * face_lo / cell
-            return low[:, 1:], -(up + low) + pot, up[:, :-1]
-        return rows
+            return np.array([(D * (R0 / (0.5 * st.L)) ** 2, 0.25 * st.Lddot * st.L / (4.0 * D))
+                             for st in states])
+        return _profiles(r.size, (face_lo[1:] / cell[1:], -(face_hi + face_lo) / cell,
+                                  face_hi[:-1] / cell[:-1]),
+                         (0.0, r ** 2 / R0 ** 2 - 1.0, 0.0)), weights
 
     return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, n_dim,
-                  make_rows)
+                  make_basis)
 
 
 def grid_to_csv(solution: GridSolution, path) -> None:

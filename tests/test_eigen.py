@@ -151,3 +151,18 @@ class TestRadial:
         eig = solve_radial(1.0, 1.0, -2.0, 2, grid_size=512, num_modes=4)
         assert np.all(np.diff(eig.sigmas) < 0.0)
         assert np.all(eig.modes[0][1:-1] > 0.0)
+
+
+@pytest.mark.parametrize("grid_size", [128, 256, 512])
+def test_extrapolation_is_richardson_of_the_two_full_solves(grid_size):
+    # The coarse half-grid solve keeps no modes; its eigenvalues are those of
+    # the full solve at that grid, bit for bit.
+    def extrapolated(solve, *args):
+        fine, coarse = (solve(*args, grid_size=g, num_modes=8).sigmas
+                        for g in (grid_size, grid_size // 2))
+        ex = solve(*args, grid_size=grid_size, num_modes=8, extrapolate=True)
+        assert np.array_equal(ex.sigmas, (4.0 * fine - coarse) / 3.0)
+
+    extrapolated(solve_sl, 0.7, 1.3, -2.0, 1.5)
+    for n_dim in (1, 2, 3):
+        extrapolated(solve_radial, 0.7, 1.3, -2.0, n_dim)

@@ -199,6 +199,29 @@ class TestMarchKernel:
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v))), f"{a} -> {b}"
 
+    def test_u_steps_match_dense_solve_where_the_velocity_changes_sign(self, physics):
+        # Centred motion: V = Ldot (xi - L0/2) / L, so the constant and linear
+        # advection profiles cancel at mid-domain and V changes sign there.
+        motion = SeparableMotion.symmetric(physics, 2.0, a=1.0, b=0.5)
+        dt, n_steps = 2e-3, 4
+        st = eval_motion(motion, 0.5 * dt)
+        assert st.Ldot > 0.0 and st.Adot == pytest.approx(-0.5 * st.Ldot)
+        sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16, dt=dt,
+                      T=n_steps * dt, output_times=[k * dt for k in range(n_steps + 1)])
+        for k, v in enumerate(self._dense_march("u", motion, sol, dt, n_steps)):
+            assert (np.max(np.abs(sol.values[k + 1] - v))
+                    <= 1e-13 * np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_reruns_with_a_cut_step_are_bit_identical(self, physics, kind):
+        # Three full blocks and a short fourth; 0.0123 cuts the seventh step.
+        dt, n_steps = 2e-3, 3 * _BLOCK + 5
+        times = [0.0, 0.0123, 0.1, n_steps * dt]
+        _, a = self._run(physics, kind, dt, times)
+        _, b = self._run(physics, kind, dt, times)
+        assert a.steps.count == n_steps + 1
+        assert np.array_equal(a.values, b.values)
+
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
     def test_last_slice_does_not_depend_on_the_output_times(self, physics, kind):
         dt, n_steps = 2e-3, 2 * _BLOCK + 6
@@ -295,6 +318,18 @@ class TestValidation:
     def test_peclet_guard_names_the_first_breach_inside_a_block(self, physics):
         # The cell Peclet number first passes 2 at step 313, inside a block.
         motion = SeparableMotion.linear_length(physics, 1.0, 1.0, c=3.0)
+        with pytest.raises(ValueError) as err:
+            solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=8, dt=1e-2, T=5.0)
+        assert str(err.value) == ("cell Peclet number 2.00 exceeds 2 at t=3.135; "
+                                  "increase grid_size to at least 10")
+
+    def test_peclet_guard_reads_the_left_end_node(self, physics):
+        # The mirror image of the run above: V = (xi - 4) / L < 0, so max |V|
+        # sits at the left interior node and the first breach is the same.
+        motion = SeparableMotion.linear_length(physics, 1.0, 1.0, c=-4.0)
+        st = eval_motion(motion, 3.135)
+        left, right = ((st.Adot * motion.L0 + xi * st.Ldot) / st.L for xi in (1 / 8, 7 / 8))
+        assert left < 0.0 and abs(left) > abs(right)
         with pytest.raises(ValueError) as err:
             solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=8, dt=1e-2, T=5.0)
         assert str(err.value) == ("cell Peclet number 2.00 exceeds 2 at t=3.135; "

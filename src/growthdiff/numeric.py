@@ -8,11 +8,10 @@ Three forms are integrated on the fixed reference domain:
 
 All three march Crank-Nicolson, written as the implicit midpoint rule, with
 coefficients frozen at each step's midpoint, which keeps the scheme second
-order in time even though the coefficients are time dependent.  The scheme is
-A-stable, so no step size limit applies.  Spatial discretisation is the
-standard second-order stencil; the radial solver uses a conservative
-finite-volume form whose r = 0 row encodes the regularity condition
-W'(0) = 0.
+order in time even though the coefficients are time dependent.  Spatial
+discretisation is the standard second-order stencil; the radial solver uses a
+conservative finite-volume form whose r = 0 row encodes the regularity
+condition W'(0) = 0.
 
 One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
@@ -20,10 +19,13 @@ unknown and are stored as exact zeros.  Each operator is a weighted sum
 A(t) = sum_j c_j(t) P_j of fixed tridiagonal profiles P_j, built once per
 run; the weights c_j are scalars read from the motion at one time.  The
 kernel reads the weights for a block of ``_BLOCK`` steps at a time and builds
-the block's scaled implicit-side diagonals in one matrix product; each step
-is then one call to LAPACK's tridiagonal solver ``dgtsv`` and one vector
-update, v <- z - v, with no explicit product.  An output time off the uniform
-step grid is an extra step boundary, so every stored time is the requested one.
+the block's implicit sides 1/2 I - dt/4 A in one matrix product; a step is
+one LAPACK solve and v <- z - v.  The symmetric operators, w and the radial
+one on sqrt(cell volume) W, use ``dptsv``: a w or radial step needs
+1/2 I - dt/4 A positive definite, and a longer one, which would flip the sign
+of the fastest growing mode, raises ``LinAlgError``.  The advective u operator
+uses ``dgtsv``.  An output time off the step grid is an extra step boundary,
+so every stored time is the requested one.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dptsv
 
 from .eigen import _radial_volumes
 from .motion import (
@@ -151,12 +153,14 @@ def _march(profiles, weights, v0, blocks, reads):
     ``weights(ts)`` returns the (len(ts), J) scalars c_j at a block's
     midpoints.  A block's implicit sides 1/2 I - dt/4 A are one product,
     [1 | -dt/4 c] @ [1/2 I ; P].  As I + dt/2 A = 2 I - (I - dt/2 A), a step
-    is one LAPACK ``dgtsv`` solve of (1/2 I - dt/4 A) z = v_old, in place on
-    the step's row of that product, and v_new = z - v_old.  Returns the
+    solves (1/2 I - dt/4 A) z = v_old in place on its row of that product,
+    by ``dptsv`` if every P_j is symmetric (the side must then be positive
+    definite) or else by ``dgtsv``, and v_new = z - v_old.  Returns the
     unknowns at each of ``reads`` (0 or step ends).
     """
     v = v0
     n = v.size
+    symmetric = np.array_equal(profiles[:, :n - 1], profiles[:, 2 * n - 1:])
     basis = np.vstack((_profiles(n, (0.0, 0.5, 0.0)), profiles))
     snaps = np.empty((len(reads), n))
     slot = {}
@@ -167,10 +171,12 @@ def _march(profiles, weights, v0, blocks, reads):
         sides = np.column_stack((np.ones(len(mids)), -0.25 * lengths * weights(mids))) @ basis
         lower, mid, upper = sides[:, :n - 1], sides[:, n - 1:2 * n - 1], sides[:, 2 * n - 1:]
         for j, end in enumerate(ends.tolist()):
-            z, info = dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:]
+            z, info = (dptsv(mid[j], lower[j], v, True, True, False)[2:] if symmetric else
+                       dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:])
             if info:
-                raise np.linalg.LinAlgError(
-                    f"step to t={end:.6g} is singular (dgtsv info={info})")
+                raise np.linalg.LinAlgError(f"step to t={end:.6g} is " + (
+                    f"too long for the growth rate; use a smaller dt (dptsv info={info})"
+                    if symmetric else f"singular (dgtsv info={info})"))
             v = z - v
             if end in slot:
                 if not np.all(np.isfinite(v)):
@@ -184,8 +190,9 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     """Shared run: grid, checks, the march and the ``GridSolution``.
 
     ``make_basis(nodes, h)`` receives the interior nodes and the spacing and
-    returns the ``(profiles, weights)`` that ``_march`` takes.  Interval runs
-    have a Dirichlet node at each end; radial runs only at r = R0.
+    returns the ``(profiles, weights)`` that ``_march`` takes and the scale s
+    of the unknowns it marches, s times the field.  Interval runs have a
+    Dirichlet node at each end; radial runs only at r = R0.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -210,10 +217,10 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
             raise ValueError("initial data must vanish on the ball boundary")
     elif abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
         raise ValueError("initial data must vanish at both endpoints")
-    profiles, weights = make_basis(grid[interior], h)
+    profiles, weights, s = make_basis(grid[interior], h)
     blocks, reads, steps = _schedule(T, dt, times)
     values = np.zeros((times.size, grid.size))
-    values[:, interior] = _march(profiles, weights, field0[interior], blocks, reads)
+    values[:, interior] = _march(profiles, weights, s * field0[interior], blocks, reads) / s
     return GridSolution(kind, grid, times, values, steps, n_dim,
                         motion_content_hash(motion))
 
@@ -249,7 +256,7 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
         return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
                          (-0.5 / h, 0.0, 0.5 / h),
                          (-0.5 * xi[1:] / h, 0.0, 0.5 * xi[:-1] / h),
-                         (0.0, 1.0, 0.0)), weights
+                         (0.0, 1.0, 0.0)), weights, 1.0
 
     return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, 1, make_basis)
 
@@ -268,7 +275,7 @@ def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
             return np.array([(D * (L0 / st.L) ** 2, st.Lddot * st.L / (4.0 * D))
                              for st in states])
         return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
-                         (0.0, (xi / L0) * (xi / L0 - 1.0), 0.0)), weights
+                         (0.0, (xi / L0) * (xi / L0 - 1.0), 0.0)), weights, 1.0
 
     return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, 1, make_basis)
 
@@ -290,15 +297,15 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
         cell = _radial_volumes(r, h, n_dim) * h
         face_hi = (r + 0.5 * h) ** (n_dim - 1)
         face_lo = np.concatenate(([0.0], face_hi[:-1]))
+        off = face_hi[:-1] / np.sqrt(cell[:-1] * cell[1:])   # symmetric under s = sqrt(cell)
 
         def weights(ts):
             states = [eval_motion(motion, t) for t in ts.tolist()]
             # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
             return np.array([(D * (R0 / (0.5 * st.L)) ** 2, 0.25 * st.Lddot * st.L / (4.0 * D))
                              for st in states])
-        return _profiles(r.size, (face_lo[1:] / cell[1:], -(face_hi + face_lo) / cell,
-                                  face_hi[:-1] / cell[:-1]),
-                         (0.0, r ** 2 / R0 ** 2 - 1.0, 0.0)), weights
+        return _profiles(r.size, (off, -(face_hi + face_lo) / cell, off),
+                         (0.0, r ** 2 / R0 ** 2 - 1.0, 0.0)), weights, np.sqrt(cell)
 
     return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, n_dim,
                   make_basis)

@@ -124,7 +124,7 @@ def _dense_operator(kind, motion, grid, t, n_dim):
 
 class TestMarchKernel:
     @staticmethod
-    def _run(physics, kind, dt, output_times):
+    def _run(physics, kind, dt, output_times, n_dim=3):
         T = output_times[-1]
         if kind == "u":
             motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
@@ -137,7 +137,7 @@ class TestMarchKernel:
         else:
             motion = CriticalMotion(physics, alpha=2.5)
             R0 = 0.5 * motion.L0
-            sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), 3,
+            sol = solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r / R0), n_dim,
                                grid_size=16, dt=dt, T=T, output_times=output_times)
         return motion, sol
 
@@ -230,6 +230,32 @@ class TestMarchKernel:
         _, sparse = self._run(physics, kind, dt, every[-1:])
         assert sparse.times.size == 1
         assert np.array_equal(dense.values[-1], sparse.values[-1])
+
+    @pytest.mark.parametrize("kind, n_dim", [("u", 1), ("w", 1), ("radial", 1),
+                                             ("radial", 2), ("radial", 3)])
+    def test_solver_follows_the_operator(self, physics, monkeypatch, kind, n_dim):
+        # The potential forms are symmetric and go to dptsv; the advective u
+        # form goes to dgtsv.  Every step calls exactly one of them.
+        calls = []
+        for name in ("dgtsv", "dptsv"):
+            real = getattr(numeric, name)
+            monkeypatch.setattr(numeric, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        dt, n_steps = 2e-3, _BLOCK + 6
+        _, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)], n_dim)
+        assert calls == ["dgtsv" if kind == "u" else "dptsv"] * sol.steps.count
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_radial_profiles_are_bitwise_symmetric(self, physics, monkeypatch, n_dim):
+        seen = []
+        real = numeric._march
+        monkeypatch.setattr(numeric, "_march",
+                            lambda profiles, *a: seen.append(profiles) or real(profiles, *a))
+        self._run(physics, "radial", 2e-3, [0.0, 2e-3], n_dim)
+        (profiles,) = seen
+        n = 16                                  # unknowns at r_0 .. r_15
+        assert np.all(profiles[0, :n - 1] > 0.0)
+        assert np.array_equal(profiles[:, :n - 1], profiles[:, 2 * n - 1:])
 
 
 class TestPotentialSolver:
@@ -334,6 +360,16 @@ class TestValidation:
             solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=8, dt=1e-2, T=5.0)
         assert str(err.value) == ("cell Peclet number 2.00 exceeds 2 at t=3.135; "
                                   "increase grid_size to at least 10")
+
+    def test_indefinite_potential_step_is_refused(self):
+        # At the step's midpoint the w operator's largest eigenvalue is about
+        # 96.4, above 2/dt = 95.2: Crank-Nicolson's factor for that mode is
+        # below -1, and the positive sine would come back negative.
+        motion = SeparableMotion.symmetric(PhysicsParams(1, 1), 1.0, a=-1600, b=0)
+        T = 0.021
+        with pytest.raises(np.linalg.LinAlgError, match=r"t=0\.021 .*use a smaller dt"):
+            solve_w(motion, lambda xi: np.sin(np.pi * xi), grid_size=64, dt=T, T=T,
+                    output_times=[0, T])
 
     def test_horizon_guard(self, physics):
         motion = SeparableMotion.sqrt_length(physics, 1.0, -0.5)

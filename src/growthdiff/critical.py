@@ -113,15 +113,15 @@ def potential_value(motion: BoundaryMotion, t: float) -> float:
     return _potential(eval_motion(motion, t), motion.physics.D)
 
 
-def _potential(st: MotionState, D: float) -> float:
-    """P = Lddot L^3 / 4 D^2 from one kinematic state."""
+def _potential(st: MotionState, D: float):
+    """P = Lddot L^3 / 4 D^2 from one kinematic state (of floats or of arrays)."""
     return st.Lddot * st.L ** 3 / (4.0 * D ** 2)
 
 
-def _potential_rate(motion: BoundaryMotion, st: MotionState, D: float) -> float:
+def _potential_rate(motion: BoundaryMotion, st: MotionState, D: float):
     """dP/dt from one kinematic state and the motion's third derivative of L."""
     if isinstance(motion, SeparableMotion):
-        return 0.0                       # Lddot L^3 is the constant gamma0
+        return 0.0 * st.L                # Lddot L^3 is the constant gamma0
     return (length_jerk(motion, st) * st.L + 3.0 * st.Lddot * st.Ldot) * st.L ** 2 / (4.0 * D ** 2)
 
 
@@ -143,10 +143,11 @@ def potential_asymptote(motion: CriticalMotion) -> float:
 # barriers for the potential-form field
 
 
-def _check_potential_sign(motion: BoundaryMotion, points) -> None:
-    for z in points:
-        if potential_value(motion, float(z)) < 0.0:
-            raise ValueError(f"supersolution needs a nonnegative potential; P({z:.6g}) < 0")
+def _check_potential_sign(motion: BoundaryMotion, points: np.ndarray) -> None:
+    negative = _potential(eval_motion(motion, points), motion.physics.D) < 0.0
+    if np.any(negative):
+        raise ValueError("supersolution needs a nonnegative potential; "
+                         f"P({points[np.argmax(negative)]:.6g}) < 0")
 
 
 def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None) -> np.ndarray:
@@ -195,10 +196,8 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
     """
     p_min = _min_potential(0.5 if radial else 1.0)
     D = motion.physics.D
-    ts = np.linspace(0.0, t_max, 4097)
-    pvals, rates = np.empty(ts.size), np.empty(ts.size)
-    for j, st in enumerate(eval_motion(motion, float(t)) for t in ts):
-        pvals[j], rates[j] = _potential(st, D), _potential_rate(motion, st, D)
+    st = eval_motion(motion, np.linspace(0.0, t_max, 4097))
+    pvals, rates = _potential(st, D), _potential_rate(motion, st, D)
     rate_tol = -1e-10 * max(1.0, float(np.max(np.abs(rates))))
     # rates[i:] all clear the tolerance iff their minimum does; a NaN fails both.
     ok = (pvals >= p_min) & (np.minimum.accumulate(rates[::-1])[::-1] >= rate_tol)
@@ -212,8 +211,8 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
         return 0.0
     if pvals[i - 1] < p_min <= pvals[i]:
         return float(brentq(
-            lambda z: potential_value(motion, z) - p_min, ts[i - 1], ts[i], xtol=1e-10))
-    return float(ts[i])
+            lambda z: potential_value(motion, z) - p_min, st.t[i - 1], st.t[i], xtol=1e-10))
+    return float(st.t[i])
 
 
 def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float):
@@ -471,10 +470,9 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
     h = grid[1] - grid[0]
     out = np.empty(solution.times.size)
     L0 = motion.L0
-    for i, t in enumerate(solution.times):
-        t = float(t)
+    scales = L0 / eval_motion(motion, solution.times).L
+    for i, (t, scale) in enumerate(zip(solution.times.tolist(), scales.tolist())):
         vals = solution.values[i]
-        scale = L0 / eval_motion(motion, t).L
         if solution.kind == "w":
             slope = (4.0 * vals[1] - vals[2]) / (2.0 * h)
             out[i] = slope * scale * float(u_from_w(motion, 0.0, t, 1.0))
@@ -557,9 +555,7 @@ def _probe_log_psi(motion, solution, probes, times):
     L0 = motion.L0
     R0 = 0.5 * L0
     y = np.asarray(probes, dtype=float)
-    for i, t in enumerate(times):
-        t = float(t)
-        L = eval_motion(motion, t).L
+    for i, (t, L) in enumerate(zip(times.tolist(), eval_motion(motion, times).L.tolist())):
         if solution.kind == "w":
             name, extent = "L", L
             outside = (y <= 0.0) | (y >= extent)
@@ -783,13 +779,13 @@ def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
 
 def verify_nested(inner: BoundaryMotion, outer: BoundaryMotion, t_max: float) -> None:
     """Check that the inner domain stays inside the outer one up to t_max."""
-    for t in np.linspace(0.0, t_max, 256):
-        si = eval_motion(inner, float(t))
-        so = eval_motion(outer, float(t))
-        if si.A < so.A - 1e-12 or si.A + si.L > so.A + so.L + 1e-12:
-            raise ValueError(
-                f"domains are not nested at t={t:.6g}: "
-                f"[{si.A:.6g}, {si.A + si.L:.6g}] vs [{so.A:.6g}, {so.A + so.L:.6g}]")
+    ts = np.linspace(0.0, t_max, 256)
+    si, so = eval_motion(inner, ts), eval_motion(outer, ts)
+    bad = (si.A < so.A - 1e-12) | (si.A + si.L > so.A + so.L + 1e-12)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise ValueError(f"domains are not nested at t={ts[j]:.6g}: [{si.A[j]:.6g}, "
+                         f"{si.A[j] + si.L[j]:.6g}] vs [{so.A[j]:.6g}, {so.A[j] + so.L[j]:.6g}]")
 
 
 def eval_bound(bound: SeriesSolution, xi, t: float) -> np.ndarray:
@@ -817,15 +813,14 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
     scale0 = max(abs(gamma0_lo), abs(gamma0_hi), 1.0)
     scale1 = max(abs(gamma1_lo), abs(gamma1_hi), 1.0)
     worst = (0.0, 0.0, "")
-    for t in np.random.default_rng(0).uniform(0.0, t_max, n_check):
-        st = eval_motion(motion, float(t))
-        g0 = st.Lddot * st.L ** 3
-        g1 = st.Addot * st.L ** 3
-        for val, lo, hi, scale, name in ((g0, gamma0_lo, gamma0_hi, scale0, "Lddot L^3"),
-                                         (g1, gamma1_lo, gamma1_hi, scale1, "Addot L^3")):
-            breach = max(lo - val, val - hi) / scale
-            if breach > worst[0]:
-                worst = (breach, float(t), name)
+    st = eval_motion(motion, np.random.default_rng(0).uniform(0.0, t_max, n_check))
+    g0, g1 = st.Lddot * st.L ** 3, st.Addot * st.L ** 3
+    for val, lo, hi, scale, name in ((g0, gamma0_lo, gamma0_hi, scale0, "Lddot L^3"),
+                                     (g1, gamma1_lo, gamma1_hi, scale1, "Addot L^3")):
+        breach = np.maximum(lo - val, val - hi) / scale
+        j = int(np.argmax(breach))
+        if breach[j] > worst[0]:
+            worst = (float(breach[j]), float(st.t[j]), name)
     if worst[0] > 1e-9:
         raise ValueError(
             f"potential coefficients escape the brackets: {worst[2]} at "

@@ -3,10 +3,10 @@
 The physical problem lives on A(t) < x < A(t) + L(t) with homogeneous Dirichlet
 ends.  Everything downstream (series solutions, finite-difference solvers,
 envelope bounds) is driven by the kinematics collected here.  ``eval_motion``
-is the one way to read them at time t: the interval length L, the left
-endpoint A and their first two derivatives, as a ``MotionState``; no
-quadrature.  Each state is one pass: a separable motion computes its case
-and gamma0 once per motion, and a tabulated one sums one spline piece.
+reads them at one time, or at an array of times in one numpy pass: the
+interval length L, the left endpoint A and their first two derivatives, as a
+``MotionState`` of floats or of arrays; no quadrature.  A separable motion
+computes its case and gamma0 once, and a tabulated one sums one spline piece.
 ``length_jerk`` adds L's third derivative to a state.  The
 rescaled time s(t) = integral of L0^2 / L(z)^2 is ``time_rescale``'s job,
 with adaptive quadrature on critical and tabulated motions.
@@ -338,12 +338,19 @@ def classify(motion: BoundaryMotion) -> CaseKind:
     return CaseKind.QUAD_POS
 
 
-def _separable_kinematics(m: SeparableMotion, t: float):
+def _first(t, bad):
+    """The time a failed check names: t, or an array t's first entry where ``bad`` holds."""
+    return float(t[np.argmax(bad)]) if isinstance(t, np.ndarray) else t
+
+
+# Each kinematics body reads one time t with ``xp = math``, or a 1-D array of
+# times with ``xp = numpy``, where a check tests the array's extreme entry.
+def _separable_kinematics(m: SeparableMotion, t, xp=math):
     Lsq = m.a * t * t + 2.0 * m.b * t + m.L0 ** 2
-    if Lsq <= 0.0:
-        raise DomainCollapsedError(
-            f"interval length vanished at or before t={t} (horizon {validity_horizon(m)})")
-    L = math.sqrt(Lsq)
+    if (Lsq if xp is math else Lsq.min()) <= 0.0:
+        raise DomainCollapsedError(f"interval length vanished at or before "
+                                   f"t={_first(t, Lsq <= 0.0)} (horizon {validity_horizon(m)})")
+    L = xp.sqrt(Lsq)
     Ldot = (m.a * t + m.b) / L
     Lddot = m.gamma0 / L ** 3
     kind = m.case_kind
@@ -367,30 +374,33 @@ def _separable_kinematics(m: SeparableMotion, t: float):
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
 
-def _critical_half_length(m: CriticalMotion, t: float) -> float:
+def _critical_half_length(m: CriticalMotion, t, xp=math):
     """c* (t + t0) - alpha log(1 + t) - eta(t); nonpositive once the domain collapsed."""
-    return m.physics.c_star * (t + m.t0) - m.alpha * math.log1p(t) - m.eta.value(t)
+    return m.physics.c_star * (t + m.t0) - m.alpha * xp.log1p(t) - m.eta.value(t)
 
 
-def _critical_kinematics(m: CriticalMotion, t: float):
+def _critical_kinematics(m: CriticalMotion, t, xp=math):
     cs = m.physics.c_star
     eta = m.eta
-    L = 2.0 * _critical_half_length(m, t)
-    if L <= 0.0:
+    L = 2.0 * _critical_half_length(m, t, xp)
+    if (L if xp is math else L.min()) <= 0.0:
         raise DomainCollapsedError(
-            f"critical motion collapsed at or before t={t}; increase L0_offset")
+            f"critical motion collapsed at or before t={_first(t, L <= 0.0)}; increase L0_offset")
     Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.d1(t))
     Lddot = 2.0 * (m.alpha / (1.0 + t) ** 2 - eta.d2(t))
     return MotionState(t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
 
 
-def _spline_piece(m: TabulatedMotion, t: float):
+def _spline_piece(m: TabulatedMotion, t, xp=math):
     """A's and L's coefficients on the spline piece holding t, and t's offset in it.
 
     scipy's interval rule: times[i] <= t < times[i + 1], with t = times[-1]
     (or beyond) in the last piece and t < times[0] in the first.
     """
     times = m.times
+    if xp is np:
+        i = np.searchsorted(m._spline.x, t, "right").clip(1, len(times) - 1) - 1
+        return *m._pieces[i].T.reshape(2, 4, t.size), t - m._spline.x[i]
     i = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
     a3, a2, a1, a0, l3, l2, l1, l0 = m._pieces[i].tolist()
     return (a3, a2, a1, a0), (l3, l2, l1, l0), t - times[i]
@@ -410,35 +420,40 @@ def _cubic_read(c, s: float):
             0.0 + c2 * 2.0 + c3 * s * 6.0)
 
 
-def _tabulated_kinematics(m: TabulatedMotion, t: float):
-    if t > m.times[-1]:
-        raise ValueError(f"t={t} beyond tabulated range [0, {m.times[-1]}]")
-    cA, cL, s = _spline_piece(m, t)
+def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
+    if (t if xp is math else t.max()) > m.times[-1]:
+        raise ValueError(f"t={_first(t, t > m.times[-1])} beyond tabulated range "
+                         f"[0, {m.times[-1]}]")
+    cA, cL, s = _spline_piece(m, t, xp)
     L, Ldot, Lddot = _cubic_read(cL, s)
-    if L <= 0.0:
-        raise DomainCollapsedError(f"tabulated length is non-positive at t={t}")
+    if (L if xp is math else L.min()) <= 0.0:
+        raise DomainCollapsedError(f"tabulated length is non-positive at t={_first(t, L <= 0.0)}")
     A, Adot, Addot = _cubic_read(cA, s)
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
 
-def eval_motion(motion: BoundaryMotion, t: float) -> MotionState:
-    """Interval kinematics at one instant; s(t) is ``time_rescale``'s job."""
+_KINEMATICS = {SeparableMotion: _separable_kinematics, CriticalMotion: _critical_kinematics,
+               TabulatedMotion: _tabulated_kinematics}
+
+
+def eval_motion(motion: BoundaryMotion, t: float | np.ndarray) -> MotionState:
+    """Kinematics at a time t, or at each time of a 1-D array t; s(t) is ``time_rescale``'s job."""
+    if not isinstance(t, float) and isinstance(t, np.ndarray):    # a float skips the second test
+        if t.min() < 0.0:
+            raise ValueError(f"motions are defined for t >= 0, got t={_first(t, t < 0.0)}")
+        return _KINEMATICS[type(motion)](motion, t, np)
     if t < 0.0:
         raise ValueError(f"motions are defined for t >= 0, got t={t}")
-    if isinstance(motion, SeparableMotion):
-        return _separable_kinematics(motion, t)
-    if isinstance(motion, CriticalMotion):
-        return _critical_kinematics(motion, t)
-    return _tabulated_kinematics(motion, t)
+    return _KINEMATICS[type(motion)](motion, t)
 
 
-def length_jerk(motion: BoundaryMotion, st: MotionState) -> float:
-    """Third derivative of L at the state's time, which ``eval_motion`` does not read."""
+def length_jerk(motion: BoundaryMotion, st: MotionState):
+    """Third derivative of L at the state's time(s), which ``eval_motion`` does not read."""
     if isinstance(motion, SeparableMotion):
         return -3.0 * motion.gamma0 * st.Ldot / st.L ** 4
     if isinstance(motion, CriticalMotion):
         return 2.0 * (-2.0 * motion.alpha / (1.0 + st.t) ** 3 - motion.eta.d3(st.t))
-    l3 = _spline_piece(motion, st.t)[1][0]
+    l3 = _spline_piece(motion, st.t, np if isinstance(st.t, np.ndarray) else math)[1][0]
     return 0.0 + l3 * 6.0           # PPoly's sum for the third derivative
 
 
@@ -532,7 +547,7 @@ def _critical_horizon(m: CriticalMotion) -> float:
         kd = 2.0 * abs(m.eta.k * m.eta.p) / cs
         t_safe = max(t_safe, kd ** (1.0 / (1.0 - m.eta.p)))
     ts = np.linspace(0.0, t_safe + 1.0, 4097)
-    vals = np.array([_critical_half_length(m, t) for t in ts])
+    vals = _critical_half_length(m, ts, np)
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return math.inf

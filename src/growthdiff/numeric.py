@@ -17,15 +17,16 @@ One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
 unknown and are stored as exact zeros.  Each operator is a weighted sum
 A(t) = sum_j c_j(t) P_j of fixed tridiagonal profiles P_j, built once per
-run; the weights c_j are scalars read from the motion at one time.  The
-kernel reads the weights for a block of ``_BLOCK`` steps at a time and builds
-the block's implicit sides 1/2 I - dt/4 A in one matrix product; a step is
-one LAPACK solve and v <- z - v.  The symmetric operators, w and the radial
-one on sqrt(cell volume) W, use ``dptsv``: a w or radial step needs
-1/2 I - dt/4 A positive definite, and a longer one, which would flip the sign
-of the fastest growing mode, raises ``LinAlgError``.  The advective u operator
-uses ``dgtsv``.  An output time off the step grid is an extra step boundary,
-so every stored time is the requested one.
+run.  A block of ``_BLOCK`` steps reads its weights c_j from one array read
+of the motion's kinematics at its midpoints, and builds its implicit sides
+1/2 I - dt/4 A in one matrix product; a step is one LAPACK solve and
+v <- z - v.  The symmetric operators, w and the radial one on
+sqrt(cell volume) W, use ``dptsv``: a w or radial step needs 1/2 I - dt/4 A
+positive definite, and a longer one, which would flip the sign of the
+fastest growing mode, raises ``LinAlgError``.  The advective u operator uses
+``dgtsv``; its eigenvalues are at most f0, and a u run with a step of
+dt f0 >= 2 raises ``LinAlgError`` before marching.  An output time off the
+step grid is an extra step boundary, so every stored time is the requested one.
 
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
@@ -219,6 +220,13 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
         raise ValueError("initial data must vanish at both endpoints")
     profiles, weights, s = make_basis(grid[interior], h)
     blocks, reads, steps = _schedule(T, dt, times)
+    if kind == "u" and steps.dt_max * motion.physics.f0 >= 2.0:
+        # The Peclet guard leaves every eigenvalue of the u operator real and at most f0.
+        for _, lengths, ends in blocks:
+            long = ends[np.broadcast_to(lengths * motion.physics.f0, (ends.size, 1))[:, 0] >= 2.0]
+            if long.size:
+                raise np.linalg.LinAlgError(f"step to t={long[0]:.6g} is too long for the "
+                                            "growth rate; use a smaller dt")
     values = np.zeros((times.size, grid.size))
     values[:, interior] = _march(profiles, weights, s * field0[interior], blocks, reads) / s
     return GridSolution(kind, grid, times, values, steps, n_dim,
@@ -239,10 +247,11 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
         ends = xi[[0, -1]]
 
         def weights(ts):
-            states = [eval_motion(motion, t) for t in ts.tolist()]
-            # V = a + b xi with a = Adot L0 / L and b = Ldot / L
-            c = np.array([(D * (L0 / st.L) ** 2, st.Adot * L0 / st.L, st.Ldot / st.L, f0)
-                          for st in states])
+            st = eval_motion(motion, ts)
+            # V = a + b xi with a = Adot L0 / L and b = Ldot / L; float_power is the
+            # libm pow of a float's **, so u runs keep the scalar reads' bits.
+            c = np.column_stack((D * np.float_power(L0 / st.L, 2), st.Adot * L0 / st.L,
+                                 st.Ldot / st.L, np.full(ts.size, f0)))
             # Each rounded step of a + b xi is monotone in xi, so max |V| is at an end node.
             peclet = np.max(np.abs(c[:, 1:2] + c[:, 2:3] * ends), axis=1) * h / c[:, 0]
             bad = np.flatnonzero(peclet > 2.0)
@@ -270,10 +279,9 @@ def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
 
     def make_basis(xi, h):
         def weights(ts):
-            states = [eval_motion(motion, t) for t in ts.tolist()]
+            st = eval_motion(motion, ts)
             # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
-            return np.array([(D * (L0 / st.L) ** 2, st.Lddot * st.L / (4.0 * D))
-                             for st in states])
+            return np.column_stack((D * (L0 / st.L) ** 2, st.Lddot * st.L / (4.0 * D)))
         return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
                          (0.0, (xi / L0) * (xi / L0 - 1.0), 0.0)), weights, 1.0
 
@@ -300,10 +308,10 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
         off = face_hi[:-1] / np.sqrt(cell[:-1] * cell[1:])   # symmetric under s = sqrt(cell)
 
         def weights(ts):
-            states = [eval_motion(motion, t) for t in ts.tolist()]
+            st = eval_motion(motion, ts)
             # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
-            return np.array([(D * (R0 / (0.5 * st.L)) ** 2, 0.25 * st.Lddot * st.L / (4.0 * D))
-                             for st in states])
+            return np.column_stack((D * (R0 / (0.5 * st.L)) ** 2,
+                                    0.25 * st.Lddot * st.L / (4.0 * D)))
         return _profiles(r.size, (off, -(face_hi + face_lo) / cell, off),
                          (0.0, r ** 2 / R0 ** 2 - 1.0, 0.0)), weights, np.sqrt(cell)
 

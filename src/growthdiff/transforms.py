@@ -143,11 +143,12 @@ def require_centered(motion: BoundaryMotion, t_max: float) -> None:
     The potential-form w equation and the radial reduction are only valid for
     intervals centred at the origin.
     """
-    for t in np.linspace(0.0, t_max, 64):
-        st = eval_motion(motion, float(t))
-        if abs(st.A + 0.5 * st.L) > 1e-9 * max(motion.L0, st.L):
-            raise ValueError(
-                f"motion is not centred: A + L/2 = {st.A + 0.5 * st.L:.3e} at t={t:.6g}")
+    st = eval_motion(motion, np.linspace(0.0, t_max, 64))
+    off = st.A + 0.5 * st.L
+    bad = np.abs(off) > 1e-9 * np.maximum(motion.L0, st.L)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise ValueError(f"motion is not centred: A + L/2 = {off[j]:.3e} at t={st.t[j]:.6g}")
 
 
 # ---------------------------------------------------------------------------

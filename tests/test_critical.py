@@ -393,9 +393,8 @@ class TestVerifyEnvelope:
 
     def test_sign_check_covers_every_checked_time(self, crit15, interval_run, monkeypatch):
         seen = set()
-        real = critical.potential_value
-        monkeypatch.setattr(critical, "potential_value",
-                            lambda m, t: seen.add(t) or real(m, t))
+        monkeypatch.setattr(critical, "eval_motion", lambda m, t: seen.update(
+            np.atleast_1d(t).tolist()) or eval_motion(m, t))
         pair = verify_envelope(crit15, interval_run)
         for t in pair.times:
             assert seen.issuperset(np.linspace(0.0, float(t), 128).tolist())

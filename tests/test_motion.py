@@ -163,6 +163,81 @@ class TestEvalMotion:
                 diff, rel=1e-5, abs=1e-9)
 
 
+class TestArrayRead:
+    """A read at an array of times is the scalar reads, field by field.
+
+    Tabulated reads, and a separable read's L, Ldot, A and Adot, are the same
+    to the bit.  A separable read's Lddot and Addot and every critical field
+    may differ by 2 ulp: numpy's log1p and power are not ``math``'s.
+    """
+
+    MOTIONS = {
+        "fixed": lambda ph: SeparableMotion.fixed_length(ph, 2.0, gamma1=0.3, c=0.1, d=-1.0),
+        "linear": lambda ph: SeparableMotion.linear_length(ph, 2.0, 0.7, gamma1=0.3, c=0.1),
+        "sqrt": lambda ph: SeparableMotion.sqrt_length(ph, 2.0, -0.5, gamma1=0.2, c=0.1),
+        "quad_neg": lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.2),
+        "quad_pos": lambda ph: SeparableMotion(ph, 1.0, 0.0, 1.0, gamma1=-0.4, c=0.3),
+        "critical": lambda ph: CriticalMotion(ph, alpha=1.5),
+        "critical_eta": lambda ph: CriticalMotion(ph, alpha=1.5, eta=EtaSpec(1.0, -0.5)),
+        "tabulated": lambda ph: _tabulated_from(ph,
+                                                lambda t: 0.2 * np.sin(2.0 * t) - 0.5 * (2.0 + t),
+                                                lambda t: 2.0 + t + 0.1 * np.sin(t)),
+    }
+
+    @staticmethod
+    def _within_ulps(a, b, ulps):
+        return np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+    @pytest.mark.parametrize("name", list(MOTIONS))
+    def test_array_read_is_the_scalar_reads(self, physics, rng, name):
+        motion = self.MOTIONS[name](physics)
+        if isinstance(motion, TabulatedMotion):     # every knot, t = 0 and t = times[-1]
+            ts = np.concatenate((rng.uniform(0.0, motion.times[-1], 2000), motion.times))
+        else:
+            ts = rng.uniform(0.0, min(300.0, 0.999 * validity_horizon(motion)), 2000)
+        kind = classify(motion)
+        if name != "tabulated":
+            assert kind.value.startswith(name.removesuffix("_eta"))
+        array = eval_motion(motion, ts)
+        scalars = [eval_motion(motion, t) for t in ts.tolist()]
+        bitwise = {CaseKind.GENERAL: array._fields, CaseKind.CRITICAL_CASE: ("t",)}.get(
+            kind, ("t", "L", "Ldot", "A", "Adot"))
+        for field, values in zip(array._fields, array):
+            assert isinstance(values, np.ndarray) and values.shape == ts.shape
+            expect = np.array([getattr(st, field) for st in scalars])
+            if field in bitwise:
+                assert np.array_equal(values, expect), field
+            else:
+                assert self._within_ulps(values, expect, 2), field
+        jerks = np.array([length_jerk(motion, st) for st in scalars])
+        if kind is CaseKind.GENERAL:
+            assert np.array_equal(length_jerk(motion, array), jerks)
+        else:           # two numpy powers may enter one difference
+            assert self._within_ulps(length_jerk(motion, array), jerks, 4)
+
+    @pytest.mark.parametrize("builder,bad,later,error", [
+        (lambda ph: SeparableMotion.sqrt_length(ph, 2.0, -1.0), 2.5, (10.0, 7.5),
+         DomainCollapsedError),
+        (lambda ph: CriticalMotion(ph, alpha=5.0), 0.3, (3.0, 1.2), DomainCollapsedError),
+        (lambda ph: TabulatedMotion(ph, tuple(np.linspace(0.0, 2.0, 41)),
+                                    tuple(-np.linspace(0.0, 2.0, 41)),
+                                    tuple(1.0 - np.linspace(0.0, 2.0, 41))),
+         1.5, (2.0, 1.8), DomainCollapsedError),
+        (lambda ph: _tabulated_from(ph, lambda t: -0.5 * (2.0 + t), lambda t: 2.0 + t),
+         6.5, (26.0, 19.5), ValueError),
+        (lambda ph: CriticalMotion(ph, alpha=1.5), -0.5, (-2.0, -1.5), ValueError),
+    ])
+    def test_errors_name_the_first_offending_time(self, physics, builder, bad, later, error):
+        motion = builder(physics)
+        with pytest.raises(error) as one:
+            eval_motion(motion, bad)
+        # Later offending times, some worse, follow the first one.
+        with pytest.raises(error) as many:
+            eval_motion(motion, np.array((0.0, 0.1, bad, 0.05) + later))
+        assert type(many.value) is type(one.value)
+        assert str(many.value) == str(one.value)
+
+
 class TestTimeRescale:
     def test_fixed_identity(self, physics):
         motion = SeparableMotion.fixed_length(physics, 2.0)

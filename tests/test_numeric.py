@@ -257,6 +257,29 @@ class TestMarchKernel:
         assert np.all(profiles[0, :n - 1] > 0.0)
         assert np.array_equal(profiles[:, :n - 1], profiles[:, 2 * n - 1:])
 
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_weights_are_one_array_read_per_block(self, physics, monkeypatch, kind):
+        reads = []
+        monkeypatch.setattr(numeric, "eval_motion",
+                            lambda m, t: reads.append(t) or eval_motion(m, t))
+        self._run(physics, kind, 0.01, [0.0, 0.5, 1.0])
+        assert [r.size for r in reads] == [_BLOCK, _BLOCK, _BLOCK, 100 - 3 * _BLOCK]
+        assert all(isinstance(r, np.ndarray) for r in reads)
+
+    def test_u_weights_keep_the_scalar_reads_bits(self, physics, monkeypatch):
+        # A separable array read gives L, Ldot and Adot to the bit, so a block's u
+        # weights are the ones each step's scalar read gave, D (L0/L)^2 included.
+        motion = SeparableMotion.sqrt_length(physics, 2.0, -0.5, gamma1=0.2, c=0.1)
+        seen, march = [], numeric._march
+        monkeypatch.setattr(numeric, "_march", lambda profiles, weights, *rest: seen.append(
+            weights) or march(profiles, weights, *rest))
+        solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16, dt=0.1, T=1.0)
+        ts = np.random.default_rng(5).uniform(0.0, 1.0, 20000)
+        L0 = motion.L0
+        scalar = [(physics.D * (L0 / st.L) ** 2, st.Adot * L0 / st.L, st.Ldot / st.L, physics.f0)
+                  for st in (eval_motion(motion, t) for t in ts.tolist())]
+        assert np.array_equal(seen[0](ts), np.array(scalar))
+
 
 class TestPotentialSolver:
     def test_centred_fixed_interval_is_plain_heat_flow(self, physics):
@@ -370,6 +393,15 @@ class TestValidation:
         with pytest.raises(np.linalg.LinAlgError, match=r"t=0\.021 .*use a smaller dt"):
             solve_w(motion, lambda xi: np.sin(np.pi * xi), grid_size=64, dt=T, T=T,
                     output_times=[0, T])
+
+    def test_growing_mode_flipping_u_step_is_refused(self):
+        # Crank-Nicolson's factor for the sine's growth rate f0 - D (pi/10)^2 is
+        # (1 + 1.35) / (1 - 1.35) < -1 at dt = 3: the step would flip its sign.
+        motion = SeparableMotion.fixed_length(PhysicsParams(1, 1), 10.0)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            solve_u(motion, lambda xi: np.sin(np.pi * xi / 10.0), grid_size=64, dt=3.0, T=3.0,
+                    output_times=[0, 3.0])
+        assert str(err.value) == "step to t=3 is too long for the growth rate; use a smaller dt"
 
     def test_horizon_guard(self, physics):
         motion = SeparableMotion.sqrt_length(physics, 1.0, -0.5)

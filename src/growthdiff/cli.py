@@ -28,7 +28,7 @@ import numpy as np
 
 from .critical import envelope_to_csv, fit_window, run_critical
 from .eigen import eigen_header, eigen_to_csv, solve_radial as radial_modes, solve_sl
-from .exact import build_series, eval_series, series_manifest, series_to_csv
+from .exact import build_series, compare_to_series, series_manifest, series_to_csv
 from .motion import (CriticalMotion, DomainCollapsedError, EtaSpec,
                      PhysicsParams, SeparableMotion, motion_content_hash,
                      motion_to_document)
@@ -303,23 +303,8 @@ def cmd_compare(args) -> int:
     sol = build_series(motion, u0, grid_size=series_grid, num_modes=modes)
     run = solve_u(motion, u0, grid_size=grid, dt=dt, T=max(times), output_times=times)
 
-    rows = []
-    worst = (-math.inf, math.nan, math.nan)  # (relative error, xi, t)
-    interior = slice(1, -1)
-    for t in run.times:
-        u_num = run.slice_at(float(t))[interior]
-        u_ref = eval_series(sol, run.grid, float(t))[interior]
-        diff = np.abs(u_num - u_ref)
-        scale = float(np.max(np.abs(u_ref)))
-        if scale == 0.0:
-            raise ConfigError(f"reference field vanishes at t={t}; "
-                              "relative comparison undefined")
-        k = int(np.argmax(diff))
-        rel = float(diff[k]) / scale
-        rows.append((float(t), float(diff[k]), rel, float(run.grid[interior][k])))
-        if rel > worst[0]:
-            worst = (rel, float(run.grid[interior][k]), float(t))
-
+    rows = compare_to_series(sol, run)
+    worst_t, _, worst_rel, worst_xi = rows[np.argmax(rows[:, 2])].tolist()
     write_csv(out + ".csv", ["t", "abs_linf", "rel_linf", "worst_xi"], [rows])
     write_json(out + ".json", {
         "schema_version": 1,
@@ -330,17 +315,17 @@ def cmd_compare(args) -> int:
         "num_modes": modes,
         "steps": run.steps._asdict(),
         "tol": tol,
-        "worst_rel_linf": worst[0],
-        "worst_xi": worst[1],
-        "worst_t": worst[2],
+        "worst_rel_linf": worst_rel,
+        "worst_xi": worst_xi,
+        "worst_t": worst_t,
     })
     for t, abs_err, rel, xi in rows:
         print(f"t={_g(t)}  abs_linf={_g(abs_err)}  rel_linf={_g(rel)}")
-    if worst[0] > tol:
-        print(f"tolerance breach: rel_linf {_g(worst[0])} > {_g(tol)} "
-              f"at xi={_g(worst[1])}, t={_g(worst[2])}", file=sys.stderr)
+    if worst_rel > tol:
+        print(f"tolerance breach: rel_linf {_g(worst_rel)} > {_g(tol)} "
+              f"at xi={_g(worst_xi)}, t={_g(worst_t)}", file=sys.stderr)
         return EXIT_TOLERANCE
-    print(f"max rel_linf {_g(worst[0])} within tol {_g(tol)}")
+    print(f"max rel_linf {_g(worst_rel)} within tol {_g(tol)}")
     return EXIT_OK
 
 

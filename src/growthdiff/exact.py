@@ -46,6 +46,7 @@ from .transforms import (
     drift_integral,
     initial_w_from_u,
     log_shape_factor,
+    x_from_xi,
     xi_from_x,
 )
 
@@ -63,7 +64,7 @@ __all__ = [
     "eval_radial_series",
     "eval_radial_physical",
     "growth_region",
-    "series_sup_norm",
+    "compare_to_series",
     "series_to_csv",
     "series_manifest",
 ]
@@ -257,10 +258,25 @@ def eval_physical(sol: SeriesSolution, x, t: float) -> np.ndarray:
     return eval_series(sol, xi_from_x(sol.motion, x, t), t)
 
 
-def series_sup_norm(sol: SeriesSolution, t: float) -> float:
-    """Max of |u(., t)| over 513 uniform xi samples."""
-    xi = np.linspace(0.0, sol.motion.L0, 513)
-    return float(np.max(np.abs(eval_series(sol, xi, t))))
+def compare_to_series(sol: SeriesSolution, run) -> np.ndarray:
+    """Rows (t, abs_linf, rel_linf, worst_xi) of a u ``GridSolution`` against the
+    series, one per stored time, over the interior nodes; rel_linf is relative
+    to the series' interior sup norm."""
+    if run.kind != "u":
+        raise ValueError(f"compare_to_series needs a u run, got a {run.kind!r} run")
+    if run.motion_hash != motion_content_hash(sol.motion):
+        raise ValueError("run was computed for a different motion")
+    rows = np.empty((run.times.size, 4))
+    for i, t in enumerate(run.times.tolist()):
+        u_ref = eval_series(sol, run.grid, t)[1:-1]
+        diff = np.abs(run.values[i][1:-1] - u_ref)
+        scale = float(np.max(np.abs(u_ref)))
+        if scale == 0.0:
+            raise ValueError(f"reference field vanishes at t={t}; "
+                             "relative comparison undefined")
+        k = int(np.argmax(diff))
+        rows[i] = t, diff[k], diff[k] / scale, run.grid[k + 1]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +450,9 @@ def series_to_csv(sol: SeriesSolution, path, xi, times,
     xi = _reference_xi(sol, xi)
     blocks = []
     for t in times:
-        state = eval_motion(sol.motion, float(t))
+        x = x_from_xi(sol.motion, xi, float(t))
         u = eval_series(sol, xi, float(t), route)
         w = eval_w(sol, xi, float(t), route)
-        x = state.A + xi * (state.L / sol.motion.L0)
         blocks.append(np.column_stack((x, xi, np.full(xi.size, t), u, u, w)))
     write_csv(path, ["x", "xi", "t", "psi", "u", "w"], blocks)
 

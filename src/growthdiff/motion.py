@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 __all__ = [
     "PhysicsParams",
@@ -347,7 +348,7 @@ def _first(t, bad):
 # times with ``xp = numpy``, where a check tests the array's extreme entry.
 def _separable_kinematics(m: SeparableMotion, t, xp=math):
     Lsq = m.a * t * t + 2.0 * m.b * t + m.L0 ** 2
-    if (Lsq if xp is math else Lsq.min()) <= 0.0:
+    if (Lsq if xp is math else Lsq.min(initial=math.inf)) <= 0.0:
         raise DomainCollapsedError(f"interval length vanished at or before "
                                    f"t={_first(t, Lsq <= 0.0)} (horizon {validity_horizon(m)})")
     L = xp.sqrt(Lsq)
@@ -383,7 +384,7 @@ def _critical_kinematics(m: CriticalMotion, t, xp=math):
     cs = m.physics.c_star
     eta = m.eta
     L = 2.0 * _critical_half_length(m, t, xp)
-    if (L if xp is math else L.min()) <= 0.0:
+    if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
         raise DomainCollapsedError(
             f"critical motion collapsed at or before t={_first(t, L <= 0.0)}; increase L0_offset")
     Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.d1(t))
@@ -421,12 +422,12 @@ def _cubic_read(c, s: float):
 
 
 def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
-    if (t if xp is math else t.max()) > m.times[-1]:
+    if (t if xp is math else t.max(initial=-math.inf)) > m.times[-1]:
         raise ValueError(f"t={_first(t, t > m.times[-1])} beyond tabulated range "
                          f"[0, {m.times[-1]}]")
     cA, cL, s = _spline_piece(m, t, xp)
     L, Ldot, Lddot = _cubic_read(cL, s)
-    if (L if xp is math else L.min()) <= 0.0:
+    if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
         raise DomainCollapsedError(f"tabulated length is non-positive at t={_first(t, L <= 0.0)}")
     A, Adot, Addot = _cubic_read(cA, s)
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
@@ -439,7 +440,7 @@ _KINEMATICS = {SeparableMotion: _separable_kinematics, CriticalMotion: _critical
 def eval_motion(motion: BoundaryMotion, t: float | np.ndarray) -> MotionState:
     """Kinematics at a time t, or at each time of a 1-D array t; s(t) is ``time_rescale``'s job."""
     if not isinstance(t, float) and isinstance(t, np.ndarray):    # a float skips the second test
-        if t.min() < 0.0:
+        if t.min(initial=0.0) < 0.0:
             raise ValueError(f"motions are defined for t >= 0, got t={_first(t, t < 0.0)}")
         return _KINEMATICS[type(motion)](motion, t, np)
     if t < 0.0:
@@ -551,7 +552,6 @@ def _critical_horizon(m: CriticalMotion) -> float:
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return math.inf
-    from scipy.optimize import brentq
     i = below[0]
     return brentq(lambda t: _critical_half_length(m, t), ts[i - 1], ts[i],
                   xtol=1e-13, rtol=1e-14)
@@ -563,7 +563,6 @@ def _tabulated_horizon(m: TabulatedMotion) -> float:
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return math.inf
-    from scipy.optimize import brentq
     i = below[0]
     if i == 0:
         return 0.0

@@ -164,6 +164,14 @@ class TestCompareCommand:
         doc = json.loads((tmp_path / "compare.json").read_text())
         assert doc["worst_rel_linf"] == pytest.approx(8.0011e-4, rel=1e-3)
 
+    def test_vanishing_reference_is_a_numeric_failure(self, tmp_path, capsys):
+        # On L0 = 0.01 the series' decay exp(-pi^2 t / L0^2) underflows to 0.
+        rc = main(["compare", "--family", "fixed", "--D", "1", "--f0", "1",
+                   "--L0", "0.01", "--t-final", "1", "--grid", "16", "--dt", "1e-2"])
+        assert rc == 3
+        assert "reference field vanishes at t=0.25" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
 
 class TestCriticalCommand:
     def test_breach_still_writes_the_report(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -6,15 +7,17 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from growthdiff.cli import main
 from growthdiff.critical import envelope_bounds_general, eval_bound
 from growthdiff.exact import (SeriesSolution, TruncationWarning, build_radial_series,
-                              build_series, eval_physical, eval_radial_physical,
-                              eval_radial_series, eval_series, eval_w, expand,
-                              growth_region, series_manifest, series_sup_norm,
+                              build_series, compare_to_series, eval_physical,
+                              eval_radial_physical, eval_radial_series, eval_series,
+                              eval_w, expand, growth_region, series_manifest,
                               transform_ic)
 from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
                                PhysicsParams, SeparableMotion, TabulatedMotion,
-                               eval_motion, validity_horizon)
+                               eval_motion, motion_content_hash, validity_horizon)
+from growthdiff.numeric import solve_u, solve_w
 from growthdiff.transforms import w_from_u
 
 
@@ -243,7 +246,51 @@ class TestCollapse:
         motion = builder(physics)
         assert validity_horizon(motion) == pytest.approx(horizon, rel=1e-12)
         sol = build_series(motion, _sine(1.0), grid_size=256, num_modes=16)
-        assert series_sup_norm(sol, horizon - 1e-3) < 1e-6
+        xi = np.linspace(0.0, motion.L0, 513)
+        assert np.max(np.abs(eval_series(sol, xi, horizon - 1e-3))) < 1e-6
+
+
+class TestCompareToSeries:
+    """The table behind the ``compare`` subcommand."""
+
+    def test_rows_are_the_compare_table(self, physics, tmp_path):
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--family", "fixed", "--D", "1", "--f0", "1",
+                     "--L0", "3.141592653589793", "--t-final", "0.2", "--grid", "64",
+                     "--dt", "1e-2", "--out", out]) == 0
+        written = np.loadtxt(out + ".csv", delimiter=",", skiprows=1)
+        doc = json.loads((tmp_path / "cmp.json").read_text())
+        motion = SeparableMotion.fixed_length(physics, math.pi)
+        assert doc["motion_hash"] == motion_content_hash(motion)
+        times = written[:, 0].tolist()
+        sol = build_series(motion, _sine(math.pi), grid_size=512, num_modes=32)
+        run = solve_u(motion, _sine(math.pi), grid_size=64, dt=1e-2, T=max(times),
+                      output_times=times)
+        rows = compare_to_series(sol, run)
+        assert np.array_equal(rows, written)
+        worst = rows[np.argmax(rows[:, 2])]
+        assert [doc["worst_t"], doc["worst_rel_linf"], doc["worst_xi"]] == \
+            [worst[0], worst[2], worst[3]]
+
+    def test_vanishing_reference_names_the_first_time(self, physics):
+        motion = SeparableMotion.fixed_length(physics, 1.0)
+        sol = build_series(motion, _sine(1.0), grid_size=128, num_modes=8)
+        zero = dataclasses.replace(sol, coeffs=np.zeros_like(sol.coeffs))
+        run = solve_u(motion, _sine(1.0), grid_size=32, dt=1e-2, T=0.3,
+                      output_times=[0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"reference field vanishes at t=0\.1;"):
+            compare_to_series(zero, run)
+
+    def test_other_runs_are_refused(self, physics):
+        centred = SeparableMotion.fixed_length(physics, 1.0, d=-0.5)
+        sol = build_series(centred, _sine(1.0), grid_size=128, num_modes=8)
+        w_run = solve_w(centred, _sine(1.0), grid_size=32, dt=1e-2, T=0.1)
+        with pytest.raises(ValueError, match="needs a u run, got a 'w' run"):
+            compare_to_series(sol, w_run)
+        other = solve_u(SeparableMotion.fixed_length(physics, 2.0), _sine(2.0),
+                        grid_size=32, dt=1e-2, T=0.1)
+        with pytest.raises(ValueError, match="different motion"):
+            compare_to_series(sol, other)
 
 
 class TestGrowthRegion:

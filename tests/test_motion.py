@@ -215,6 +215,15 @@ class TestArrayRead:
         else:           # two numpy powers may enter one difference
             assert self._within_ulps(length_jerk(motion, array), jerks, 4)
 
+    @pytest.mark.parametrize("name", ["fixed", "critical", "critical_eta", "tabulated"])
+    def test_empty_read_is_a_state_of_empty_arrays(self, physics, name):
+        motion = self.MOTIONS[name](physics)
+        state = eval_motion(motion, np.array([]))
+        for field, values in zip(state._fields, state):
+            assert isinstance(values, np.ndarray) and values.shape == (0,), field
+        jerk = length_jerk(motion, state)
+        assert isinstance(jerk, np.ndarray) and jerk.shape == (0,)
+
     @pytest.mark.parametrize("builder,bad,later,error", [
         (lambda ph: SeparableMotion.sqrt_length(ph, 2.0, -1.0), 2.5, (10.0, 7.5),
          DomainCollapsedError),

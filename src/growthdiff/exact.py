@@ -46,6 +46,7 @@ from .transforms import (
     drift_integral,
     initial_w_from_u,
     log_shape_factor,
+    log_shape_span,
     x_from_xi,
     xi_from_x,
 )
@@ -71,10 +72,14 @@ __all__ = [
 
 # A mode tail larger than this fraction of the total triggers TruncationWarning.
 _TAIL_RTOL = 1e-8
+# So does a shape factor whose log spans more than this over [0, L0]: u = w e^(factor)
+# then scales w's roundoff, eps relative to its maximum, past _TAIL_RTOL of u.
+_SPAN_MAX = math.log(_TAIL_RTOL / np.finfo(float).eps)
 
 
 class TruncationWarning(UserWarning):
-    """The last retained mode still contributes visibly to the series."""
+    """The series misses its tail tolerance: the last retained mode still
+    contributes visibly, or the shape factor scales roundoff past it."""
 
 
 @dataclass(frozen=True)
@@ -228,20 +233,28 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
 
     route="fast" uses the per-case closed forms of s(t) and the drift
     integral; route="generic" computes both by quadrature.  Anything else is
-    rejected.
+    rejected.  Warns with ``TruncationWarning`` when the shape factor's log
+    spans more than ``_SPAN_MAX`` over [0, L0] at t.
     """
     if route not in ("fast", "generic"):
         raise ValueError(f"unknown route {route!r}")
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
     m = sol.motion
+    state = eval_motion(m, t)
     if route == "fast":
         s = time_rescale(m, t)
-        drift = _closed_drift(m, t, eval_motion(m, t).L, s)
+        drift = _closed_drift(m, t, state.L, s)
     else:
         s = _quadrature_rescale(m, t)
         drift = drift_integral(m, t)
-    log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t)
+    span = log_shape_span(m, state)
+    if span > _SPAN_MAX:
+        warnings.warn(
+            f"at t={t:.6g} the shape factor spans {span:.4g} in log over [0, L0], so u "
+            f"amplifies w's roundoff by up to e^{span:.4g} and loses "
+            f"{span / math.log(10.0):.1f} digits", TruncationWarning, stacklevel=2)
+    log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t, state)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s, log_pre)
 
 

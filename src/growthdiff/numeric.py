@@ -17,8 +17,9 @@ One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
 unknown and are stored as exact zeros.  Each operator is a weighted sum
 A(t) = sum_j c_j(t) P_j of fixed tridiagonal profiles P_j, built once per
-run.  A block of ``_BLOCK`` steps reads its weights c_j from one array read
-of the motion's kinematics at its midpoints, and builds its implicit sides
+run.  The march works at two granularities.  A chunk of ``_CHUNK`` steps
+reads its weights c_j from one array read of the motion's kinematics at its
+midpoints; a sub-block of ``_BLOCK`` steps of it builds its implicit sides
 1/2 I - dt/4 A in one matrix product; a step is one LAPACK solve and
 v <- z - v.  The symmetric operators, w and the radial one on
 sqrt(cell volume) W, use ``dptsv``: a w or radial step needs 1/2 I - dt/4 A
@@ -94,18 +95,24 @@ class GridSolution:
         return self.values[i]
 
 
-_BLOCK = 32  # steps whose implicit sides are built together; 16-128 time alike
+# A kinematics read is mostly numpy's per-call overhead: 1,024 times cost at
+# most twice what 32 do, so a chunk is long.  The sides product is
+# memory-bound: at 128 or 512 steps it cost 3-4 times more per step than at
+# 32, so a sub-block is short.
+_CHUNK = 1024  # steps whose weights come from one kinematics read
+_BLOCK = 32    # steps of a chunk whose implicit sides are one product
 
 
 def _schedule(T: float, dt: float, times: np.ndarray):
-    """The steps, made a block at a time, the time each output is read at, and
+    """The steps, made a chunk at a time, the time each output is read at, and
     the ``StepRecord``.
 
     The steps are the uniform grid k h, h = T/round(T/dt); an output time off
     it by more than roundoff (1e-12 T) cuts its step.  Whole steps keep their
     (k + 1/2) h midpoints and length h, so runs whose outputs sit on the grid
-    march the uniform steps bit for bit.  Blocks are ``_BLOCK`` grid steps; a
-    block with a cut step holds its pieces and a column of step lengths.
+    march the uniform steps bit for bit.  Chunks are ``_CHUNK`` grid steps,
+    each yielded as (midpoints, lengths, end times); a chunk with a cut step
+    holds its pieces and a column of step lengths.
     """
     n = max(1, int(round(T / dt)))
     h = T / n
@@ -117,22 +124,18 @@ def _schedule(T: float, dt: float, times: np.ndarray):
              for c in np.unique(cut_step).tolist()}
     uncut = [[h]] if len(split) < n else []         # some step is left whole
     dts = np.concatenate([np.diff(b) for b in split.values()] + uncut)
-    cut_blocks = {c // _BLOCK for c in split}
+    cut_chunk = cut_step // _CHUNK
 
-    def blocks():
-        for a in range(0, n, _BLOCK):
-            ks = np.arange(a, min(a + _BLOCK, n))
-            if a // _BLOCK not in cut_blocks:
-                yield (ks + 0.5) * h, h, (ks + 1) * h
-                continue
-            b = np.union1d(np.append(ks, ks[-1] + 1) * h,
-                           cuts[cut_step // _BLOCK == a // _BLOCK])
+    def chunks():
+        for a in range(0, n, _CHUNK):
+            ks = np.arange(a, min(a + _CHUNK, n) + 1)      # the chunk's grid times
+            b = np.union1d(ks * h, cuts[cut_chunk == a // _CHUNK])
             kb = np.rint(b / h)
             on_kb = b == kb * h
             whole = on_kb[:-1] & on_kb[1:]               # both ends on the grid
             yield (np.where(whole, (kb[:-1] + 0.5) * h, 0.5 * (b[:-1] + b[1:])),
                    np.where(whole, h, np.diff(b))[:, None], b[1:])
-    return (blocks(), np.where(on_grid, k * h, times),
+    return (chunks(), np.where(on_grid, k * h, times),
             StepRecord(n + cuts.size, float(dts.min()), float(dts.max())))
 
 
@@ -144,16 +147,20 @@ def _profiles(n, *stencils):
                      for stencil in stencils], dtype=float)
 
 
-def _march(profiles, weights, v0, blocks, reads):
+def _march(profiles, weights, v0, chunks, reads):
     """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old, over
-    the (midpoints, lengths, end times) blocks of steps ``blocks`` yields.
+    the (midpoints, lengths, end times) chunks of steps ``chunks`` yields.
 
     ``v0`` holds the interior unknowns.  The operator, less the couplings to
     the zero Dirichlet nodes, is A(t) = sum_j c_j(t) P_j: row j of
     ``profiles`` is the fixed P_j as ``_profiles`` lays it out, and
-    ``weights(ts)`` returns the (len(ts), J) scalars c_j at a block's
-    midpoints.  A block's implicit sides 1/2 I - dt/4 A are one product,
-    [1 | -dt/4 c] @ [1/2 I ; P].  As I + dt/2 A = 2 I - (I - dt/2 A), a step
+    ``weights(ts)`` returns the (len(ts), J) scalars c_j at a chunk's
+    midpoints, read once per chunk.  The implicit sides 1/2 I - dt/4 A of
+    each ``_BLOCK`` steps of a chunk are one product,
+    [1 | -dt/4 c] @ [1/2 I ; P].  gemm rounds each row of it alike for 2 to
+    ``_BLOCK`` rows, but numpy sends a one-row product to gemv, which rounds
+    otherwise; a one-row block is doubled to stay on gemm, so the chunk size
+    changes no bit.  As I + dt/2 A = 2 I - (I - dt/2 A), a step
     solves (1/2 I - dt/4 A) z = v_old in place on its row of that product,
     by ``dptsv`` if every P_j is symmetric (the side must then be positive
     definite) or else by ``dgtsv``, and v_new = z - v_old.  Returns the
@@ -168,21 +175,24 @@ def _march(profiles, weights, v0, blocks, reads):
     for i, t in enumerate(reads.tolist()):
         slot.setdefault(t, []).append(i)
     snaps[slot.get(0.0, [])] = v
-    for mids, lengths, ends in blocks:
-        sides = np.column_stack((np.ones(len(mids)), -0.25 * lengths * weights(mids))) @ basis
-        lower, mid, upper = sides[:, :n - 1], sides[:, n - 1:2 * n - 1], sides[:, 2 * n - 1:]
-        for j, end in enumerate(ends.tolist()):
-            z, info = (dptsv(mid[j], lower[j], v, True, True, False)[2:] if symmetric else
-                       dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:])
-            if info:
-                raise np.linalg.LinAlgError(f"step to t={end:.6g} is " + (
-                    f"too long for the growth rate; use a smaller dt (dptsv info={info})"
-                    if symmetric else f"singular (dgtsv info={info})"))
-            v = z - v
-            if end in slot:
-                if not np.all(np.isfinite(v)):
-                    raise RuntimeError(f"solver produced non-finite values by t={end}")
-                snaps[slot[end]] = v
+    for mids, lengths, ends in chunks:
+        coef = np.column_stack((np.ones(len(mids)), -0.25 * lengths * weights(mids)))
+        for a in range(0, len(mids), _BLOCK):
+            rows = coef[a:a + _BLOCK]
+            sides = (rows if len(rows) > 1 else rows.repeat(2, axis=0)) @ basis
+            lower, mid, upper = sides[:, :n - 1], sides[:, n - 1:2 * n - 1], sides[:, 2 * n - 1:]
+            for j, end in enumerate(ends[a:a + _BLOCK].tolist()):
+                z, info = (dptsv(mid[j], lower[j], v, True, True, False)[2:] if symmetric else
+                           dgtsv(lower[j], mid[j], upper[j], v, True, True, True, False)[3:])
+                if info:
+                    raise np.linalg.LinAlgError(f"step to t={end:.6g} is " + (
+                        f"too long for the growth rate; use a smaller dt (dptsv info={info})"
+                        if symmetric else f"singular (dgtsv info={info})"))
+                v = z - v
+                if end in slot:
+                    if not np.all(np.isfinite(v)):
+                        raise RuntimeError(f"solver produced non-finite values by t={end}")
+                    snaps[slot[end]] = v
     return snaps
 
 
@@ -219,16 +229,16 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     elif abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
         raise ValueError("initial data must vanish at both endpoints")
     profiles, weights, s = make_basis(grid[interior], h)
-    blocks, reads, steps = _schedule(T, dt, times)
+    chunks, reads, steps = _schedule(T, dt, times)
     if kind == "u" and steps.dt_max * motion.physics.f0 >= 2.0:
         # The Peclet guard leaves every eigenvalue of the u operator real and at most f0.
-        for _, lengths, ends in blocks:
+        for _, lengths, ends in chunks:
             long = ends[np.broadcast_to(lengths * motion.physics.f0, (ends.size, 1))[:, 0] >= 2.0]
             if long.size:
                 raise np.linalg.LinAlgError(f"step to t={long[0]:.6g} is too long for the "
                                             "growth rate; use a smaller dt")
     values = np.zeros((times.size, grid.size))
-    values[:, interior] = _march(profiles, weights, s * field0[interior], blocks, reads) / s
+    values[:, interior] = _march(profiles, weights, s * field0[interior], chunks, reads) / s
     return GridSolution(kind, grid, times, values, steps, n_dim,
                         motion_content_hash(motion))
 
@@ -328,7 +338,11 @@ def grid_to_csv(solution: GridSolution, path) -> None:
 
 
 def grid_manifest(solution: GridSolution) -> dict:
-    """JSON-ready run description: scheme, sizes, step record and the motion content hash."""
+    """JSON-ready run description: scheme, sizes, step record, the count of
+    negative stored values with the first and last time holding one, and the
+    motion content hash."""
+    negative = np.count_nonzero(solution.values < 0.0, axis=1)
+    at = solution.times[negative > 0]
     return {
         "schema_version": 1,
         "kind": solution.kind,
@@ -338,5 +352,8 @@ def grid_manifest(solution: GridSolution) -> dict:
         "n_dim": solution.n_dim,
         "num_output_times": int(solution.times.size),
         "t_final": float(solution.times[-1]) if solution.times.size else None,
+        "negative_values": {"count": int(negative.sum()),
+                            "first_t": float(at[0]) if at.size else None,
+                            "last_t": float(at[-1]) if at.size else None},
         "motion_hash": solution.motion_hash,
     }

@@ -35,6 +35,7 @@ __all__ = [
     "drift_integral",
     "log_time_factor",
     "log_shape_factor",
+    "log_shape_span",
     "u_from_w",
     "w_from_u",
     "initial_w_from_u",
@@ -99,19 +100,37 @@ def log_time_factor(motion: BoundaryMotion, t: float) -> float:
     return motion.physics.f0 * t - drift_integral(motion, t)
 
 
-def log_shape_factor(motion: BoundaryMotion, xi, t: float):
+def log_shape_factor(motion: BoundaryMotion, xi, t: float, state=None):
     """log of the xi-dependent factor in u/w.
 
     Equals 0.5 log(L0/L) - xi^2 Ldot L / (4 D L0^2) - xi Adot L / (2 D L0);
-    vectorized over xi.
+    vectorized over xi.  ``state``, the motion's ``eval_motion`` read at t,
+    spares a caller that holds it a second read.
     """
-    st = eval_motion(motion, t)
+    st = eval_motion(motion, t) if state is None else state
     D = motion.physics.D
     L0 = motion.L0
     xi = np.asarray(xi, dtype=float)
     return (0.5 * math.log(L0 / st.L)
             - xi * xi * (st.Ldot * st.L / (4.0 * D * L0 ** 2))
             - xi * (st.Adot * st.L / (2.0 * D * L0)))
+
+
+def log_shape_span(motion: BoundaryMotion, state) -> float:
+    """Range, max - min, of ``log_shape_factor`` over xi in [0, L0] at the time
+    of ``state``, the motion's ``eval_motion`` read.
+
+    The factor is a quadratic in xi, so its extremes lie at the two ends and,
+    when it falls inside, at the vertex.
+    """
+    D = motion.physics.D
+    L0 = motion.L0
+    quad = state.Ldot * state.L / (4.0 * D * L0 ** 2)
+    lin = state.Adot * state.L / (2.0 * D * L0)
+    values = [0.0, -(quad * L0 + lin) * L0]        # relative to the value at xi = 0
+    if quad != 0.0 and 0.0 < -lin / (2.0 * quad) < L0:
+        values.append(lin * lin / (4.0 * quad))
+    return max(values) - min(values)
 
 
 def u_from_w(motion: BoundaryMotion, xi, t: float, w_values):

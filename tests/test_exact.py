@@ -18,7 +18,7 @@ from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
                                PhysicsParams, SeparableMotion, TabulatedMotion,
                                eval_motion, motion_content_hash, validity_horizon)
 from growthdiff.numeric import solve_u, solve_w
-from growthdiff.transforms import w_from_u
+from growthdiff.transforms import log_shape_factor, log_shape_span, w_from_u
 
 
 def _sine(L0):
@@ -158,6 +158,36 @@ class TestEvaluation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             eval_series(sol, np.linspace(0.3, 2.8, 9), 0.1)
+
+    @pytest.mark.parametrize("route", ["fast", "generic"])
+    def test_ill_conditioned_shape_factor_warns(self, route):
+        # Adot ~ -8.6: the shape factor spans 88.9 in log over [0, L0], so u
+        # = w e^(factor) turns w's roundoff near xi = L0 into values of
+        # -1e12, where the maximum principle bounds |u| by e^(f0 t) ~ 1.6.
+        # The 128-mode tail is resolved, so only the span can flag it.
+        motion = SeparableMotion.sqrt_length(
+            PhysicsParams(0.19365126551807835, 1.9465216783714918), 3.9959005479234992,
+            0.013950257065266314, gamma1=0.4966354201232952, c=0.2881399300340771)
+        sol = build_series(motion, _sine(motion.L0), grid_size=2048, num_modes=128)
+        xi = np.linspace(0.0, motion.L0, 101)
+        with pytest.warns(TruncationWarning) as caught:
+            u = eval_series(sol, xi, 0.25, route=route)
+        assert [str(w.message) for w in caught] == [
+            "at t=0.25 the shape factor spans 88.93 in log over [0, L0], so u amplifies "
+            "w's roundoff by up to e^88.93 and loses 38.6 digits"]
+        assert np.min(u) < -1e9
+
+    def test_shape_span_is_the_factor_range(self, physics):
+        # Both signs of Ldot, and a vertex inside and outside [0, L0].
+        for motion in (SeparableMotion.linear_length(physics, 2.0, 1.0, c=-0.5),
+                       SeparableMotion.linear_length(physics, 2.0, -0.5, c=0.8),
+                       SeparableMotion.sqrt_length(physics, 1.0, 1.0, gamma1=0.2, c=0.4),
+                       SeparableMotion.fixed_length(physics, 1.5, c=0.3)):
+            xi = np.linspace(0.0, motion.L0, 20001)
+            for t in (0.0, 0.3, 1.0):
+                dense = np.ptp(log_shape_factor(motion, xi, t))
+                assert log_shape_span(motion, eval_motion(motion, t)) == pytest.approx(
+                    dense, rel=1e-7, abs=1e-15)
 
     def test_rejects_bad_route_and_coordinates(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)

@@ -258,13 +258,30 @@ class TestMarchKernel:
         assert np.array_equal(profiles[:, :n - 1], profiles[:, 2 * n - 1:])
 
     @pytest.mark.parametrize("kind", ["u", "w", "radial"])
-    def test_weights_are_one_array_read_per_block(self, physics, monkeypatch, kind):
+    def test_weights_are_one_array_read_per_chunk(self, physics, monkeypatch, kind):
         reads = []
+        monkeypatch.setattr(numeric, "_CHUNK", 40)
         monkeypatch.setattr(numeric, "eval_motion",
                             lambda m, t: reads.append(t) or eval_motion(m, t))
         self._run(physics, kind, 0.01, [0.0, 0.5, 1.0])
-        assert [r.size for r in reads] == [_BLOCK, _BLOCK, _BLOCK, 100 - 3 * _BLOCK]
+        assert [r.size for r in reads] == [40, 40, 20]
         assert all(isinstance(r, np.ndarray) for r in reads)
+
+    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    def test_chunk_size_changes_no_bit(self, physics, monkeypatch, kind):
+        # 1,060 steps of 1e-3: the default chunk leaves a short last one.  The
+        # cuts fall in the first step, on both sides of the seams at steps 280
+        # (7 x 40) and 1024 (32 x 32), and in the last step.
+        h, n = 1e-3, 1060
+        times = [0.0, 0.3 * h, 279.5 * h, 280.25 * h, 0.5, 1023.7 * h, 1024.5 * h,
+                 1059.4 * h, n * h]
+        _, ref = self._run(physics, kind, h, times)
+        assert ref.steps.count == n + 6
+        for chunk in (1, 7, _BLOCK, _BLOCK + 8):
+            monkeypatch.setattr(numeric, "_CHUNK", chunk)
+            _, sol = self._run(physics, kind, h, times)
+            assert sol.steps == ref.steps
+            assert np.array_equal(sol.values, ref.values), f"_CHUNK = {chunk}"
 
     def test_u_weights_keep_the_scalar_reads_bits(self, physics, monkeypatch):
         # A separable array read gives L, Ldot and Adot to the bit, so a block's u
@@ -452,6 +469,28 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,xi,value"
         assert len(lines) == 1 + 2 * 17
+
+    def test_manifest_counts_negative_values(self):
+        # A fast-decaying sine: Crank-Nicolson leaves undamped stiff noise of
+        # both signs where the true field, positive throughout, is ~5e-25.
+        motion = SeparableMotion.fixed_length(
+            PhysicsParams(2.9634155818297447, 2.7278172374232494), 0.7059338583334749,
+            gamma1=-0.040024152384335654, c=-0.26762708036069616)
+        sol = solve_u(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=128,
+                      dt=1e-3, T=1.0, output_times=[0.0, 0.5, 1.0])
+        negative = grid_manifest(sol)["negative_values"]
+        has_negative = np.any(sol.values < 0.0, axis=1)
+        assert negative["count"] == np.sum(sol.values < 0.0)
+        assert np.sum(sol.slice_at(1.0) < 0.0) >= 64
+        assert negative["first_t"] == sol.times[has_negative][0]
+        assert negative["last_t"] == 1.0
+
+    def test_manifest_reports_no_negative_value_of_a_sine_w_run(self, physics):
+        motion = SeparableMotion.symmetric(physics, 2.0, a=0.1, b=0.2)
+        sol = solve_w(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=64,
+                      dt=1e-3, T=0.1)
+        assert grid_manifest(sol)["negative_values"] == {"count": 0, "first_t": None,
+                                                         "last_t": None}
 
 
 class TestOutputTimes:

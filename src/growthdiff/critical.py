@@ -55,13 +55,14 @@ from .motion import (
     time_integral,
     time_rescale,
 )
-from .numeric import GridSolution, StepRecord, solve_radial, solve_w
+from .numeric import GridSolution, StepRecord, solve_radial, solve_w, w_weights
 from .output import write_csv
 from .transforms import (
     log_radial_factor,
     log_shape_factor,
     log_time_factor,
     psi_from_W,
+    require_centered,
     u_from_w,
 )
 
@@ -298,8 +299,9 @@ def subsolution(motion: BoundaryMotion, x, t: float, t_ref: float,
 
 def _potential_term(motion: BoundaryMotion, xi: np.ndarray, st: MotionState) -> np.ndarray:
     """Zeroth-order coefficient of the potential-form equation at (xi, st.t)."""
+    _, quad, lin = w_weights(motion, st)
     L0 = motion.L0
-    return (st.Lddot * st.L / (4.0 * motion.physics.D)) * (xi / L0) * (xi / L0 - 1.0)
+    return quad * (xi / L0) * (xi / L0 - 1.0) + lin * (xi / L0)
 
 
 def supersolution_residual(motion: BoundaryMotion, xi, t: float) -> np.ndarray:
@@ -372,12 +374,14 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     C1 scales the subsolution down likewise.  At every later output time the
     field must stay between the scaled barriers, up to slack_tol relative to
     the field's sup norm; a deeper violation raises EnvelopeViolationError
-    with its location.
+    with its location.  The motion must be centred on the run's span: the
+    barriers' signs assume the centred potential.
     """
     _check_run(motion, solution, "verify_envelope")
+    t_end = float(solution.times[-1])
+    require_centered(motion, t_end)
     radial = solution.kind == "radial"
     n_dim = solution.n_dim if radial else None
-    t_end = float(solution.times[-1])
     onset = subsolution_onset(motion, t_end, radial=radial)
     check = np.nonzero(solution.times >= onset - 1e-12)[0]
     if check.size < 2:

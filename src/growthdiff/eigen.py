@@ -4,16 +4,17 @@ The fixed-domain substitution turns each separable boundary motion into
 
     sigma g = D g'' + (gamma0 xi^2 / (4 D L0^4) + gamma1 xi / (2 D L0^3)) g
 
-on (0, L0) with Dirichlet ends.  This module discretises that operator (and
-its radially symmetric n-ball analogue) with second-order central differences
-on a uniform grid and solves the resulting symmetric tridiagonal eigenproblem
-with LAPACK.  A closed-form upper bound for the principal eigenvalue in the
-shrinking case gamma0 = -rho^2 < 0 is also provided.
+on (0, L0) with Dirichlet ends.  Each geometry's discrete operator is a
+weighted sum of fixed tridiagonal profiles, built here only: central
+differences on the interval, a conservative finite-volume form on the n-ball.
+``numeric`` marches the sum with weights read from the motion; here the
+weights are frozen and LAPACK solves the symmetric eigenproblem.  A
+closed-form upper bound for the shrinking case gamma0 = -rho^2 < 0 is also
+provided.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .output import write_csv
 
 __all__ = [
     "EigenSystem",
+    "profile_rows",
+    "interval_profiles",
+    "radial_profiles",
     "solve_sl",
     "solve_radial",
     "principal_eigen_bound",
@@ -64,71 +68,105 @@ class EigenSystem:
         return self.sigmas.size
 
 
-def _validate_sizes(grid_size: int, num_modes: int) -> None:
+def profile_rows(n, *stencils):
+    """Tridiagonal profiles of order ``n`` as rows [sub | main | super], each
+    stencil a (sub, main, super) triple of arrays or scalars."""
+    return np.array([np.concatenate([np.broadcast_to(d, (m,)) for d, m in
+                                     zip(stencil, (n - 1, n, n - 1))])
+                     for stencil in stencils], dtype=float)
+
+
+def interval_profiles(L0: float, grid_size: int) -> np.ndarray:
+    """The interval operator's profiles on the interior nodes, as ``profile_rows``:
+    the Dirichlet stencil (1, -2, 1)/h^2, diag((xi/L0)(xi/L0 - 1)) and diag(xi/L0)."""
+    h = L0 / grid_size
+    xi = np.linspace(0.0, L0, grid_size + 1)[1:-1]
+    return profile_rows(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
+                        (0.0, (xi / L0) * (xi / L0 - 1.0), 0.0), (0.0, xi / L0, 0.0))
+
+
+def radial_profiles(R0: float, n_dim: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ball operator's profiles on r_0 .. r_{N-1}, as ``profile_rows``, and
+    the volumes mu of the cells [r - h/2, r + h/2] clipped at 0.
+
+    The rows are the finite-volume stencil of v'' + (n-1)/r v', symmetric on
+    sqrt(mu h) v, whose r = 0 row is the regularity row v'(0) = 0, and
+    diag((r/R0)^2 - 1).  The Dirichlet node r = R0 carries no unknown.
+    """
+    h = R0 / grid_size
+    r = np.linspace(0.0, R0, grid_size + 1)[:-1]
+    mu = ((r + 0.5 * h) ** n_dim - np.clip(r - 0.5 * h, 0.0, None) ** n_dim) / n_dim
+    cell = mu * h
+    face_hi = (r + 0.5 * h) ** (n_dim - 1)        # flux faces r + h/2
+    face_lo = np.concatenate(([0.0], face_hi[:-1]))
+    off = face_hi[:-1] / np.sqrt(cell[:-1] * cell[1:])
+    return profile_rows(r.size, (off, -(face_hi + face_lo) / cell, off),
+                        (0.0, r ** 2 / R0 ** 2 - 1.0, 0.0)), mu
+
+
+def _eigenpairs(frozen, unknowns: slice, shift: float, grid_size: int, num_modes: int,
+                extrapolate: bool):
+    """Leading eigenpairs of a frozen operator plus ``shift``, sigmas descending.
+
+    ``frozen(N)`` returns, on N grid intervals, the operator as one
+    ``profile_rows`` row over the ``unknowns`` nodes and every node's
+    quadrature weight; mu, the unknowns' weights, make sqrt(mu) v its
+    symmetric form.  The modes have unit mu-weighted norm and a positive
+    first nonzero value.
+    """
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
     if num_modes < 1 or num_modes > grid_size // 4:
         raise ValueError(
             f"num_modes must lie in [1, grid_size/4] = [1, {grid_size // 4}], got {num_modes}")
+    if extrapolate and grid_size % 2 != 0:
+        raise ValueError("extrapolation requires an even grid_size")
 
+    def eigh(N, vectors):
+        row, weights = frozen(N)
+        n = weights[unknowns].size
+        return eigh_tridiagonal(row[n - 1:2 * n - 1], row[2 * n - 1:], eigvals_only=not vectors,
+                                select="i", select_range=(n - num_modes, n - 1)), weights
 
-def _solve_sl_raw(D, L0, gamma0, gamma1, grid_size, num_modes, vectors=True):
-    h = L0 / grid_size
-    xi = np.linspace(0.0, L0, grid_size + 1)
-    interior = xi[1:-1]
-    q = gamma0 * interior ** 2 / (4.0 * D * L0 ** 4) + gamma1 * interior / (2.0 * D * L0 ** 3)
-    diag = -2.0 * D / h ** 2 + q
-    off = np.full(grid_size - 2, D / h ** 2)
-    m = grid_size - 1
-    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                             select_range=(m - num_modes, m - 1))
+    (sigmas, vecs), weights = eigh(grid_size, True)
+    mu = weights[unknowns]
     # ascending from LAPACK; flip to descending so index 0 is the principal mode
-    if not vectors:
-        return found[::-1]
-    vals, vecs = found
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    modes = np.zeros((num_modes, grid_size + 1))
-    for k in range(num_modes):
-        g = vecs[:, k]
-        g = g / math.sqrt(h * float(np.dot(g, g)))
-        if g[0] < 0.0:
-            g = -g
-        modes[k, 1:-1] = g
-    weights = np.full(grid_size + 1, h)
-    weights[0] = weights[-1] = 0.5 * h
-    return vals, modes, xi, weights
+    v = vecs[:, ::-1] * (1.0 / np.sqrt(mu))[:, None]
+    v /= np.sqrt(mu @ (v * v))
+    v *= np.where(np.where(v[0] != 0.0, v[0], v[1]) < 0.0, -1.0, 1.0)
+    modes = np.zeros((num_modes, weights.size))
+    modes[:, unknowns] = v.T
+    sigmas = sigmas[::-1] + shift
+    if extrapolate:
+        sigmas = (4.0 * sigmas - (eigh(grid_size // 2, False)[0][::-1] + shift)) / 3.0
+    return sigmas, modes, weights
 
 
 def solve_sl(D: float, L0: float, gamma0: float, gamma1: float,
              grid_size: int = 512, num_modes: int = 8,
              extrapolate: bool = False) -> EigenSystem:
-    """Solve the interval eigenproblem on a uniform grid.
+    """Solve the interval eigenproblem on ``grid_size`` (>= 64) intervals.
 
-    Parameters
-    ----------
-    D, L0, gamma0, gamma1 : float
-        Diffusivity, domain length, and the two separability constants.
-    grid_size : int
-        Number of grid intervals (>= 64); grid_size + 1 nodes.
-    num_modes : int
-        Leading eigenpairs to return, at most grid_size / 4.
-    extrapolate : bool
-        If set, also solve at half resolution and Richardson-extrapolate the
-        eigenvalues (the central-difference error is a clean h^2 term).  The
-        modes are kept from the fine grid.
+    The operator is [D, gamma0 / (4 D L0^2), (gamma1 + gamma0/2) / (2 D L0^2)]
+    times ``interval_profiles``; its ``num_modes`` (at most grid_size / 4)
+    leading eigenpairs are returned.  With ``extrapolate`` the eigenvalues are
+    Richardson-extrapolated from a half-resolution solve (the central-difference
+    error is a clean h^2 term); the modes are kept from the fine grid.
     """
     if D <= 0 or L0 <= 0:
         raise ValueError("D and L0 must be positive")
-    _validate_sizes(grid_size, num_modes)
-    vals, modes, xi, weights = _solve_sl_raw(D, L0, gamma0, gamma1, grid_size, num_modes)
-    if extrapolate:
-        if grid_size % 2 != 0:
-            raise ValueError("extrapolation requires an even grid_size")
-        coarse = _solve_sl_raw(D, L0, gamma0, gamma1, grid_size // 2, num_modes,
-                               vectors=False)
-        vals = (4.0 * vals - coarse) / 3.0
-    return EigenSystem(vals, modes, xi, weights, D, L0, gamma0, gamma1)
+    coef = np.array([D, gamma0 / (4.0 * D * L0 ** 2),
+                     (gamma1 + 0.5 * gamma0) / (2.0 * D * L0 ** 2)])
+
+    def frozen(N):
+        weights = np.full(N + 1, L0 / N)
+        weights[[0, -1]] *= 0.5                 # the trapezoid rule
+        return coef @ interval_profiles(L0, N), weights
+
+    sigmas, modes, weights = _eigenpairs(frozen, slice(1, -1), 0.0, grid_size, num_modes,
+                                         extrapolate)
+    return EigenSystem(sigmas, modes, np.linspace(0.0, L0, grid_size + 1), weights,
+                       D, L0, gamma0, gamma1)
 
 
 def principal_eigen_bound(rho: float, gamma1: float, D: float, L0: float) -> float:
@@ -155,49 +193,6 @@ def radial_principal_bound(rho: float, n_dim: int, R0: float) -> float:
     return -n_dim * abs(rho) / (2.0 * R0 ** 2)
 
 
-def _radial_volumes(r: np.ndarray, h: float, n_dim: int) -> np.ndarray:
-    """Cell volumes integral r^{n-1} dr over [r_j - h/2, r_j + h/2] (clipped at 0)."""
-    lo = np.clip(r - 0.5 * h, 0.0, None)
-    hi = r + 0.5 * h
-    return (hi ** n_dim - lo ** n_dim) / n_dim
-
-
-def _solve_radial_raw(D, R0, gamma0, n_dim, grid_size, num_modes, vectors=True):
-    h = R0 / grid_size
-    r = np.linspace(0.0, R0, grid_size + 1)
-    # unknowns at j = 0 .. grid_size-1; Dirichlet at r = R0, regularity at r = 0
-    rj = r[:-1]
-    mu = _radial_volumes(rj, h, n_dim)
-    face = (rj + 0.5 * h) ** (n_dim - 1)          # flux faces j+1/2
-    q = gamma0 * rj ** 2 / (4.0 * D * R0 ** 4)
-    upper = D * face / (mu * h)                   # coupling j -> j+1
-    lower = D * face[:-1] / (mu[1:] * h)          # coupling j -> j-1
-    diag = q.copy()
-    diag[0] -= upper[0]
-    diag[1:] -= upper[1:] + lower
-    off = np.sqrt(upper[:-1] * lower)             # symmetrised off-diagonal
-    m = grid_size
-    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                             select_range=(m - num_modes, m - 1))
-    if not vectors:
-        return found[::-1]
-    vals, vecs = found
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    # undo the diagonal similarity: v_j = q_j / sqrt(mu_j)
-    scale = 1.0 / np.sqrt(mu)
-    modes = np.zeros((num_modes, grid_size + 1))
-    weights = np.zeros(grid_size + 1)
-    weights[:-1] = mu
-    for k in range(num_modes):
-        v = vecs[:, k] * scale
-        v = v / math.sqrt(float(np.sum(mu * v * v)))
-        if v[0] < 0.0 or (v[0] == 0.0 and v[1] < 0.0):
-            v = -v
-        modes[k, :-1] = v
-    return vals, modes, r, weights
-
-
 def solve_radial(D: float, R0: float, gamma0: float, n_dim: int,
                  grid_size: int = 512, num_modes: int = 8,
                  extrapolate: bool = False) -> EigenSystem:
@@ -205,22 +200,25 @@ def solve_radial(D: float, R0: float, gamma0: float, n_dim: int,
 
     sigma v = D (v'' + (n-1)/r v') + gamma0 r^2 / (4 D R0^4) v with v'(0) = 0
     and v(R0) = 0, discretised in conservative (finite-volume) form so the
-    operator stays symmetric under the discrete volume weights.
+    operator stays symmetric under the discrete volume weights.  The operator
+    solved is [D, gamma0 / (4 D R0^2)] times ``radial_profiles``, whose
+    potential is r^2/R0^2 - 1; gamma0 / (4 D R0^2) is added back to the sigmas.
     """
     if D <= 0 or R0 <= 0:
         raise ValueError("D and R0 must be positive")
     if n_dim not in (1, 2, 3):
         raise ValueError(f"n_dim must be 1, 2 or 3, got {n_dim}")
-    _validate_sizes(grid_size, num_modes)
-    vals, modes, r, weights = _solve_radial_raw(D, R0, gamma0, n_dim, grid_size, num_modes)
-    if extrapolate:
-        if grid_size % 2 != 0:
-            raise ValueError("extrapolation requires an even grid_size")
-        coarse = _solve_radial_raw(D, R0, gamma0, n_dim, grid_size // 2, num_modes,
-                                   vectors=False)
-        vals = (4.0 * vals - coarse) / 3.0
-    return EigenSystem(vals, modes, r, weights, D, R0, gamma0, 0.0,
-                       n_dim=n_dim, radial=True)
+    shift = gamma0 / (4.0 * D * R0 ** 2)
+    coef = np.array([D, shift])
+
+    def frozen(N):
+        profiles, mu = radial_profiles(R0, n_dim, N)
+        return coef @ profiles, np.append(mu, 0.0)
+
+    sigmas, modes, weights = _eigenpairs(frozen, slice(0, -1), shift, grid_size, num_modes,
+                                           extrapolate)
+    return EigenSystem(sigmas, modes, np.linspace(0.0, R0, grid_size + 1), weights,
+                       D, R0, gamma0, 0.0, n_dim=n_dim, radial=True)
 
 
 def eigen_header(eig: EigenSystem) -> dict:

@@ -3,15 +3,17 @@
 Three forms are integrated on the fixed reference domain:
 
 * ``solve_u``      -- advection-diffusion-growth form of u(xi, t) for any motion;
-* ``solve_w``      -- potential form of w(xi, t) for centred motions (A = -L/2);
-* ``solve_radial`` -- potential form of W(r, t) on a ball of diameter L(t).
+* ``solve_w``      -- potential form of w(xi, t) for any motion;
+* ``solve_radial`` -- potential form of W(r, t) on a ball of diameter L(t),
+  for centred motions (A = -L/2).
 
 All three march Crank-Nicolson, written as the implicit midpoint rule, with
 coefficients frozen at each step's midpoint, which keeps the scheme second
-order in time even though the coefficients are time dependent.  Spatial
-discretisation is the standard second-order stencil; the radial solver uses a
-conservative finite-volume form whose r = 0 row encodes the regularity
-condition W'(0) = 0.
+order in time even though the coefficients are time dependent.  The
+potential forms march the operators ``eigen`` solves with frozen weights:
+its ``interval_profiles`` (the second-order stencil and two potential
+profiles) and ``radial_profiles`` (a conservative finite-volume form whose
+r = 0 row encodes the regularity condition W'(0) = 0).
 
 One kernel marches all three.  Its unknowns are the interior nodes only
 (1..N-1 on the interval, 0..N-1 on the ball); the Dirichlet nodes carry no
@@ -41,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dptsv
 
-from .eigen import _radial_volumes
+from .eigen import interval_profiles, profile_rows, radial_profiles
 from .motion import (
     BoundaryMotion,
     DomainCollapsedError,
@@ -57,6 +59,7 @@ __all__ = [
     "GridSolution",
     "solve_u",
     "solve_w",
+    "w_weights",
     "solve_radial",
     "grid_to_csv",
     "grid_manifest",
@@ -139,21 +142,13 @@ def _schedule(T: float, dt: float, times: np.ndarray):
             StepRecord(n + cuts.size, float(dts.min()), float(dts.max())))
 
 
-def _profiles(n, *stencils):
-    """Tridiagonal profiles of order ``n`` as rows [sub | main | super], each
-    stencil a (sub, main, super) triple of arrays or scalars."""
-    return np.array([np.concatenate([np.broadcast_to(d, (m,)) for d, m in
-                                     zip(stencil, (n - 1, n, n - 1))])
-                     for stencil in stencils], dtype=float)
-
-
 def _march(profiles, weights, v0, chunks, reads):
     """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old, over
     the (midpoints, lengths, end times) chunks of steps ``chunks`` yields.
 
     ``v0`` holds the interior unknowns.  The operator, less the couplings to
     the zero Dirichlet nodes, is A(t) = sum_j c_j(t) P_j: row j of
-    ``profiles`` is the fixed P_j as ``_profiles`` lays it out, and
+    ``profiles`` is the fixed P_j as ``profile_rows`` lays it out, and
     ``weights(ts)`` returns the (len(ts), J) scalars c_j at a chunk's
     midpoints, read once per chunk.  The implicit sides 1/2 I - dt/4 A of
     each ``_BLOCK`` steps of a chunk are one product,
@@ -169,7 +164,7 @@ def _march(profiles, weights, v0, chunks, reads):
     v = v0
     n = v.size
     symmetric = np.array_equal(profiles[:, :n - 1], profiles[:, 2 * n - 1:])
-    basis = np.vstack((_profiles(n, (0.0, 0.5, 0.0)), profiles))
+    basis = np.vstack((profile_rows(n, (0.0, 0.5, 0.0)), profiles))
     snaps = np.empty((len(reads), n))
     slot = {}
     for i, t in enumerate(reads.tolist()):
@@ -272,28 +267,33 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
                     f"cell Peclet number {peclet:.2f} exceeds 2 at t={t:.6g}; "
                     f"increase grid_size to at least {need}")
             return c
-        return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
-                         (-0.5 / h, 0.0, 0.5 / h),
-                         (-0.5 * xi[1:] / h, 0.0, 0.5 * xi[:-1] / h),
-                         (0.0, 1.0, 0.0)), weights, 1.0
+        return np.vstack((interval_profiles(L0, grid_size)[:1],
+                          profile_rows(xi.size, (-0.5 / h, 0.0, 0.5 / h),
+                                       (-0.5 * xi[1:] / h, 0.0, 0.5 * xi[:-1] / h),
+                                       (0.0, 1.0, 0.0)))), weights, 1.0
 
     return _solve("u", motion, u0, L0, grid_size, dt, T, output_times, 1, make_basis)
 
 
+def w_weights(motion: BoundaryMotion, st):
+    """Weights D (L0/L)^2, Lddot L / 4D and (Addot + Lddot/2) L / 2D of
+    ``interval_profiles`` in the w operator at the kinematic state ``st``: the
+    potential is Lddot L / 4D (xi/L0)^2 + Addot L / 2D xi/L0.  A centred
+    motion has Addot = -Lddot/2, and its third weight is 0.0."""
+    D = motion.physics.D
+    return (D * (motion.L0 / st.L) ** 2, st.Lddot * st.L / (4.0 * D),
+            (st.Addot + 0.5 * st.Lddot) * st.L / (2.0 * D))
+
+
 def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
             T: float = 1.0, output_times=None) -> GridSolution:
-    """Integrate the potential form of w on [0, L0]; needs a centred motion."""
-    require_centered(motion, T)
+    """Integrate the potential form of w on [0, L0], for any motion: the
+    profiles ``eigen.solve_sl`` freezes, weighted by ``w_weights``."""
     L0 = motion.L0
-    D = motion.physics.D
 
     def make_basis(xi, h):
-        def weights(ts):
-            st = eval_motion(motion, ts)
-            # D_eff * P(t) (xi/L0)(xi/L0 - 1) / L0^2 with P = Lddot L^3 / 4 D^2
-            return np.column_stack((D * (L0 / st.L) ** 2, st.Lddot * st.L / (4.0 * D)))
-        return _profiles(xi.size, (1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2),
-                         (0.0, (xi / L0) * (xi / L0 - 1.0), 0.0)), weights, 1.0
+        weights = lambda ts: np.column_stack(w_weights(motion, eval_motion(motion, ts)))
+        return interval_profiles(L0, grid_size), weights, 1.0
 
     return _solve("w", motion, w0, L0, grid_size, dt, T, output_times, 1, make_basis)
 
@@ -302,8 +302,9 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
                  dt: float = 1e-3, T: float = 1.0, output_times=None) -> GridSolution:
     """Integrate the radial potential form of W on [0, R0] with R = L/2.
 
-    ``motion`` describes the ball diameter and must be centred.  The r = 0 row
-    is the finite-volume regularity row; r = R0 is a Dirichlet node.
+    ``motion`` describes the ball diameter and must be centred.  The operator
+    is D (R0/R)^2 and Q(t) = Rddot R / 4D times ``radial_profiles``, the
+    profiles ``eigen.solve_radial`` freezes, marched on sqrt(mu h) W.
     """
     if n_dim not in (1, 2, 3):
         raise ValueError(f"n_dim must be 1, 2 or 3, got {n_dim}")
@@ -312,18 +313,13 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
     D = motion.physics.D
 
     def make_basis(r, h):
-        cell = _radial_volumes(r, h, n_dim) * h
-        face_hi = (r + 0.5 * h) ** (n_dim - 1)
-        face_lo = np.concatenate(([0.0], face_hi[:-1]))
-        off = face_hi[:-1] / np.sqrt(cell[:-1] * cell[1:])   # symmetric under s = sqrt(cell)
+        profiles, mu = radial_profiles(R0, n_dim, grid_size)
 
         def weights(ts):
             st = eval_motion(motion, ts)
-            # D_eff * Q(t) (r^2/R0^2 - 1) / R0^2 with Q = Rddot R^3 / 4 D^2
             return np.column_stack((D * (R0 / (0.5 * st.L)) ** 2,
                                     0.25 * st.Lddot * st.L / (4.0 * D)))
-        return _profiles(r.size, (off, -(face_hi + face_lo) / cell, off),
-                         (0.0, r ** 2 / R0 ** 2 - 1.0, 0.0)), weights, np.sqrt(cell)
+        return profiles, weights, np.sqrt(mu * h)
 
     return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, n_dim,
                   make_basis)

@@ -159,8 +159,8 @@ def initial_w_from_u(motion: BoundaryMotion, xi, u0_values):
 def require_centered(motion: BoundaryMotion, t_max: float) -> None:
     """Raise unless A = -L/2 holds on [0, t_max] (64 samples).
 
-    The potential-form w equation and the radial reduction are only valid for
-    intervals centred at the origin.
+    The radial reduction and the critical barriers need an interval centred at
+    the origin; the potential-form w equation holds for any motion.
     """
     st = eval_motion(motion, np.linspace(0.0, t_max, 64))
     off = st.A + 0.5 * st.L

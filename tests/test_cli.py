@@ -129,6 +129,13 @@ class TestNumericCommand:
         lines = (tmp_path / "numeric.csv").read_text().splitlines()
         assert lines[0] == "t,xi,value"
 
+    def test_off_centre_potential_form_run(self, tmp_path):
+        rc = main(["numeric", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", PI,
+                   "--gamma1", "0.5", "--c", "0.5", "--form", "w",
+                   "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"])
+        assert rc == 0
+        assert json.loads((tmp_path / "numeric.json").read_text())["kind"] == "w"
+
     def test_peclet_breach_is_a_numeric_failure(self, capsys):
         rc = main(["numeric", "--family", "fixed", "--D", "1", "--f0", "1",
                    "--L0", "1", "--c", "50", "--grid", "8", "--dt", "1e-3",

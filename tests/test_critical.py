@@ -367,6 +367,14 @@ class TestVerifyEnvelope:
         with pytest.raises(ValueError, match="different motion"):
             verify_envelope(other, interval_run)
 
+    def test_rejects_off_centre_runs(self, physics):
+        # solve_w marches any motion, but the barriers assume the centred potential.
+        motion = SeparableMotion.fixed_length(physics, math.pi, gamma1=0.5, c=0.5)
+        run = solve_w(motion, np.sin, grid_size=64, dt=1e-2, T=2.0,
+                      output_times=[0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="not centred"):
+            verify_envelope(motion, run)
+
     def test_onset_failure_propagates(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         run = solve_w(motion, lambda xi: np.sin(0.5 * np.pi * xi),

@@ -1,16 +1,33 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from growthdiff.exact import (build_radial_series, build_series,
+import growthdiff.eigen as eigen
+from growthdiff.eigen import solve_radial as radial_modes
+from growthdiff.eigen import solve_sl
+from growthdiff.exact import (TruncationWarning, build_radial_series, build_series,
                               eval_radial_series, eval_series)
 from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
-                               PhysicsParams, SeparableMotion, eval_motion)
+                               PhysicsParams, SeparableMotion, eval_motion,
+                               validity_horizon)
 import growthdiff.numeric as numeric
 from growthdiff.numeric import (_BLOCK, StepRecord, grid_manifest, grid_to_csv, solve_radial,
-                               solve_u, solve_w)
-from growthdiff.transforms import initial_W_from_psi, psi_from_W, u_from_w
+                               solve_u, solve_w, w_weights)
+from growthdiff.transforms import (initial_W_from_psi, initial_w_from_u, psi_from_W,
+                                   u_from_w)
+
+# Criterion 3's configurations, one per closed-form length law.
+_FAMILIES = {
+    "fixed": lambda ph: SeparableMotion.fixed_length(ph, math.pi, gamma1=0.5, c=0.5),
+    "linear+": lambda ph: SeparableMotion.linear_length(ph, 1.0, 1.0, gamma1=0.3, c=0.2),
+    "linear-": lambda ph: SeparableMotion.linear_length(ph, math.pi, -0.4, c=0.3),
+    "sqrt+": lambda ph: SeparableMotion.sqrt_length(ph, 1.0, 1.0, gamma1=0.2, c=0.4),
+    "sqrt-": lambda ph: SeparableMotion.sqrt_length(ph, 2.0, -0.5, gamma1=0.2, c=0.1),
+    "quadneg": lambda ph: SeparableMotion(ph, 1.0, 2.0, 1.0, gamma1=0.2, c=0.3),
+    "quadpos": lambda ph: SeparableMotion(ph, 1.0, 0.0, 1.0, gamma1=0.2, c=0.3),
+}
 
 
 class TestFieldSolver:
@@ -320,10 +337,76 @@ class TestPotentialSolver:
             assert (np.max(np.abs(direct - mapped))
                     < 1e-5 * np.max(np.abs(direct)))
 
-    def test_off_centre_motion_rejected(self, physics):
-        motion = SeparableMotion.fixed_length(physics, math.pi)
-        with pytest.raises(ValueError, match="centred"):
-            solve_w(motion, np.sin, grid_size=64, dt=1e-3, T=0.5)
+    def test_off_centre_principal_mode_decays_at_its_eigenvalue(self, physics):
+        # A fixed length with an accelerating endpoint: w's operator is solve_sl's,
+        # constant in time, so its principal mode only decays, as e^(sigma_1 t), up
+        # to Crank-Nicolson's dt^2 sigma_1^3 t / 12 ~ 1e-7.
+        motion = SeparableMotion.fixed_length(physics, math.pi, gamma1=0.5, c=0.5)
+        eig = solve_sl(physics.D, math.pi, 0.0, 0.5, grid_size=512, num_modes=1)
+        sol = solve_w(motion, eig.modes[0], grid_size=512, dt=1e-3, T=1.0)
+        expected = math.exp(eig.sigmas[0]) * eig.modes[0]
+        assert (np.max(np.abs(sol.slice_at(1.0) - expected))
+                < 1e-6 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_any_motion_maps_back_to_the_series(self, physics, family):
+        motion = _FAMILIES[family](physics)
+        T = min(5.0, 0.8 * validity_horizon(motion))
+        u0 = lambda xi: np.sin(np.pi * xi / motion.L0)
+        grid = np.linspace(0.0, motion.L0, 513)
+        times = [0.25 * T, 0.5 * T, 0.75 * T, T]
+        sol = solve_w(motion, initial_w_from_u(motion, grid, u0(grid)), grid_size=512,
+                      dt=1e-3, T=T, output_times=times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            ref = build_series(motion, u0, grid_size=1024, num_modes=64, extrapolate=True)
+            for t in times:
+                exact = eval_series(ref, grid, t)
+                mapped = u_from_w(motion, grid, t, sol.slice_at(t))
+                assert np.max(np.abs(mapped - exact)) < 1e-4 * np.max(np.abs(exact)), t
+
+
+class TestOneOperator:
+    """numeric marches the profiles eigen freezes: where the motion's weights
+    are the separable constants, the marched operator is eigen's, bit for bit."""
+
+    @staticmethod
+    def _capture(monkeypatch):
+        frozen, marched = [], []
+        eigh, march = eigen.eigh_tridiagonal, numeric._march
+        monkeypatch.setattr(eigen, "eigh_tridiagonal",
+                            lambda d, e, **kw: frozen.append((d, e)) or eigh(d, e, **kw))
+        monkeypatch.setattr(numeric, "_march", lambda profiles, weights, *rest: marched.append(
+            weights(np.array([0.0]))[0] @ profiles) or march(profiles, weights, *rest))
+        return frozen, marched
+
+    @staticmethod
+    def _assert_same_operator(frozen, marched, n):
+        ((diag, off),), (row,) = frozen, marched
+        assert np.array_equal(row[:n - 1], off)
+        assert np.array_equal(row[n - 1:2 * n - 1], diag)
+        assert np.array_equal(row[2 * n - 1:], off)
+
+    def test_w_operator_is_solve_sl_frozen(self, monkeypatch):
+        # Dyadic D, L0 and gamma1 make Addot L / 2D and gamma1 / (2 D L0^2) one float.
+        ph = PhysicsParams(D=0.5, f0=1.0)
+        motion = SeparableMotion.fixed_length(ph, 2.0, gamma1=0.5, c=0.25)
+        frozen, marched = self._capture(monkeypatch)
+        solve_sl(ph.D, motion.L0, motion.gamma0, motion.gamma1, grid_size=64, num_modes=1)
+        solve_w(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=64, dt=0.1, T=0.1)
+        assert w_weights(motion, eval_motion(motion, 0.0))[2] != 0.0
+        self._assert_same_operator(frozen, marched, 63)
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_radial_operator_is_solve_radial_frozen(self, monkeypatch, n_dim):
+        ph = PhysicsParams(D=0.7, f0=1.0)
+        motion = SeparableMotion.symmetric(ph, 2.0, a=0.25, b=1.0)     # gamma0 = 0
+        assert motion.gamma0 == 0.0
+        frozen, marched = self._capture(monkeypatch)
+        radial_modes(ph.D, 1.0, 0.0, n_dim, grid_size=64, num_modes=1)
+        solve_radial(motion, lambda r: np.cos(0.5 * np.pi * r), n_dim, grid_size=64,
+                     dt=0.1, T=0.1)
+        self._assert_same_operator(frozen, marched, 64)
 
 
 class TestRadialSolver:

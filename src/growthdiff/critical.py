@@ -52,6 +52,7 @@ from .motion import (
     length_jerk,
     motion_content_hash,
     motion_to_document,
+    require_centered,
     time_integral,
     time_rescale,
 )
@@ -62,7 +63,6 @@ from .transforms import (
     log_shape_factor,
     log_time_factor,
     psi_from_W,
-    require_centered,
     u_from_w,
 )
 
@@ -353,18 +353,6 @@ class EnvelopePair:
     worst_xi: float
 
 
-def _check_run(motion: BoundaryMotion, solution: GridSolution, user: str,
-               n_dim: int | None = None) -> None:
-    """Raise unless ``solution`` is a potential-form run (of dimension ``n_dim``,
-    if given) of ``motion``; the kind is checked first, then the motion hash."""
-    if solution.kind not in ("w", "radial") or n_dim not in (None, solution.n_dim):
-        dimension = "" if n_dim is None else " of that dimension"
-        raise ValueError(f"{user} needs a potential-form run{dimension}, got a "
-                         f"{solution.kind!r} run with n_dim={solution.n_dim}")
-    if solution.motion_hash != motion_content_hash(motion):
-        raise ValueError("solution was computed for a different motion")
-
-
 def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
                     slack_tol: float = 1e-8) -> EnvelopePair:
     """Calibrate barriers at one snapshot and check them at all later ones.
@@ -374,12 +362,12 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     C1 scales the subsolution down likewise.  At every later output time the
     field must stay between the scaled barriers, up to slack_tol relative to
     the field's sup norm; a deeper violation raises EnvelopeViolationError
-    with its location.  The motion must be centred on the run's span: the
-    barriers' signs assume the centred potential.
+    with its location.  The motion must be centred: the barriers' signs
+    assume the centred potential.
     """
-    _check_run(motion, solution, "verify_envelope")
+    solution.check_owner(motion, "verify_envelope", "potential-form")
+    require_centered(motion)
     t_end = float(solution.times[-1])
-    require_centered(motion, t_end)
     radial = solution.kind == "radial"
     n_dim = solution.n_dim if radial else None
     onset = subsolution_onset(motion, t_end, radial=radial)
@@ -469,7 +457,7 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
     slope of the stored field times dxi/dx = L0/L, times the psi/w (or psi/W)
     factor of ``transforms`` at the endpoint.
     """
-    _check_run(motion, solution, "boundary_gradient")
+    solution.check_owner(motion, "boundary_gradient", "potential-form")
     grid = solution.grid
     h = grid[1] - grid[0]
     out = np.empty(solution.times.size)
@@ -689,7 +677,8 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         if solution is None:
             solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
         else:
-            _check_run(motion, solution, f"fit_exponent with n_dim={n_dim}", n_dim)
+            solution.check_owner(motion, f"fit_exponent with n_dim={n_dim}",
+                                 "potential-form", n_dim)
             if solution.times[-1] != t_final:
                 raise ValueError(f"t_final={t_final} is not the run's last stored "
                                  f"time {solution.times[-1]}")

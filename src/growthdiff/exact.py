@@ -14,7 +14,8 @@ Radially symmetric balls |x| < R(t) with R^2 quadratic in t separate the same
 way; ``build_radial_series`` handles those with a fixed centre.  Interval,
 ball and comparison series (``critical.envelope_bounds_general``) are all one
 ``SeriesSolution`` class, summed by one evaluator, ``_sum_modes``, which reads
-every tabulated mode shape through one spline call and checks the mode tail.
+every tabulated mode shape through one spline call and checks the sum's
+accuracy: the last mode's share, and the roundoff of the sum itself.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ from .motion import (
     eval_motion,
     motion_content_hash,
     motion_to_document,
+    require_centered,
     time_rescale,
     validity_horizon,
 )
 from .output import write_csv
 from .transforms import (
     drift_integral,
+    initial_values,
     initial_w_from_u,
     log_shape_factor,
-    log_shape_span,
     x_from_xi,
     xi_from_x,
 )
@@ -70,16 +72,15 @@ __all__ = [
     "series_manifest",
 ]
 
-# A mode tail larger than this fraction of the total triggers TruncationWarning.
+# A mode tail larger than this fraction of the total triggers TruncationWarning,
+# and so does a sum whose roundoff exceeds this fraction of its largest value.
 _TAIL_RTOL = 1e-8
-# So does a shape factor whose log spans more than this over [0, L0]: u = w e^(factor)
-# then scales w's roundoff, eps relative to its maximum, past _TAIL_RTOL of u.
-_SPAN_MAX = math.log(_TAIL_RTOL / np.finfo(float).eps)
+_EPS = np.finfo(float).eps
 
 
 class TruncationWarning(UserWarning):
-    """The series misses its tail tolerance: the last retained mode still
-    contributes visibly, or the shape factor scales roundoff past it."""
+    """The series misses its tolerance: the last retained mode, or the sum's
+    roundoff where the modes cancel, still contributes visibly."""
 
 
 @dataclass(frozen=True)
@@ -114,13 +115,7 @@ class SeriesSolution:
 def transform_ic(motion: BoundaryMotion, xi, u0_values) -> np.ndarray:
     """Map initial data u(xi, 0) to w(xi, 0); the data must vanish at both ends."""
     xi = np.asarray(xi, dtype=float)
-    u0 = np.asarray(u0_values, dtype=float)
-    if u0.shape != xi.shape:
-        raise ValueError(f"u0 has shape {u0.shape}, grid has shape {xi.shape}")
-    scale = np.max(np.abs(u0)) or 1.0
-    if abs(u0[0]) > 1e-12 * scale or abs(u0[-1]) > 1e-12 * scale:
-        raise ValueError("initial data must vanish at both interval endpoints")
-    return initial_w_from_u(motion, xi, u0)
+    return initial_w_from_u(motion, xi, initial_values(u0_values, xi))
 
 
 def expand(w0_values, eigen: EigenSystem) -> np.ndarray:
@@ -144,8 +139,7 @@ def build_series(motion: SeparableMotion, u0, grid_size: int = 512,
         raise ValueError(f"series solutions need a separable motion, got {kind.value}")
     eig = solve_sl(motion.physics.D, motion.L0, motion.gamma0, motion.gamma1,
                    grid_size=grid_size, num_modes=num_modes, extrapolate=extrapolate)
-    u0_vals = np.asarray(u0(eig.grid) if callable(u0) else u0, dtype=float)
-    w0 = transform_ic(motion, eig.grid, u0_vals)
+    w0 = transform_ic(motion, eig.grid, u0(eig.grid) if callable(u0) else u0)
     return SeriesSolution(motion, eig, expand(w0, eig))
 
 
@@ -172,11 +166,13 @@ def _reference_xi(sol, xi) -> np.ndarray:
 
 def _sum_modes(sol, xi: np.ndarray, log_theta: np.ndarray,
                extra_log=0.0) -> np.ndarray:
-    """Sum c_n * exp(log_theta_n + extra_log) * g_n(xi) with a tail check.
+    """Sum c_n * exp(log_theta_n + extra_log) * g_n(xi) with two accuracy checks.
 
     ``extra_log`` is the xi-dependent (or scalar) log-prefactor; folding it
     into the exponent keeps individual terms finite even when the prefactor
-    alone would overflow.
+    alone would overflow.  Warns (``TruncationWarning``) when the last term
+    exceeds ``_TAIL_RTOL`` of the total at some xi, or the sum's roundoff,
+    eps * max_xi sum_n |term_n(xi)|, exceeds ``_TAIL_RTOL`` of max_xi |total|.
     """
     # The spline returns a transposed view; summing it in C order keeps the
     # reduction order, and so every bit, of a mode-by-mode read.
@@ -184,14 +180,22 @@ def _sum_modes(sol, xi: np.ndarray, log_theta: np.ndarray,
     amp = sol.coeffs[:, None] * np.exp(log_theta[:, None] + extra_log)
     terms = amp * g
     total = terms.sum(axis=0)
-    tail = np.abs(terms[-1])
-    floor = 1e-12 * np.max(np.abs(total), initial=0.0)
+    mags = np.abs(terms, out=terms)     # in place: terms is not read again
+    size = np.abs(total)
+    peak = size.max(initial=0.0)
+    tail = mags[-1]
     with np.errstate(invalid="ignore"):
-        bad = tail > _TAIL_RTOL * np.maximum(np.abs(total), floor)
+        bad = tail > _TAIL_RTOL * np.maximum(size, 1e-12 * peak)
     if np.any(bad & (tail > 0.0)):
         warnings.warn(
             f"mode {sol.truncation} still contributes more than {_TAIL_RTOL:g} "
             "of the series; increase num_modes", TruncationWarning, stacklevel=3)
+    roundoff = _EPS * mags.sum(axis=0).max(initial=0.0)
+    if roundoff > _TAIL_RTOL * peak:
+        warnings.warn(
+            f"the modes cancel: the sum's roundoff, {roundoff:.3g}, exceeds "
+            f"{_TAIL_RTOL:g} of its largest value, {peak:.3g}", TruncationWarning,
+            stacklevel=3)
     return total
 
 
@@ -233,8 +237,9 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
 
     route="fast" uses the per-case closed forms of s(t) and the drift
     integral; route="generic" computes both by quadrature.  Anything else is
-    rejected.  Warns with ``TruncationWarning`` when the shape factor's log
-    spans more than ``_SPAN_MAX`` over [0, L0] at t.
+    rejected.  The shape factor is folded into every term, so ``_sum_modes``
+    measures u's own roundoff, and warns where a factor spanning tens of
+    decades makes the terms cancel past ``_TAIL_RTOL``.
     """
     if route not in ("fast", "generic"):
         raise ValueError(f"unknown route {route!r}")
@@ -248,12 +253,6 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
     else:
         s = _quadrature_rescale(m, t)
         drift = drift_integral(m, t)
-    span = log_shape_span(m, state)
-    if span > _SPAN_MAX:
-        warnings.warn(
-            f"at t={t:.6g} the shape factor spans {span:.4g} in log over [0, L0], so u "
-            f"amplifies w's roundoff by up to e^{span:.4g} and loses "
-            f"{span / math.log(10.0):.1f} digits", TruncationWarning, stacklevel=2)
     log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t, state)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s, log_pre)
 
@@ -275,10 +274,7 @@ def compare_to_series(sol: SeriesSolution, run) -> np.ndarray:
     """Rows (t, abs_linf, rel_linf, worst_xi) of a u ``GridSolution`` against the
     series, one per stored time, over the interior nodes; rel_linf is relative
     to the series' interior sup norm."""
-    if run.kind != "u":
-        raise ValueError(f"compare_to_series needs a u run, got a {run.kind!r} run")
-    if run.motion_hash != motion_content_hash(sol.motion):
-        raise ValueError("run was computed for a different motion")
+    run.check_owner(sol.motion, "compare_to_series", "u")
     rows = np.empty((run.times.size, 4))
     for i, t in enumerate(run.times.tolist()):
         u_ref = eval_series(sol, run.grid, t)[1:-1]
@@ -296,43 +292,24 @@ def compare_to_series(sol: SeriesSolution, run) -> np.ndarray:
 # radially symmetric ball with fixed centre
 
 
-def _is_centered_separable(motion: SeparableMotion) -> bool:
-    """True when the motion keeps the interval centred at the origin."""
-    g0 = motion.gamma0
-    L0 = motion.L0
-    scale = max(abs(g0), abs(motion.b) / L0, 1e-30)
-    if g0 == 0.0:
-        return (motion.gamma1 == 0.0
-                and abs(motion.c + 0.5 * motion.b / L0) <= 1e-12 * scale
-                and abs(motion.d + 0.5 * L0) <= 1e-12 * L0)
-    return (abs(motion.gamma1 + 0.5 * g0) <= 1e-12 * abs(g0)
-            and motion.c == 0.0 and motion.d == 0.0)
-
-
 def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
                         grid_size: int = 512, num_modes: int = 32,
                         extrapolate: bool = False) -> SeriesSolution:
     """Expand radial initial data psi0(r) on the ball of diameter L(t).
 
     ``motion`` describes the diameter: the ball radius is R = L/2 and the
-    motion must be centred (A = -L/2), which pins gamma1, c and d.  Only the
-    radially symmetric sector is expanded.
+    motion must be centred (A = -L/2, ``motion.require_centered``), as
+    ``SeparableMotion.symmetric`` builds it.  Only the radially symmetric
+    sector is expanded.
     """
     if not isinstance(motion, SeparableMotion):
         raise ValueError("radial series need a separable diameter motion")
-    if not _is_centered_separable(motion):
-        raise ValueError("radial series need a centred motion; "
-                         "build it with SeparableMotion.symmetric")
+    require_centered(motion)
     R0 = 0.5 * motion.L0
     eig = solve_radial(motion.physics.D, R0, motion.gamma0 / 16.0, n_dim,
                        grid_size=grid_size, num_modes=num_modes, extrapolate=extrapolate)
     r = eig.grid
-    psi0_vals = np.asarray(psi0(r) if callable(psi0) else psi0, dtype=float)
-    if psi0_vals.shape != r.shape:
-        raise ValueError(f"psi0 has shape {psi0_vals.shape}, grid has {r.shape}")
-    scale = np.max(np.abs(psi0_vals)) or 1.0
-    if abs(psi0_vals[-1]) > 1e-12 * scale:
-        raise ValueError("initial data must vanish on the ball boundary")
+    psi0_vals = initial_values(psi0, r, ball=True)
     st = eval_motion(motion, 0.0)
     # W = psi exp(Rdot R r^2 / (4 D R0^2)) at t = 0, with Rdot R = Ldot L / 4.
     log_fac = 0.25 * st.Ldot * st.L * r * r / (4.0 * motion.physics.D * R0 ** 2)

@@ -61,6 +61,7 @@ __all__ = [
     "length_jerk",
     "time_rescale",
     "validity_horizon",
+    "require_centered",
     "motion_to_document",
     "motion_from_document",
     "motion_dumps",
@@ -189,12 +190,13 @@ class SeparableMotion:
 
         Requires gamma1 = -gamma0 / 2, which fixes the endpoint acceleration;
         the remaining integration constants follow from A(0) = -L0/2 and
-        Adot(0) = -Ldot(0)/2.
+        Adot(0) = -Ldot(0)/2.  The case decides, not gamma0: a linear law's
+        gamma0 may be the nonzero roundoff of a L0^2 - b^2, and gamma1 is 0.
         """
-        gamma0 = a * L0 ** 2 - b ** 2
-        if gamma0 == 0.0:
+        m = SeparableMotion(physics, a, b, L0)
+        if m.case_kind in (CaseKind.FIXED_LENGTH, CaseKind.LINEAR_LENGTH):
             return SeparableMotion(physics, a, b, L0, 0.0, -0.5 * b / L0, -0.5 * L0)
-        return SeparableMotion(physics, a, b, L0, -0.5 * gamma0, 0.0, 0.0)
+        return SeparableMotion(physics, a, b, L0, -0.5 * m.gamma0, 0.0, 0.0)
 
     # The case facts below are computed once per motion.  They are not
     # fields, so equality, hashing and the motion document never see them.
@@ -577,6 +579,37 @@ def validity_horizon(motion: BoundaryMotion) -> float:
     if isinstance(motion, CriticalMotion):
         return _critical_horizon(motion)
     return _tabulated_horizon(motion)
+
+
+def require_centered(motion: BoundaryMotion) -> None:
+    """Raise unless the motion keeps A = -L/2 for all time, as the radial
+    reduction and the critical barriers need; the w equation takes any motion.
+
+    The rule reads the motion's definition, each offset to 1e-9 of its scale.
+    A critical motion is centred by construction.  A tabulated spline is
+    linear in its samples, so A + L/2 vanishes identically exactly when it
+    vanishes at every sample.  A separable motion has Addot + Lddot/2 =
+    (gamma1 + gamma0/2) / L^3, so A + L/2 vanishes identically exactly when
+    gamma1 = -gamma0/2 and A + L/2 and its rate vanish at t = 0; the gamma
+    offset is measured against ``classify``'s scale max(|a| L0^2, b^2) plus
+    D^2, as a linear law's gamma0 is only the roundoff of that difference.
+    """
+    checks = ()
+    if isinstance(motion, TabulatedMotion):
+        L = np.array(motion.L_values)
+        off = np.array(motion.A_values) + 0.5 * L
+        j = int(np.argmax(np.abs(off) / np.maximum(motion.L0, np.abs(L))))
+        checks = ((f"A + L/2 at the sample t={motion.times[j]:.6g}", off[j],
+                   max(motion.L0, abs(L[j]))),)
+    elif isinstance(motion, SeparableMotion):
+        st = eval_motion(motion, 0.0)
+        scale = max(abs(motion.a) * motion.L0 ** 2, motion.b ** 2) + motion.physics.D ** 2
+        checks = (("gamma1 + gamma0/2", motion.gamma1 + 0.5 * motion.gamma0, scale),
+                  ("A + L/2 at t=0", st.A + 0.5 * st.L, motion.L0),
+                  ("Adot + Ldot/2 at t=0", st.Adot + 0.5 * st.Ldot, math.sqrt(scale) / motion.L0))
+    for name, off, size in checks:
+        if abs(off) > 1e-9 * size:
+            raise ValueError(f"motion is not centred: {name} = {off:.3e}")
 
 
 # ---------------------------------------------------------------------------

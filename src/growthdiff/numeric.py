@@ -49,10 +49,11 @@ from .motion import (
     DomainCollapsedError,
     motion_content_hash,
     eval_motion,
+    require_centered,
     validity_horizon,
 )
 from .output import write_csv
-from .transforms import require_centered
+from .transforms import initial_values
 
 __all__ = [
     "StepRecord",
@@ -74,6 +75,9 @@ class StepRecord(NamedTuple):
     dt_max: float
 
 
+_FORMS = {"u": ("u",), "potential-form": ("w", "radial")}    # run kinds of each form
+
+
 @dataclass(frozen=True)
 class GridSolution:
     """Time slices of one finite-difference run on the reference domain."""
@@ -89,6 +93,18 @@ class GridSolution:
     @property
     def grid_size(self) -> int:
         return self.grid.size - 1
+
+    def check_owner(self, motion: BoundaryMotion, user: str, form: str,
+                    n_dim: int | None = None) -> None:
+        """Raise unless this is a ``form`` run ("u", or "potential-form": w or
+        radial), of dimension ``n_dim`` if given, computed for ``motion``.  The
+        kind is checked first, then the motion hash; ``user`` names the caller."""
+        if self.kind not in _FORMS[form] or n_dim not in (None, self.n_dim):
+            dimension = "" if n_dim is None else " of that dimension"
+            raise ValueError(f"{user} needs a {form} run{dimension}, got a "
+                             f"{self.kind!r} run with n_dim={self.n_dim}")
+        if self.motion_hash != motion_content_hash(motion):
+            raise ValueError("the run was computed for a different motion")
 
     def slice_at(self, t: float) -> np.ndarray:
         """Field values at one stored output time."""
@@ -209,20 +225,12 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     if T >= validity_horizon(motion):
         raise DomainCollapsedError(
             f"T={T} reaches the collapse time {validity_horizon(motion)}")
-    field0 = np.asarray(ic(grid) if callable(ic) else ic, dtype=float)
-    if field0.shape != grid.shape:
-        raise ValueError(f"initial data has shape {field0.shape}, grid has {grid.shape}")
+    field0 = initial_values(ic, grid, ball=kind == "radial")
     times = np.unique(np.linspace(0.0, T, 11) if output_times is None else
                       np.asarray(output_times, dtype=float))
     if not np.all((times >= 0.0) & (times <= T)):   # False for nan
         raise ValueError("output times must lie in [0, T]")
     interior = slice(0, -1) if kind == "radial" else slice(1, -1)
-    scale = np.max(np.abs(field0)) or 1.0
-    if kind == "radial":
-        if abs(field0[-1]) > 1e-12 * scale:
-            raise ValueError("initial data must vanish on the ball boundary")
-    elif abs(field0[0]) > 1e-12 * scale or abs(field0[-1]) > 1e-12 * scale:
-        raise ValueError("initial data must vanish at both endpoints")
     profiles, weights, s = make_basis(grid[interior], h)
     chunks, reads, steps = _schedule(T, dt, times)
     if kind == "u" and steps.dt_max * motion.physics.f0 >= 2.0:
@@ -308,7 +316,7 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
     """
     if n_dim not in (1, 2, 3):
         raise ValueError(f"n_dim must be 1, 2 or 3, got {n_dim}")
-    require_centered(motion, T)
+    require_centered(motion)
     R0 = 0.5 * motion.L0
     D = motion.physics.D
 

@@ -19,6 +19,8 @@ This module is the only home of these factors.  The solvers' initial data,
 the interval series and the critical-case probes and boundary gradients all
 get them from here; only the closed-form prefactors of ``exact``'s series
 routes are written out there, kept apart so the generic route can check them.
+It also holds ``initial_values``, the one Dirichlet rule for initial data;
+whether a motion is centred is ``motion.require_centered``'s call.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ __all__ = [
     "drift_integral",
     "log_time_factor",
     "log_shape_factor",
-    "log_shape_span",
     "u_from_w",
     "w_from_u",
     "initial_w_from_u",
-    "require_centered",
+    "initial_values",
     "log_radial_factor",
     "psi_from_W",
     "initial_W_from_psi",
@@ -116,23 +117,6 @@ def log_shape_factor(motion: BoundaryMotion, xi, t: float, state=None):
             - xi * (st.Adot * st.L / (2.0 * D * L0)))
 
 
-def log_shape_span(motion: BoundaryMotion, state) -> float:
-    """Range, max - min, of ``log_shape_factor`` over xi in [0, L0] at the time
-    of ``state``, the motion's ``eval_motion`` read.
-
-    The factor is a quadratic in xi, so its extremes lie at the two ends and,
-    when it falls inside, at the vertex.
-    """
-    D = motion.physics.D
-    L0 = motion.L0
-    quad = state.Ldot * state.L / (4.0 * D * L0 ** 2)
-    lin = state.Adot * state.L / (2.0 * D * L0)
-    values = [0.0, -(quad * L0 + lin) * L0]        # relative to the value at xi = 0
-    if quad != 0.0 and 0.0 < -lin / (2.0 * quad) < L0:
-        values.append(lin * lin / (4.0 * quad))
-    return max(values) - min(values)
-
-
 def u_from_w(motion: BoundaryMotion, xi, t: float, w_values):
     log_fac = log_time_factor(motion, t) + log_shape_factor(motion, xi, t)
     return np.asarray(w_values, dtype=float) * np.exp(log_fac)
@@ -156,18 +140,18 @@ def initial_w_from_u(motion: BoundaryMotion, xi, u0_values):
     return np.asarray(u0_values, dtype=float) * np.exp(log_fac)
 
 
-def require_centered(motion: BoundaryMotion, t_max: float) -> None:
-    """Raise unless A = -L/2 holds on [0, t_max] (64 samples).
-
-    The radial reduction and the critical barriers need an interval centred at
-    the origin; the potential-form w equation holds for any motion.
-    """
-    st = eval_motion(motion, np.linspace(0.0, t_max, 64))
-    off = st.A + 0.5 * st.L
-    bad = np.abs(off) > 1e-9 * np.maximum(motion.L0, st.L)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise ValueError(f"motion is not centred: A + L/2 = {off[j]:.3e} at t={st.t[j]:.6g}")
+def initial_values(data, grid, ball: bool = False) -> np.ndarray:
+    """``data`` (a callable of the nodes, or node values) on ``grid``; it must
+    vanish, to 1e-12 of its maximum, at both ends of an interval, or at the
+    last node, r = R0, of a ball."""
+    values = np.asarray(data(grid) if callable(data) else data, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"initial data has shape {values.shape}, grid has shape {grid.shape}")
+    ends = values[-1:] if ball else values[[0, -1]]
+    if np.any(np.abs(ends) > 1e-12 * (np.max(np.abs(values)) or 1.0)):
+        raise ValueError("initial data must vanish " + (
+            "on the ball boundary" if ball else "at both interval endpoints"))
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ class TestExactCommand:
         assert not (tmp_path / "partial.csv").exists()
         assert not (tmp_path / "partial.json").exists()
 
+    def test_symmetric_linear_law_is_centred(self, tmp_path):
+        # a L0^2 - b^2 rounds to a nonzero gamma0 here; the interval must
+        # still be [-L/2, L/2], which at t = 1 is [-0.9, 0.9].
+        rc = main(["exact", "--family", "symmetric", "--D", "1", "--f0", "1",
+                   "--L0", "1.7", "--a", "0.01", "--b", "0.17", "--times", "1",
+                   "--xi-samples", "3", "--out", "sym"])
+        assert rc == 0
+        rows = (tmp_path / "sym.csv").read_text().splitlines()[1:]
+        x = [float(row.split(",")[0]) for row in rows]
+        assert x == pytest.approx([-0.9, 0.0, 0.9], abs=1e-12)
+
     def test_rejects_unknown_initial_condition(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "fixed", "D": 1.0, "f0": 1.0,
@@ -135,6 +146,14 @@ class TestNumericCommand:
                    "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"])
         assert rc == 0
         assert json.loads((tmp_path / "numeric.json").read_text())["kind"] == "w"
+
+    def test_symmetric_linear_law_marches_radially(self, tmp_path):
+        rc = main(["numeric", "--family", "symmetric", "--D", "1", "--f0", "1",
+                   "--L0", "1.7", "--a", "0.01", "--b", "0.17", "--form", "radial",
+                   "--n-dim", "3", "--ic", "dome", "--grid", "64", "--dt", "1e-3",
+                   "--t-final", "0.1"])
+        assert rc == 0
+        assert json.loads((tmp_path / "numeric.json").read_text())["kind"] == "radial"
 
     def test_peclet_breach_is_a_numeric_failure(self, capsys):
         rc = main(["numeric", "--family", "fixed", "--D", "1", "--f0", "1",

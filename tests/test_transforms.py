@@ -1,14 +1,19 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthdiff.motion import CriticalMotion, PhysicsParams, SeparableMotion, eval_motion
+from growthdiff.exact import build_radial_series
+from growthdiff.motion import (CriticalMotion, PhysicsParams, SeparableMotion,
+                               TabulatedMotion, eval_motion, require_centered)
+from growthdiff.numeric import solve_radial
 from growthdiff.transforms import (drift_integral, initial_W_from_psi,
                                    initial_w_from_u, log_radial_factor,
                                    log_shape_factor, log_time_factor,
-                                   psi_from_W, require_centered, u_from_w,
+                                   psi_from_W, u_from_w,
                                    w_from_u, x_from_xi, xi_from_x)
 
 
@@ -145,6 +150,8 @@ class TestInitialTransform:
 
 
 class TestCentering:
+    """``motion.require_centered``, the one rule of the ball substitution."""
+
     @pytest.mark.parametrize("builder", [
         lambda ph: SeparableMotion.symmetric(ph, 2.0),
         lambda ph: SeparableMotion.symmetric(ph, 2.0, a=1.0),
@@ -152,12 +159,63 @@ class TestCentering:
         lambda ph: CriticalMotion(ph, alpha=1.0),
     ])
     def test_symmetric_motions_pass(self, physics, builder):
-        require_centered(builder(physics), t_max=2.0)
+        require_centered(builder(physics))
 
     def test_off_centre_motion_rejected(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)
         with pytest.raises(ValueError, match="centred"):
-            require_centered(motion, t_max=1.0)
+            require_centered(motion)
+
+    def test_symmetric_linear_law_with_rounded_gamma0(self, physics):
+        # a L0^2 - b^2 rounds to -6.9e-18, not to 0, for this linear law.
+        motion = SeparableMotion.symmetric(physics, 1.7, a=0.01, b=0.17)
+        assert motion.gamma0 != 0.0
+        st = eval_motion(motion, np.linspace(0.0, 10.0, 101))
+        assert np.all(np.abs(st.A + 0.5 * st.L) <= 1e-12 * st.L)
+        require_centered(motion)
+
+    @pytest.mark.parametrize("offset, name", [
+        ("d", "A + L/2 at t=0"), ("c", "Adot + Ldot/2 at t=0"),
+        ("gamma1", "gamma1 + gamma0/2")])
+    def test_each_offset_is_refused(self, physics, offset, name):
+        motion = SeparableMotion.symmetric(physics, 2.0, a=1.0, b=0.5)
+        bumped = dataclasses.replace(motion, **{offset: getattr(motion, offset) + 1e-6})
+        with pytest.raises(ValueError, match=re.escape(f"not centred: {name} = ")):
+            require_centered(bumped)
+
+    def test_tabulated_motion_off_centre_at_one_sample(self, physics):
+        # The spline's bump around t = 7.37 stays below 1e-9 L at the 64
+        # evenly spaced times of [0, 10] that a sampled check would read.
+        ts = np.linspace(0.0, 10.0, 1001)
+        L = 2.0 + 0.1 * ts
+        A = -0.5 * L
+        A[737] += 1e-6
+        motion = TabulatedMotion(physics, tuple(ts), tuple(A), tuple(L))
+        off = eval_motion(motion, np.linspace(0.0, 10.0, 64))
+        assert np.all(np.abs(off.A + 0.5 * off.L) <= 1e-9 * off.L)
+        with pytest.raises(ValueError, match=r"A \+ L/2 at the sample t=7\.37 = 1\.000e-06"):
+            require_centered(motion)
+
+    @pytest.mark.parametrize("law", [(2.0, 0.0, 0.0), (1.7, 0.01, 0.17), (1.0, 0.0, 0.5),
+                                     (2.0, 1.0, 0.5), (1.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("offset", [None, "d", "c", "gamma1"])
+    def test_series_and_march_agree(self, physics, law, offset):
+        # Fixed, linear, square-root and both quadratic length laws.
+        L0, a, b = law
+        motion = SeparableMotion.symmetric(physics, L0, a=a, b=b)
+        if offset is not None:
+            motion = dataclasses.replace(motion, **{offset: getattr(motion, offset) + 1e-6})
+        dome = lambda r: 1.0 - (2.0 * r / L0) ** 2
+        refused = []
+        for build in (lambda: build_radial_series(motion, dome, 3, grid_size=64, num_modes=2),
+                      lambda: solve_radial(motion, dome, 3, grid_size=8, dt=1e-2, T=1e-2)):
+            try:
+                build()
+                refused.append(False)
+            except ValueError as exc:
+                assert "not centred" in str(exc)
+                refused.append(True)
+        assert refused == [offset is not None] * 2
 
 
 class TestRadialFactor:

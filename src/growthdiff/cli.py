@@ -32,7 +32,7 @@ from .exact import build_series, compare_to_series, series_manifest, series_to_c
 from .motion import (CriticalMotion, DomainCollapsedError, EtaSpec,
                      PhysicsParams, SeparableMotion, motion_content_hash,
                      motion_to_document)
-from .numeric import grid_manifest, grid_to_csv, solve_radial, solve_u, solve_w
+from .numeric import grid_manifest, grid_to_csv, negative_values, solve_radial, solve_u, solve_w
 from .output import write_csv, write_json
 
 __all__ = ["main"]
@@ -314,6 +314,7 @@ def cmd_compare(args) -> int:
         "series_grid": series_grid,
         "num_modes": modes,
         "steps": run.steps._asdict(),
+        "negative_values": negative_values(run),
         "tol": tol,
         "worst_rel_linf": worst_rel,
         "worst_xi": worst_xi,

@@ -56,7 +56,7 @@ from .motion import (
     time_integral,
     time_rescale,
 )
-from .numeric import GridSolution, StepRecord, solve_radial, solve_w, w_weights
+from .numeric import GridSolution, StepRecord, negative_values, solve_radial, solve_w, w_weights
 from .output import write_csv
 from .transforms import (
     log_radial_factor,
@@ -606,8 +606,9 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
     """Potential-form run of a critical motion from its principal-mode profile.
 
     The output times are 0 and a geometric grid of ``num_outputs`` points from
-    max(10 dt, 1e-2) to t_final.  n_dim = 1 runs ``solve_w`` from a sine;
-    balls run ``solve_radial`` from the cosine dome.
+    max(10 dt, 1e-2) to t_final.  n_dim = 1 runs ``solve_w`` from a sine,
+    which it marches as the even half of the interval; balls run
+    ``solve_radial`` from the cosine dome.
     """
     outputs = np.concatenate([[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, num_outputs)])
     if n_dim == 1:
@@ -746,7 +747,8 @@ def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
     """Check the fit's inputs, march once, verify the envelope, fit, report.
 
     The document is the fit report plus the motion, its hash, ``tol``
-    (recorded, not applied) and the envelope.  Nothing is written.
+    (recorded, not applied), the envelope and the march's
+    ``negative_values``.  Nothing is written.
     """
     window = fit_window(t_final, window, probes)
     solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
@@ -763,6 +765,7 @@ def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
         "worst_time": envelope.worst_time, "worst_xi": envelope.worst_xi,
         "slack_tol": slack_tol,
     }
+    document["negative_values"] = negative_values(solution)
     return CriticalRun(solution, envelope, report, document)
 
 

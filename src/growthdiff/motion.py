@@ -61,6 +61,7 @@ __all__ = [
     "length_jerk",
     "time_rescale",
     "validity_horizon",
+    "centering_defect",
     "require_centered",
     "motion_to_document",
     "motion_from_document",
@@ -211,6 +212,11 @@ class SeparableMotion:
         """The closed-form case of this length law, as ``classify`` reports it."""
         return classify(self)
 
+    @cached_property
+    def horizon(self) -> float:
+        """First positive time at which L vanishes, or +inf (``validity_horizon``)."""
+        return _separable_horizon(self)
+
 
 @dataclass(frozen=True)
 class CriticalMotion:
@@ -350,9 +356,13 @@ def _first(t, bad):
 # times with ``xp = numpy``, where a check tests the array's extreme entry.
 def _separable_kinematics(m: SeparableMotion, t, xp=math):
     Lsq = m.a * t * t + 2.0 * m.b * t + m.L0 ** 2
-    if (Lsq if xp is math else Lsq.min(initial=math.inf)) <= 0.0:
-        raise DomainCollapsedError(f"interval length vanished at or before "
-                                   f"t={_first(t, Lsq <= 0.0)} (horizon {validity_horizon(m)})")
+    horizon = m.horizon
+    # Past the horizon L^2 may be positive again (a linear law bounces), so
+    # the time is checked as well as the square.
+    if (Lsq <= 0.0 or t >= horizon) if xp is math else (
+            Lsq.min(initial=math.inf) <= 0.0 or t.max(initial=-math.inf) >= horizon):
+        raise DomainCollapsedError(f"interval length vanished at or before t="
+                                   f"{_first(t, (Lsq <= 0.0) | (t >= horizon))} (horizon {horizon})")
     L = xp.sqrt(Lsq)
     Ldot = (m.a * t + m.b) / L
     Lddot = m.gamma0 / L ** 3
@@ -532,6 +542,10 @@ def _separable_horizon(m: SeparableMotion) -> float:
         if b >= 0.0:
             return math.inf
         return -L0sq / (2.0 * b)
+    if m.case_kind is CaseKind.LINEAR_LENGTH:
+        # L = L0 + (b/L0) t: gamma0 is roundoff, of either sign, so the
+        # discriminant below cannot decide; a shrinking law ends at L0/|slope|.
+        return -b / a if b < 0.0 else math.inf
     disc = b * b - a * L0sq
     if disc < 0.0:
         return math.inf  # gamma0 > 0 forces a > 0, so L^2 never vanishes
@@ -575,15 +589,16 @@ def _tabulated_horizon(m: TabulatedMotion) -> float:
 def validity_horizon(motion: BoundaryMotion) -> float:
     """First positive time at which L(t) = 0, or +inf if the length never vanishes."""
     if isinstance(motion, SeparableMotion):
-        return _separable_horizon(motion)
+        return motion.horizon
     if isinstance(motion, CriticalMotion):
         return _critical_horizon(motion)
     return _tabulated_horizon(motion)
 
 
-def require_centered(motion: BoundaryMotion) -> None:
-    """Raise unless the motion keeps A = -L/2 for all time, as the radial
-    reduction and the critical barriers need; the w equation takes any motion.
+def centering_defect(motion: BoundaryMotion) -> str | None:
+    """None when the motion keeps A = -L/2 for all time, as the radial
+    reduction, the critical barriers and the half-interval w march need;
+    otherwise the first offset that breaks it, named with its value.
 
     The rule reads the motion's definition, each offset to 1e-9 of its scale.
     A critical motion is centred by construction.  A tabulated spline is
@@ -609,7 +624,16 @@ def require_centered(motion: BoundaryMotion) -> None:
                   ("Adot + Ldot/2 at t=0", st.Adot + 0.5 * st.Ldot, math.sqrt(scale) / motion.L0))
     for name, off, size in checks:
         if abs(off) > 1e-9 * size:
-            raise ValueError(f"motion is not centred: {name} = {off:.3e}")
+            return f"{name} = {off:.3e}"
+    return None
+
+
+def require_centered(motion: BoundaryMotion) -> None:
+    """Raise unless the motion is centred by ``centering_defect``'s rule; the
+    w equation takes any motion."""
+    defect = centering_defect(motion)
+    if defect is not None:
+        raise ValueError(f"motion is not centred: {defect}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,18 @@ fastest growing mode, raises ``LinAlgError``.  The advective u operator uses
 dt f0 >= 2 raises ``LinAlgError`` before marching.  An output time off the
 step grid is an extra step boundary, so every stored time is the requested one.
 
+A w run of a centred motion from even data on an even grid marches only its
+even half, as the 1-ball ``solve_radial`` marches it, and mirrors the stored
+field back onto the interval: the same operator folded at the midpoint, on
+half the unknowns (``solve_w``).
+
 Solvers are deterministic: the same inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +52,7 @@ from .eigen import interval_profiles, profile_rows, radial_profiles
 from .motion import (
     BoundaryMotion,
     DomainCollapsedError,
+    centering_defect,
     motion_content_hash,
     eval_motion,
     require_centered,
@@ -63,6 +69,7 @@ __all__ = [
     "w_weights",
     "solve_radial",
     "grid_to_csv",
+    "negative_values",
     "grid_manifest",
 ]
 
@@ -296,8 +303,30 @@ def w_weights(motion: BoundaryMotion, st):
 def solve_w(motion: BoundaryMotion, w0, grid_size: int = 512, dt: float = 1e-3,
             T: float = 1.0, output_times=None) -> GridSolution:
     """Integrate the potential form of w on [0, L0], for any motion: the
-    profiles ``eigen.solve_sl`` freezes, weighted by ``w_weights``."""
+    profiles ``eigen.solve_sl`` freezes, weighted by ``w_weights``.
+
+    A centred motion's w equation commutes with the reflection
+    xi -> L0 - xi, and its even half is the 1-ball problem in r = xi - L0/2:
+    ``radial_profiles(L0/2, 1, N/2)`` is the interval operator folded at the
+    midpoint, whose r = 0 row (2/h^2)(v_1 - v_0) is the midpoint row with
+    v_-1 = v_1, and (xi/L0)(xi/L0 - 1) = (r^2/R0^2 - 1)/4.  So when the
+    motion is centred (``centering_defect``), N = ``grid_size`` is even and
+    at least 16, and the sampled data is even to 1e-12 of its maximum, the
+    run marches ``solve_radial`` on the nodes xi >= L0/2 and stores that
+    field mirrored onto the interval grid: exactly even, with the step
+    record the full march would keep, at half its unknowns.  The odd part
+    it drops is under the bound ``initial_values`` puts on end values.
+    """
     L0 = motion.L0
+    # The half is a 1-ball of grid_size/2 intervals, and a run needs at least 8.
+    if grid_size >= 16 and grid_size % 2 == 0 and centering_defect(motion) is None:
+        grid = np.linspace(0.0, L0, grid_size + 1)
+        f = initial_values(w0, grid)
+        if np.max(np.abs(f - f[::-1])) <= 1e-12 * np.max(np.abs(f)):
+            half = solve_radial(motion, f[grid_size // 2:], 1, grid_size // 2, dt, T,
+                                output_times)
+            return replace(half, kind="w", grid=grid,
+                           values=np.hstack((half.values[:, :0:-1], half.values)))
 
     def make_basis(xi, h):
         weights = lambda ts: np.column_stack(w_weights(motion, eval_motion(motion, ts)))
@@ -341,12 +370,20 @@ def grid_to_csv(solution: GridSolution, path) -> None:
                for t, row in zip(solution.times, solution.values)))
 
 
-def grid_manifest(solution: GridSolution) -> dict:
-    """JSON-ready run description: scheme, sizes, step record, the count of
-    negative stored values with the first and last time holding one, and the
-    motion content hash."""
+def negative_values(solution: GridSolution) -> dict:
+    """The count of negative stored values, with the first and last output
+    time holding one (None if there is none): a run record's
+    ``negative_values``."""
     negative = np.count_nonzero(solution.values < 0.0, axis=1)
     at = solution.times[negative > 0]
+    return {"count": int(negative.sum()),
+            "first_t": float(at[0]) if at.size else None,
+            "last_t": float(at[-1]) if at.size else None}
+
+
+def grid_manifest(solution: GridSolution) -> dict:
+    """JSON-ready run description: scheme, sizes, step record,
+    ``negative_values`` and the motion content hash."""
     return {
         "schema_version": 1,
         "kind": solution.kind,
@@ -356,8 +393,6 @@ def grid_manifest(solution: GridSolution) -> dict:
         "n_dim": solution.n_dim,
         "num_output_times": int(solution.times.size),
         "t_final": float(solution.times[-1]) if solution.times.size else None,
-        "negative_values": {"count": int(negative.sum()),
-                            "first_t": float(at[0]) if at.size else None,
-                            "last_t": float(at[-1]) if at.size else None},
+        "negative_values": negative_values(solution),
         "motion_hash": solution.motion_hash,
     }

@@ -411,3 +411,14 @@ def test_run_records_name_the_scheme_without_theta(command, tmp_path):
     if command == "numeric":
         assert record["scheme"] == ("Crank-Nicolson (implicit midpoint), "
                                     "coefficients at the half step")
+
+
+@pytest.mark.parametrize("command, record", [("numeric", "run.json"), ("compare", "run.json"),
+                                             ("critical", "run_report.json")])
+def test_run_records_count_negative_values(command, record, tmp_path):
+    # One {count, first_t, last_t} record of the march in every run record;
+    # these sine runs store no negative value.
+    assert main(_SHORT_RUNS[command] + ["--out", "run"]) == 0
+    doc = json.loads((tmp_path / record).read_text())
+    assert doc["schema_version"] == 1
+    assert doc["negative_values"] == {"count": 0, "first_t": None, "last_t": None}

@@ -23,7 +23,7 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
 from growthdiff.exact import build_series, eval_series
 from growthdiff.motion import (CriticalMotion, EtaSpec, PhysicsParams, SeparableMotion,
                                TabulatedMotion, eval_motion)
-from growthdiff.numeric import solve_radial, solve_u, solve_w
+from growthdiff.numeric import negative_values, solve_radial, solve_u, solve_w
 from growthdiff.transforms import psi_from_W, u_from_w
 
 # Glued-barrier geometry: the profile dies at xi/L0 = -SLOPE_SUM / P^(1/3),
@@ -678,7 +678,8 @@ class TestRunCritical:
         _assert_fields_equal(run.envelope, verify_envelope(crit15, sol, slack_tol=1e-6))
         _assert_fields_equal(run.report, fit_exponent(crit15, t_final=20.0, solution=sol))
         assert list(run.document) == list(fit_report_document(run.report)) + [
-            "motion", "motion_hash", "tol", "envelope"]
+            "motion", "motion_hash", "tol", "envelope", "negative_values"]
+        assert run.document["negative_values"] == negative_values(sol)
         assert run.document["tol"] == 10.0
         assert run.document["envelope"]["slack_tol"] == 1e-6
         assert run.document["envelope"]["C2"] == run.envelope.C2

@@ -352,6 +352,40 @@ class TestValidityHorizon:
     def test_critical_infinite(self, physics):
         assert validity_horizon(CriticalMotion(physics, alpha=1.5)) == math.inf
 
+    def test_shrinking_linear_law_with_positive_roundoff_collapses(self, physics):
+        # gamma0 = a L0^2 - b^2 rounds to +8.9e-16 here; L = L0 + slope t still
+        # ends at L0/|slope| and must not bounce back past it.
+        slope = -0.950959059362676
+        motion = SeparableMotion.linear_length(physics, 2.6079259610312584, slope)
+        assert motion.gamma0 > 0.0 and motion.case_kind is CaseKind.LINEAR_LENGTH
+        horizon = validity_horizon(motion)
+        assert horizon == pytest.approx(motion.L0 / -slope, rel=1e-15)
+        for t in (horizon, 1.5 * horizon, 2.0 * horizon):
+            with pytest.raises(DomainCollapsedError, match="vanished"):
+                eval_motion(motion, t)
+        with pytest.raises(DomainCollapsedError, match=f"t={2.0 * horizon}"):
+            eval_motion(motion, np.array([0.5 * horizon, 2.0 * horizon]))
+        assert eval_motion(motion, 0.5 * horizon).L == pytest.approx(0.5 * motion.L0,
+                                                                      rel=1e-12)
+
+    def test_linear_law_sweep_collapses_at_l0_over_slope(self, physics):
+        rng = np.random.default_rng(29)
+        L0s = rng.uniform(0.5, 5.0, 10_000)
+        slopes = -rng.uniform(0.01, 3.0, 10_000)
+        past = rng.uniform(1e-9, 2.0, 10_000)
+        rounded_positive = 0
+        for L0, slope, u in zip(L0s.tolist(), slopes.tolist(), past.tolist()):
+            motion = SeparableMotion.linear_length(physics, L0, slope)
+            assert motion.case_kind is CaseKind.LINEAR_LENGTH
+            rounded_positive += motion.gamma0 > 0.0
+            horizon = validity_horizon(motion)
+            assert abs(horizon - L0 / -slope) <= 1e-15 * horizon
+            with pytest.raises(DomainCollapsedError):
+                eval_motion(motion, horizon * (1.0 + u))
+            with pytest.raises(DomainCollapsedError):
+                eval_motion(motion, np.array([0.0, horizon * (1.0 + u)]))
+        assert rounded_positive > 1000       # the draws the discriminant missed
+
 
 class TestSeparabilityInvariants:
     @pytest.mark.parametrize("a,b,L0,gamma1", [

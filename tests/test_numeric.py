@@ -10,7 +10,7 @@ from growthdiff.eigen import solve_sl
 from growthdiff.exact import (TruncationWarning, build_radial_series, build_series,
                               eval_radial_series, eval_series)
 from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
-                               PhysicsParams, SeparableMotion, eval_motion,
+                               PhysicsParams, SeparableMotion, TabulatedMotion, eval_motion,
                                validity_horizon)
 import growthdiff.numeric as numeric
 from growthdiff.numeric import (_BLOCK, StepRecord, grid_manifest, grid_to_csv, solve_radial,
@@ -147,9 +147,13 @@ class TestMarchKernel:
             motion = SeparableMotion.sqrt_length(physics, 2.0, 0.5, gamma1=0.2, c=0.1)
             sol = solve_u(motion, lambda xi: np.sin(0.5 * np.pi * xi), grid_size=16,
                           dt=dt, T=T, output_times=output_times)
-        elif kind == "w":
+        elif kind in ("w", "w-asym"):
+            # Even data on a centred motion marches the half interval; the
+            # asymmetric twin keeps the full interval march covered.
             motion = CriticalMotion(physics, alpha=1.5)
-            sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0), grid_size=16,
+            odd = 0.5 if kind == "w-asym" else 0.0
+            sol = solve_w(motion, lambda xi: np.sin(np.pi * xi / motion.L0)
+                          + odd * np.sin(2.0 * np.pi * xi / motion.L0), grid_size=16,
                           dt=dt, T=T, output_times=output_times)
         else:
             motion = CriticalMotion(physics, alpha=2.5)
@@ -168,7 +172,7 @@ class TestMarchKernel:
             v = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ v)
             yield v
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_steps_match_dense_full_system_solve(self, physics, kind):
         dt, n_steps = 2e-3, 4
         motion, sol = self._run(physics, kind, dt, [k * dt for k in range(n_steps + 1)])
@@ -176,7 +180,7 @@ class TestMarchKernel:
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v)))
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_long_march_matches_dense_explicit_product_march(self, physics, kind):
         # 2,000 steps: the update's roundoff must not build up against the
         # explicit-product form of the same step.
@@ -186,7 +190,7 @@ class TestMarchKernel:
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-12 * np.max(np.abs(v))), f"step {k + 1}"
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_steps_across_block_seams_match_dense_solve(self, physics, kind):
         # Two block seams and a short last block: each step, from the stored
         # slice before it, is one dense full-grid Crank-Nicolson step.
@@ -200,7 +204,7 @@ class TestMarchKernel:
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v))), f"step {k} -> {k + 1}"
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_cut_step_matches_dense_solves(self, physics, kind):
         # 0.0123 cuts the seventh step of 2e-3 in two; each piece is one dense
         # Crank-Nicolson step at its own midpoint and with its own length.
@@ -229,7 +233,7 @@ class TestMarchKernel:
             assert (np.max(np.abs(sol.values[k + 1] - v))
                     <= 1e-13 * np.max(np.abs(v)))
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_reruns_with_a_cut_step_are_bit_identical(self, physics, kind):
         # Three full blocks and a short fourth; 0.0123 cuts the seventh step.
         dt, n_steps = 2e-3, 3 * _BLOCK + 5
@@ -239,7 +243,7 @@ class TestMarchKernel:
         assert a.steps.count == n_steps + 1
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_last_slice_does_not_depend_on_the_output_times(self, physics, kind):
         dt, n_steps = 2e-3, 2 * _BLOCK + 6
         every = [k * dt for k in range(n_steps + 1)]
@@ -248,7 +252,7 @@ class TestMarchKernel:
         assert sparse.times.size == 1
         assert np.array_equal(dense.values[-1], sparse.values[-1])
 
-    @pytest.mark.parametrize("kind, n_dim", [("u", 1), ("w", 1), ("radial", 1),
+    @pytest.mark.parametrize("kind, n_dim", [("u", 1), ("w", 1), ("w-asym", 1), ("radial", 1),
                                              ("radial", 2), ("radial", 3)])
     def test_solver_follows_the_operator(self, physics, monkeypatch, kind, n_dim):
         # The potential forms are symmetric and go to dptsv; the advective u
@@ -274,7 +278,7 @@ class TestMarchKernel:
         assert np.all(profiles[0, :n - 1] > 0.0)
         assert np.array_equal(profiles[:, :n - 1], profiles[:, 2 * n - 1:])
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_weights_are_one_array_read_per_chunk(self, physics, monkeypatch, kind):
         reads = []
         monkeypatch.setattr(numeric, "_CHUNK", 40)
@@ -284,7 +288,7 @@ class TestMarchKernel:
         assert [r.size for r in reads] == [40, 40, 20]
         assert all(isinstance(r, np.ndarray) for r in reads)
 
-    @pytest.mark.parametrize("kind", ["u", "w", "radial"])
+    @pytest.mark.parametrize("kind", ["u", "w", "w-asym", "radial"])
     def test_chunk_size_changes_no_bit(self, physics, monkeypatch, kind):
         # 1,060 steps of 1e-3: the default chunk leaves a short last one.  The
         # cuts fall in the first step, on both sides of the seams at steps 280
@@ -323,10 +327,36 @@ class TestPotentialSolver:
         assert (np.max(np.abs(sol.slice_at(0.5) - expected))
                 < 1e-6 * np.max(np.abs(expected)))
 
+    def test_centred_fixed_interval_with_asymmetric_data_is_plain_heat_flow(self, physics):
+        # The twin of the run above on the full interval march: its odd mode
+        # sin 2 xi keeps it off the half-interval route.
+        motion = SeparableMotion.symmetric(physics, math.pi)
+        sol = solve_w(motion, lambda xi: np.sin(xi) + 0.5 * np.sin(2.0 * xi), grid_size=1024,
+                      dt=1e-3, T=0.5)
+        expected = math.exp(-0.5) * np.sin(sol.grid) + 0.5 * math.exp(-2.0) * np.sin(2.0 * sol.grid)
+        assert not np.array_equal(sol.values, sol.values[:, ::-1])
+        assert (np.max(np.abs(sol.slice_at(0.5) - expected))
+                < 1e-6 * np.max(np.abs(expected)))
+
     def test_consistent_with_field_solver_through_the_substitution(self, physics):
         motion = CriticalMotion(physics, alpha=1.0, L0_offset=1.0)
         grid = np.linspace(0.0, 1.0, 1025)
         w0 = np.sin(math.pi * grid)
+        u0 = u_from_w(motion, grid, 0.0, w0)
+        outs = [0.0, 0.5, 1.0]
+        sw = solve_w(motion, w0, grid_size=1024, dt=5e-4, T=1.0, output_times=outs)
+        su = solve_u(motion, u0, grid_size=1024, dt=5e-4, T=1.0, output_times=outs)
+        for t in (0.5, 1.0):
+            direct = su.slice_at(t)[1:-1]
+            mapped = u_from_w(motion, grid[1:-1], t, sw.slice_at(t)[1:-1])
+            assert (np.max(np.abs(direct - mapped))
+                    < 1e-5 * np.max(np.abs(direct)))
+
+    def test_asymmetric_data_is_consistent_with_field_solver(self, physics):
+        # The twin of the run above on the full interval march.
+        motion = CriticalMotion(physics, alpha=1.0, L0_offset=1.0)
+        grid = np.linspace(0.0, 1.0, 1025)
+        w0 = np.sin(math.pi * grid) + 0.5 * np.sin(2.0 * math.pi * grid)
         u0 = u_from_w(motion, grid, 0.0, w0)
         outs = [0.0, 0.5, 1.0]
         sw = solve_w(motion, w0, grid_size=1024, dt=5e-4, T=1.0, output_times=outs)
@@ -418,7 +448,9 @@ class TestRadialSolver:
         assert (np.max(np.abs(sol.slice_at(0.5) - expected))
                 < 1e-5 * np.max(np.abs(expected)))
 
-    def test_one_dimensional_ball_is_half_of_the_interval_run(self, physics):
+    def test_one_dimensional_ball_is_half_of_the_interval_run(self, physics, monkeypatch):
+        # The full interval march: this run would otherwise march the 1-ball itself.
+        monkeypatch.setattr(numeric, "centering_defect", lambda motion: "forced")
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         sw = solve_w(motion, lambda xi: np.sin(0.5 * math.pi * xi),
                      grid_size=512, dt=1e-3, T=1.0)
@@ -628,3 +660,123 @@ class TestOutputTimes:
                                 "dt_max": 1e-2}
         assert len(calls) == 52
         assert doc["steps"]["dt_min"] == pytest.approx(4e-4)   # 0.123 -> 0.1234
+
+
+def _centred_tabulated(physics):
+    L = lambda t: 2.0 + 0.3 * t + 0.1 * math.sin(3.0 * t)
+    return TabulatedMotion.from_callables(physics, lambda t: -0.5 * L(t), L, 2.0, 201)
+
+
+_CENTRED = {
+    "critical": lambda ph: CriticalMotion(ph, alpha=1.5),
+    "quadratic": lambda ph: SeparableMotion.symmetric(ph, 2.0, a=1.0, b=0.5),
+    "linear": lambda ph: SeparableMotion.symmetric(ph, 1.7, a=0.01, b=0.17),
+    "tabulated": _centred_tabulated,
+}
+
+
+class TestHalfIntervalRoute:
+    """A centred w run from even data on an even grid of at least 16 marches
+    the 1-ball on xi >= L0/2 and mirrors it; any other w run marches the whole
+    interval.  Forcing ``centering_defect`` to name a defect gives the full
+    march of the same inputs."""
+
+    @staticmethod
+    def _data(motion, odd=0.0):
+        L0 = motion.L0
+        return lambda xi: np.sin(np.pi * xi / L0) + odd * np.sin(2.0 * np.pi * xi / L0)
+
+    @staticmethod
+    def _count_half_marches(monkeypatch):
+        calls, real = [], numeric.solve_radial
+        monkeypatch.setattr(numeric, "solve_radial",
+                            lambda *a, **kw: calls.append(a[3]) or real(*a, **kw))
+        return calls
+
+    @staticmethod
+    def _force_full_march(monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(numeric, "centering_defect", lambda motion: "forced")
+
+    @staticmethod
+    def _refuse_half_march(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the half-interval route was taken")
+        monkeypatch.setattr(numeric, "solve_radial", refuse)
+
+    @pytest.mark.parametrize("name", sorted(_CENTRED))
+    def test_half_march_agrees_with_the_full_march(self, physics, monkeypatch, name):
+        motion = _CENTRED[name](physics)
+        run = dict(grid_size=128, dt=1e-3, T=1.0, output_times=[0.0, 0.1234, 0.5, 1.0])
+        calls = self._count_half_marches(monkeypatch)
+        half = solve_w(motion, self._data(motion), **run)
+        assert calls == [64]
+        self._force_full_march(monkeypatch)
+        full = solve_w(motion, self._data(motion), **run)
+        assert np.array_equal(half.values, half.values[:, ::-1])
+        assert half.steps == full.steps and half.steps.count == 1001
+        assert (half.kind, half.n_dim, half.motion_hash) == (full.kind, full.n_dim,
+                                                             full.motion_hash)
+        assert np.array_equal(half.grid, full.grid)
+        assert np.array_equal(half.times, full.times)
+        scale = np.max(np.abs(full.values), axis=1)
+        assert np.all(np.max(np.abs(half.values - full.values), axis=1) <= 1e-12 * scale)
+
+    def test_odd_part_below_the_bound_is_dropped(self, physics, monkeypatch):
+        motion = CriticalMotion(physics, alpha=1.5)
+        calls = self._count_half_marches(monkeypatch)
+        sol = solve_w(motion, self._data(motion, 1e-13), grid_size=64, dt=1e-2, T=0.5)
+        assert calls == [32]
+        assert np.array_equal(sol.values, sol.values[:, ::-1])
+
+    @pytest.mark.parametrize("case", ["off-centre", "odd-part", "odd-grid"])
+    def test_other_runs_march_the_whole_interval(self, physics, monkeypatch, case):
+        motion = (SeparableMotion.fixed_length(physics, 2.0, gamma1=0.5, c=0.5)
+                  if case == "off-centre" else CriticalMotion(physics, alpha=1.5))
+        grid_size = 129 if case == "odd-grid" else 128
+        self._refuse_half_march(monkeypatch)
+        sol = solve_w(motion, self._data(motion, 1e-6 if case == "odd-part" else 0.0),
+                      grid_size=grid_size, dt=1e-3, T=0.5)
+        assert sol.grid_size == grid_size and np.all(np.isfinite(sol.values))
+
+    def test_grids_below_16_march_the_whole_interval(self, physics, monkeypatch):
+        # The 1-ball needs 8 intervals, so an interval of 8 to 15 keeps the
+        # full march, and one below 8 is refused as before.
+        motion = CriticalMotion(physics, alpha=1.5)
+        self._refuse_half_march(monkeypatch)
+        for grid_size in range(4, 16):
+            run = dict(grid_size=grid_size, dt=1e-2, T=0.1)
+            if grid_size < 8:
+                with pytest.raises(ValueError, match="^grid_size must be at least 8$"):
+                    solve_w(motion, self._data(motion), **run)
+            else:
+                assert solve_w(motion, self._data(motion), **run).grid_size == grid_size
+
+    @pytest.mark.parametrize("case", ["horizon", "output-times", "long-step"])
+    def test_refusals_are_the_full_marchs(self, monkeypatch, case):
+        ph = PhysicsParams(1, 1)
+        if case == "horizon":         # L = sqrt(1 - t) collapses at t = 1
+            motion = SeparableMotion.symmetric(ph, 1.0, b=-0.5)
+            run = dict(grid_size=64, dt=1e-3, T=1.0)
+        elif case == "output-times":
+            motion = CriticalMotion(ph, alpha=1.5)
+            run = dict(grid_size=64, dt=1e-3, T=0.1, output_times=[0.0, 0.2])
+        else:                         # test_indefinite_potential_step_is_refused's step
+            motion = SeparableMotion.symmetric(ph, 1.0, a=-1600, b=0)
+            run = dict(grid_size=64, dt=0.021, T=0.021, output_times=[0, 0.021])
+        calls = self._count_half_marches(monkeypatch)
+        with pytest.raises(Exception) as half:
+            solve_w(motion, self._data(motion), **run)
+        assert calls == [32]
+        self._force_full_march(monkeypatch)
+        with pytest.raises(Exception) as full:
+            solve_w(motion, self._data(motion), **run)
+        assert half.type is full.type
+        if case == "long-step":
+            # dptsv's info names a leading minor of its own system, so the
+            # messages agree up to it.
+            assert half.type is np.linalg.LinAlgError
+            named = "step to t=0.021 is too long for the growth rate; use a smaller dt (dptsv info="
+            assert str(half.value).startswith(named) and str(full.value).startswith(named)
+        else:
+            assert str(half.value) == str(full.value)

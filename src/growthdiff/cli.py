@@ -10,11 +10,19 @@ One binary with five subcommands:
   critical   ``critical.run_critical``, the one critical pipeline: exponent
              fit and barrier envelope for a front at the critical speed
 
-Options come from flags, or from a JSON file via --config whose keys are the
-flags' argparse names (``t_final`` for --t-final); flags take precedence and
-other keys are rejected.  Exit codes: 0 success, 2 bad configuration, 3
-numerical failure, 4 tolerance breach.  ``growthdiff.output`` writes every
-artifact at 17 significant digits, so reruns are byte-identical.
+Each subcommand declares its options once, in ``_COMMANDS``: config key,
+kind, default and help.  The parser is built from that table, and the flag
+is the key with "-" for "_" (--t-final for ``t_final``; a switch is
+--no-<key>).  Values come from flags, or from a JSON file via --config whose
+keys are the options' keys; flags take precedence and other keys are
+rejected.  A flag's string and a config value go through the same converter
+of the option's kind: a number is a JSON number or a numeric string, an
+integer one with no fractional part, a number list a comma-separated string
+or a JSON array, a switch a JSON boolean.  Any other value, null included,
+is ``config error: <key> must be ...`` by either route.  Exit codes: 0
+success, 2 bad configuration, 3 numerical failure, 4 tolerance breach.
+``growthdiff.output`` writes every artifact at 17 significant digits, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,9 +39,8 @@ from .critical import envelope_to_csv, fit_window, run_critical
 from .eigen import eigen_header, eigen_to_csv, solve_radial as radial_modes, solve_sl
 from .exact import build_series, compare_to_series, series_manifest, series_to_csv
 from .motion import (CriticalMotion, DomainCollapsedError, EtaSpec,
-                     PhysicsParams, SeparableMotion, motion_content_hash,
-                     motion_to_document)
-from .numeric import grid_manifest, grid_to_csv, negative_values, solve_radial, solve_u, solve_w
+                     PhysicsParams, SeparableMotion, motion_to_document)
+from .numeric import grid_manifest, grid_to_csv, solve_radial, solve_u, solve_w
 from .output import write_csv, write_json
 
 __all__ = ["main"]
@@ -51,78 +59,107 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
-def _float(value, message):
+# -- option kinds: one converter for a flag's string and a config value ------
+
+class Kind(NamedTuple):
+    name: str               # what a valid value is, for the error message
+    convert: Callable       # raises ValueError or TypeError on a bad value
+    metavar: str | None = None
+
+
+def _float(value) -> float:
     # NaN is refused: it compares False with everything, so it turns gates off.
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(message)
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(value)
+    number = float(value)
     if math.isnan(number):
-        raise ConfigError(message)
+        raise ValueError(value)
     return number
 
 
-def _float_list(value, name):
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = value
-    else:
-        raise ConfigError(f"{name} must be a comma-separated list or array")
-    out = [_float(p, f"{name} contains a non-numeric entry: {value!r}") for p in parts]
-    if not out:
-        raise ConfigError(f"{name} must not be empty")
-    return out
+def _integer(value) -> int:
+    number = _float(value)
+    if not number.is_integer():
+        raise ValueError(value)
+    return int(number)
 
 
-def _merged(args) -> dict:
-    """Overlay: handler defaults < JSON config file < flags, keyed by dest."""
-    keys = set(vars(args)) - {"command", "handler", "config"}
-    cfg = {}
+def _floats(value) -> tuple:
+    parts = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
+    if not isinstance(parts, list) or not parts:
+        raise TypeError(value)
+    return tuple(_float(p) for p in parts)
+
+
+def _instance(cls):
+    def convert(value):
+        if not isinstance(value, cls):
+            raise TypeError(value)
+        return value
+    return convert
+
+
+def _choice(*choices) -> Kind:
+    def convert(value):
+        if value not in choices:
+            raise ValueError(value)
+        return value
+    return Kind(f"one of {', '.join(choices)}", convert, "{" + ",".join(choices) + "}")
+
+
+NUMBER = Kind("a number", _float)
+INTEGER = Kind("an integer", _integer)
+NUMBERS = Kind("one or more numbers, comma-separated or a JSON array", _floats)
+TEXT = Kind("a string", _instance(str))
+SWITCH = Kind("true or false", _instance(bool))    # the flag is --no-<key>
+
+
+class Option(NamedTuple):
+    key: str                # the config key; the flag is --key with "-" for "_"
+    kind: Kind
+    default: object = None  # None: unset, for a required or optional value
+    help: str | None = None
+
+
+def _shown(value) -> str:
+    # A flag's string and the same config value read alike in a message.
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _merged(args) -> argparse.Namespace:
+    """Each option's value, converted by its kind: the flag's, else the JSON
+    config file's, else the default."""
+    given = {}
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                data = json.load(fh)
+                given = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(data, dict):
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(data) - keys)
+        unknown = sorted(set(given) - {o.key for o in args.options})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(data)
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
+    given.update((o.key, getattr(args, o.key)) for o in args.options
+                 if getattr(args, o.key) is not None)
+    cfg = argparse.Namespace()
+    for o in args.options:
+        try:
+            value = o.kind.convert(given[o.key]) if o.key in given else o.default
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"{o.key} must be {o.kind.name}, got {_shown(given[o.key])}") from None
+        setattr(cfg, o.key, value)
     return cfg
 
 
 def _require(cfg, *names):
     for name in names:
-        if cfg.get(name) is None:
+        if getattr(cfg, name) is None:
             raise ConfigError(f"missing required field: {name}")
-
-
-def _number(cfg, name, default=None):
-    value = cfg.get(name, default)
-    if value is None:
-        return None
-    return _float(value, f"{name} must be a number, got {value!r}")
-
-
-def _integer(cfg, name, default=None):
-    value = cfg.get(name, default)
-    if value is None:
-        return None
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 # -- motion assembly shared by exact / numeric / compare --------------------
@@ -138,49 +175,38 @@ _FAMILY_REQUIRES = {
 
 def _build_motion(cfg) -> SeparableMotion:
     _require(cfg, "family", "D", "f0")
-    family = cfg["family"]
-    if family not in _FAMILY_REQUIRES:
-        raise ConfigError(
-            f"unknown family {family!r}; expected one of "
-            f"{', '.join(sorted(_FAMILY_REQUIRES))}")
-    _require(cfg, *_FAMILY_REQUIRES[family])
+    _require(cfg, *_FAMILY_REQUIRES[cfg.family])
     try:
-        physics = PhysicsParams(D=_number(cfg, "D"), f0=_number(cfg, "f0"))
+        physics = PhysicsParams(D=cfg.D, f0=cfg.f0)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    L0 = _number(cfg, "L0")
-    gamma1 = _number(cfg, "gamma1", 0.0)
-    c = _number(cfg, "c", 0.0)
-    d = _number(cfg, "d", 0.0)
+    tilt = (cfg.gamma1, cfg.c, cfg.d)
     try:
-        if family == "fixed":
-            return SeparableMotion.fixed_length(physics, L0, gamma1, c, d)
-        if family == "linear":
-            return SeparableMotion.linear_length(
-                physics, L0, _number(cfg, "slope"), gamma1, c, d)
-        if family == "sqrt":
-            return SeparableMotion.sqrt_length(
-                physics, L0, _number(cfg, "rho"), gamma1, c, d)
-        if family == "quad":
-            return SeparableMotion(physics, _number(cfg, "a"),
-                                   _number(cfg, "b"), L0, gamma1, c, d)
-        return SeparableMotion.symmetric(physics, L0, _number(cfg, "a"),
-                                         _number(cfg, "b"))
+        if cfg.family == "fixed":
+            return SeparableMotion.fixed_length(physics, cfg.L0, *tilt)
+        if cfg.family == "linear":
+            return SeparableMotion.linear_length(physics, cfg.L0, cfg.slope, *tilt)
+        if cfg.family == "sqrt":
+            return SeparableMotion.sqrt_length(physics, cfg.L0, cfg.rho, *tilt)
+        if cfg.family == "quad":
+            return SeparableMotion(physics, cfg.a, cfg.b, cfg.L0, *tilt)
+        return SeparableMotion.symmetric(physics, cfg.L0, cfg.a, cfg.b)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def _initial_condition(name, motion, radial=False):
+    """The named initial data: sine by default on the interval, dome on the ball."""
     L0 = motion.L0
     if radial:
         R0 = 0.5 * L0
-        if name == "dome":
+        if name in (None, "dome"):
             return lambda r: np.cos(0.5 * np.pi * np.asarray(r) / R0)
         if name == "parabola":
             return lambda r: 1.0 - (np.asarray(r) / R0) ** 2
         raise ConfigError(f"unknown radial initial condition {name!r}; "
                           "expected dome or parabola")
-    if name == "sine":
+    if name in (None, "sine"):
         return lambda xi: np.sin(np.pi * np.asarray(xi) / L0)
     if name == "parabola":
         return lambda xi: np.asarray(xi) * (L0 - np.asarray(xi))
@@ -188,212 +214,220 @@ def _initial_condition(name, motion, radial=False):
                       "expected sine or parabola")
 
 
-def _output_times(cfg, t_final):
-    if cfg.get("times") is not None:
-        times = sorted(_float_list(cfg["times"], "times"))
-        if times[0] < 0.0:
-            raise ConfigError("times must be nonnegative")
-        return times
-    return [0.25 * k * t_final for k in range(5)]
+def _output_times(cfg):
+    if cfg.times is None:
+        return [0.25 * k * cfg.t_final for k in range(5)]
+    times = sorted(cfg.times)
+    if times[0] < 0.0:
+        raise ConfigError("times must be nonnegative")
+    return times
 
 
 # -- subcommand bodies -------------------------------------------------------
 
-def cmd_eigen(args) -> int:
-    cfg = _merged(args)
+def cmd_eigen(cfg) -> int:
     _require(cfg, "D", "L0", "gamma0", "gamma1")
-    D = _number(cfg, "D")
-    L0 = _number(cfg, "L0")
-    gamma0 = _number(cfg, "gamma0")
-    gamma1 = _number(cfg, "gamma1")
-    modes = _integer(cfg, "modes", 8)
-    grid = _integer(cfg, "grid", 512)
-    n_dim = _integer(cfg, "n_dim", 0)
-    extrapolate = bool(cfg.get("extrapolate", True))
-    out = cfg.get("out", "eigen")
-
-    if n_dim not in (0, 1, 2, 3):
-        raise ConfigError(f"n_dim must be 0 (interval) or 1..3, got {n_dim}")
-    if n_dim > 0 and gamma1 != 0.0:
+    if cfg.n_dim not in (0, 1, 2, 3):
+        raise ConfigError(f"n_dim must be 0 (interval) or 1..3, got {cfg.n_dim}")
+    if cfg.n_dim > 0 and cfg.gamma1 != 0.0:
         raise ConfigError("gamma1 does not apply to radial modes; set it to 0")
 
-    if n_dim == 0:
-        eig = solve_sl(D, L0, gamma0, gamma1, grid_size=grid, num_modes=modes,
-                       extrapolate=extrapolate)
+    if cfg.n_dim == 0:
+        eig = solve_sl(cfg.D, cfg.L0, cfg.gamma0, cfg.gamma1, grid_size=cfg.grid,
+                       num_modes=cfg.modes, extrapolate=cfg.extrapolate)
     else:
-        eig = radial_modes(D, 0.5 * L0, gamma0, n_dim, grid_size=grid,
-                           num_modes=modes, extrapolate=extrapolate)
-    eigen_to_csv(eig, out + ".csv")
-    write_json(out + ".json", eigen_header(eig))
-    print(f"wrote {out}.csv and {out}.json; "
+        eig = radial_modes(cfg.D, 0.5 * cfg.L0, cfg.gamma0, cfg.n_dim, grid_size=cfg.grid,
+                           num_modes=cfg.modes, extrapolate=cfg.extrapolate)
+    eigen_to_csv(eig, cfg.out + ".csv")
+    write_json(cfg.out + ".json", eigen_header(eig))
+    print(f"wrote {cfg.out}.csv and {cfg.out}.json; "
           f"sigma_1 = {_g(eig.sigmas[0])}")
     return EXIT_OK
 
 
-def cmd_exact(args) -> int:
-    cfg = _merged(args)
+def cmd_exact(cfg) -> int:
     motion = _build_motion(cfg)
-    u0 = _initial_condition(cfg.get("ic", "sine"), motion)
-    modes = _integer(cfg, "modes", 32)
-    grid = _integer(cfg, "grid", 512)
-    samples = _integer(cfg, "xi_samples", 101)
-    route = cfg.get("route", "fast")
-    if route not in ("fast", "generic"):
-        raise ConfigError(f"route must be fast or generic, got {route!r}")
-    t_final = _number(cfg, "t_final", 1.0)
-    times = _output_times(cfg, t_final)
-    out = cfg.get("out", "exact")
+    u0 = _initial_condition(cfg.ic, motion)
+    times = _output_times(cfg)
 
-    sol = build_series(motion, u0, grid_size=grid, num_modes=modes)
-    xi = np.linspace(0.0, motion.L0, samples)
-    series_to_csv(sol, out + ".csv", xi, times, route=route)
+    sol = build_series(motion, u0, grid_size=cfg.grid, num_modes=cfg.modes)
+    xi = np.linspace(0.0, motion.L0, cfg.xi_samples)
+    series_to_csv(sol, cfg.out + ".csv", xi, times, route=cfg.route)
     manifest = series_manifest(sol)
     manifest["times"] = list(times)
-    manifest["xi_samples"] = samples
-    manifest["route"] = route
-    write_json(out + ".json", manifest)
-    print(f"wrote {out}.csv and {out}.json; {len(times)} output times")
+    manifest["xi_samples"] = cfg.xi_samples
+    manifest["route"] = cfg.route
+    write_json(cfg.out + ".json", manifest)
+    print(f"wrote {cfg.out}.csv and {cfg.out}.json; {len(times)} output times")
     return EXIT_OK
 
 
-def cmd_numeric(args) -> int:
-    cfg = _merged(args)
+def cmd_numeric(cfg) -> int:
     motion = _build_motion(cfg)
-    form = cfg.get("form", "u")
-    if form not in ("u", "w", "radial"):
-        raise ConfigError(f"form must be u, w or radial, got {form!r}")
-    grid = _integer(cfg, "grid", 512)
-    dt = _number(cfg, "dt", 1e-3)
-    t_final = _number(cfg, "t_final", 1.0)
-    times = _output_times(cfg, t_final)
-    out = cfg.get("out", "numeric")
+    times = _output_times(cfg)
+    run = dict(grid_size=cfg.grid, dt=cfg.dt, T=cfg.t_final, output_times=times)
 
-    if form == "radial":
-        n_dim = _integer(cfg, "n_dim", 3)
-        W0 = _initial_condition(cfg.get("ic", "dome"), motion, radial=True)
-        sol = solve_radial(motion, W0, n_dim, grid_size=grid, dt=dt,
-                           T=t_final, output_times=times)
+    if cfg.form == "radial":
+        W0 = _initial_condition(cfg.ic, motion, radial=True)
+        sol = solve_radial(motion, W0, cfg.n_dim, **run)
     else:
-        ic = _initial_condition(cfg.get("ic", "sine"), motion)
-        solver = solve_u if form == "u" else solve_w
-        sol = solver(motion, ic, grid_size=grid, dt=dt, T=t_final, output_times=times)
-    grid_to_csv(sol, out + ".csv")
+        ic = _initial_condition(cfg.ic, motion)
+        sol = (solve_u if cfg.form == "u" else solve_w)(motion, ic, **run)
+    grid_to_csv(sol, cfg.out + ".csv")
     manifest = grid_manifest(sol)
     manifest["motion"] = motion_to_document(motion)
-    write_json(out + ".json", manifest)
-    print(f"wrote {out}.csv and {out}.json; {sol.times.size} output times")
+    write_json(cfg.out + ".json", manifest)
+    print(f"wrote {cfg.out}.csv and {cfg.out}.json; {sol.times.size} output times")
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = _merged(args)
+def cmd_compare(cfg) -> int:
     motion = _build_motion(cfg)
-    u0 = _initial_condition(cfg.get("ic", "sine"), motion)
-    modes = _integer(cfg, "modes", 32)
-    series_grid = _integer(cfg, "series_grid", 512)
-    grid = _integer(cfg, "grid", 512)
-    dt = _number(cfg, "dt", 1e-3)
-    tol = _number(cfg, "tol", 1e-4)
-    t_final = _number(cfg, "t_final", 1.0)
-    times = [t for t in _output_times(cfg, t_final) if t > 0.0]
+    u0 = _initial_condition(cfg.ic, motion)
+    times = [t for t in _output_times(cfg) if t > 0.0]
     if not times:
         raise ConfigError("compare needs at least one positive output time")
-    out = cfg.get("out", "compare")
 
-    sol = build_series(motion, u0, grid_size=series_grid, num_modes=modes)
-    run = solve_u(motion, u0, grid_size=grid, dt=dt, T=max(times), output_times=times)
+    sol = build_series(motion, u0, grid_size=cfg.series_grid, num_modes=cfg.modes)
+    run = solve_u(motion, u0, grid_size=cfg.grid, dt=cfg.dt, T=max(times),
+                  output_times=times)
 
     rows = compare_to_series(sol, run)
     worst_t, _, worst_rel, worst_xi = rows[np.argmax(rows[:, 2])].tolist()
-    write_csv(out + ".csv", ["t", "abs_linf", "rel_linf", "worst_xi"], [rows])
-    write_json(out + ".json", {
-        "schema_version": 1,
+    write_csv(cfg.out + ".csv", ["t", "abs_linf", "rel_linf", "worst_xi"], [rows])
+    write_json(cfg.out + ".json", {
+        **grid_manifest(run),
         "motion": motion_to_document(motion),
-        "motion_hash": motion_content_hash(motion),
-        "grid_size": grid,
-        "series_grid": series_grid,
-        "num_modes": modes,
-        "steps": run.steps._asdict(),
-        "negative_values": negative_values(run),
-        "tol": tol,
+        "series_grid": cfg.series_grid,
+        "num_modes": cfg.modes,
+        "tol": cfg.tol,
         "worst_rel_linf": worst_rel,
         "worst_xi": worst_xi,
         "worst_t": worst_t,
     })
     for t, abs_err, rel, xi in rows:
         print(f"t={_g(t)}  abs_linf={_g(abs_err)}  rel_linf={_g(rel)}")
-    if worst_rel > tol:
-        print(f"tolerance breach: rel_linf {_g(worst_rel)} > {_g(tol)} "
+    if worst_rel > cfg.tol:
+        print(f"tolerance breach: rel_linf {_g(worst_rel)} > {_g(cfg.tol)} "
               f"at xi={_g(worst_xi)}, t={_g(worst_t)}", file=sys.stderr)
         return EXIT_TOLERANCE
-    print(f"max rel_linf {_g(worst_rel)} within tol {_g(tol)}")
+    print(f"max rel_linf {_g(worst_rel)} within tol {_g(cfg.tol)}")
     return EXIT_OK
 
 
-def cmd_critical(args) -> int:
-    cfg = _merged(args)
+def cmd_critical(cfg) -> int:
     _require(cfg, "D", "f0", "alpha")
     try:
-        physics = PhysicsParams(D=_number(cfg, "D"), f0=_number(cfg, "f0"))
-        # EtaSpec stores k = 0 with p = -1.0; the -0.5 default applies only when k != 0.
-        eta = EtaSpec(k=_number(cfg, "eta_k", 0.0), p=_number(cfg, "eta_p", -0.5))
-        motion = CriticalMotion(physics, alpha=_number(cfg, "alpha"),
-                                L0_offset=_number(cfg, "L0_offset", 1.0),
-                                eta=eta)
+        physics = PhysicsParams(D=cfg.D, f0=cfg.f0)
+        motion = CriticalMotion(physics, alpha=cfg.alpha, L0_offset=cfg.L0_offset,
+                                eta=EtaSpec(k=cfg.eta_k, p=cfg.eta_p))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    n_dim = _integer(cfg, "n_dim", 1)
-    if n_dim not in (1, 2, 3):
-        raise ConfigError(f"n_dim must be 1, 2 or 3, got {n_dim}")
-    probes = tuple(_float_list(cfg.get("probes", [0.5, 1.0, 2.0]), "probes"))
-    t_final = _number(cfg, "t_final", 1e3)
-    grid = _integer(cfg, "grid", 1024)
-    dt = _number(cfg, "dt", 2e-3)
-    num_outputs = _integer(cfg, "num_outputs", 81)
-    tol = _number(cfg, "tol", 0.05)
-    slack_tol = _number(cfg, "slack_tol", 1e-8)
-    window = None
-    if cfg.get("window") is not None:
-        window = tuple(_float_list(cfg["window"], "window"))
-        if len(window) != 2:
-            raise ConfigError(f"window must be two numbers lo,hi, got {cfg['window']!r}")
+    if cfg.n_dim not in (1, 2, 3):
+        raise ConfigError(f"n_dim must be 1, 2 or 3, got {cfg.n_dim}")
+    if cfg.window is not None and len(cfg.window) != 2:
+        raise ConfigError(f"window must be two numbers lo,hi, got {cfg.window}")
     try:
-        window = fit_window(t_final, window, probes)
+        window = fit_window(cfg.t_final, cfg.window, cfg.probes)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out = cfg.get("out", "critical")
 
     _, envelope, report, document = run_critical(
-        motion, n_dim, probes, t_final, window, grid, dt, num_outputs, slack_tol, tol)
-    envelope_to_csv(envelope, out + "_envelope.csv")
-    write_json(out + "_report.json", document)
-    print(f"wrote {out}_report.json and {out}_envelope.csv")
+        motion, cfg.n_dim, cfg.probes, cfg.t_final, window, cfg.grid, cfg.dt,
+        cfg.num_outputs, cfg.slack_tol, cfg.tol)
+    envelope_to_csv(envelope, cfg.out + "_envelope.csv")
+    write_json(cfg.out + "_report.json", document)
+    print(f"wrote {cfg.out}_report.json and {cfg.out}_envelope.csv")
     print(f"fitted exponent {_g(report.fitted_exponent)}, "
           f"predicted {_g(report.predicted_exponent)}")
     print(f"error: least-squares {_g(report.error)}, "
           f"relaxation-corrected {_g(report.limit_error)}")
-    if abs(report.limit_error) > tol:
+    if abs(report.limit_error) > cfg.tol:
         print(f"fit breach: |corrected - predicted| = {_g(abs(report.limit_error))} "
-              f"> tol {_g(tol)}", file=sys.stderr)
+              f"> tol {_g(cfg.tol)}", file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
 
 
-# -- argument parsing --------------------------------------------------------
+# -- the options of each subcommand, declared once ---------------------------
 
-def _add_motion_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=sorted(_FAMILY_REQUIRES),
-                   help="length law family")
-    p.add_argument("--D", type=float, help="diffusivity")
-    p.add_argument("--f0", type=float, help="linear growth rate")
-    p.add_argument("--L0", type=float, help="initial length")
-    p.add_argument("--slope", type=float, help="dL/dt for the linear family")
-    p.add_argument("--rho", type=float, help="L^2 growth rate for the sqrt family")
-    p.add_argument("--a", type=float, help="t^2 coefficient of L^2")
-    p.add_argument("--b", type=float, help="t coefficient of L^2 / 2")
-    p.add_argument("--gamma1", type=float, help="endpoint acceleration scale")
-    p.add_argument("--c", type=float, help="endpoint velocity constant")
-    p.add_argument("--d", type=float, help="endpoint offset constant")
+_MOTION = (
+    Option("family", _choice(*sorted(_FAMILY_REQUIRES)), help="length law family"),
+    Option("D", NUMBER, help="diffusivity"),
+    Option("f0", NUMBER, help="linear growth rate"),
+    Option("L0", NUMBER, help="initial length"),
+    Option("slope", NUMBER, help="dL/dt for the linear family"),
+    Option("rho", NUMBER, help="L^2 growth rate for the sqrt family"),
+    Option("a", NUMBER, help="t^2 coefficient of L^2"),
+    Option("b", NUMBER, help="t coefficient of L^2 / 2"),
+    Option("gamma1", NUMBER, 0.0, "endpoint acceleration scale"),
+    Option("c", NUMBER, 0.0, "endpoint velocity constant"),
+    Option("d", NUMBER, 0.0, "endpoint offset constant"),
+)
+_TIMES = (
+    Option("times", NUMBERS, help="comma-separated output times "
+           "(default: five, evenly spaced from 0 to t_final)"),
+    Option("t_final", NUMBER, 1.0),
+)
+_IC = Option("ic", TEXT, help="initial data: sine or parabola (default sine)")
+
+_COMMANDS = {
+    "eigen": (cmd_eigen, "interval or radial mode solve", (
+        Option("D", NUMBER),
+        Option("L0", NUMBER),
+        Option("gamma0", NUMBER),
+        Option("gamma1", NUMBER),
+        Option("modes", INTEGER, 8),
+        Option("grid", INTEGER, 512),
+        Option("n_dim", INTEGER, 0,
+               "0 for the interval problem, 1..3 for a ball of diameter L0"),
+        Option("extrapolate", SWITCH, True),
+    )),
+    "exact": (cmd_exact, "eigenfunction-series field", _MOTION + (
+        _IC,
+        Option("modes", INTEGER, 32),
+        Option("grid", INTEGER, 512),
+        *_TIMES,
+        Option("xi_samples", INTEGER, 101),
+        Option("route", _choice("fast", "generic"), "fast"),
+    )),
+    "numeric": (cmd_numeric, "finite-difference run", _MOTION + (
+        Option("form", _choice("u", "w", "radial"), "u"),
+        Option("n_dim", INTEGER, 3, "ball dimension of the radial form"),
+        Option("ic", TEXT, help="initial data: sine or parabola (default sine), "
+               "or dome or parabola for the radial form (default dome)"),
+        Option("grid", INTEGER, 512),
+        Option("dt", NUMBER, 1e-3),
+        *_TIMES,
+    )),
+    "compare": (cmd_compare, "series vs. finite differences", _MOTION + (
+        _IC,
+        Option("modes", INTEGER, 32),
+        Option("series_grid", INTEGER, 512),
+        Option("grid", INTEGER, 512),
+        Option("dt", NUMBER, 1e-3),
+        *_TIMES,
+        Option("tol", NUMBER, 1e-4),
+    )),
+    "critical": (cmd_critical, "critical-speed exponent fit and envelope", (
+        Option("D", NUMBER),
+        Option("f0", NUMBER),
+        Option("alpha", NUMBER, help="logarithmic lag coefficient"),
+        Option("L0_offset", NUMBER, 1.0),
+        # EtaSpec stores k = 0 with p = -1.0; the -0.5 default applies only when k != 0.
+        Option("eta_k", NUMBER, 0.0),
+        Option("eta_p", NUMBER, -0.5),
+        Option("n_dim", INTEGER, 1),
+        Option("probes", NUMBERS, (0.5, 1.0, 2.0), "comma-separated boundary offsets"),
+        Option("t_final", NUMBER, 1e3),
+        Option("window", NUMBERS, help="fit window as lo,hi"),
+        Option("grid", INTEGER, 1024),
+        Option("dt", NUMBER, 2e-3),
+        Option("num_outputs", INTEGER, 81),
+        Option("tol", NUMBER, 0.05),
+        Option("slack_tol", NUMBER, 1e-8),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,88 +435,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="growthdiff",
         description="Growth-diffusion solutions on moving intervals and balls.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (handler, summary, options) in _COMMANDS.items():
+        options = (Option("out", TEXT, name, "output path prefix"),) + options
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON file with option keys")
-        p.add_argument("--out", help="output path prefix")
-
-    p = sub.add_parser("eigen", help="interval or radial mode solve")
-    common(p)
-    p.add_argument("--D", type=float)
-    p.add_argument("--L0", type=float)
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--n-dim", dest="n_dim", type=int,
-                   help="0 for the interval problem, 1..3 for a ball of diameter L0")
-    p.add_argument("--no-extrapolate", dest="extrapolate",
-                   action="store_false", default=None)
-    p.set_defaults(handler=cmd_eigen)
-
-    p = sub.add_parser("exact", help="eigenfunction-series field")
-    common(p)
-    _add_motion_flags(p)
-    p.add_argument("--ic", choices=("sine", "parabola"))
-    p.add_argument("--modes", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--xi-samples", dest="xi_samples", type=int)
-    p.add_argument("--route", choices=("fast", "generic"))
-    p.set_defaults(handler=cmd_exact)
-
-    p = sub.add_parser("numeric", help="finite-difference run")
-    common(p)
-    _add_motion_flags(p)
-    p.add_argument("--form", choices=("u", "w", "radial"))
-    p.add_argument("--n-dim", dest="n_dim", type=int)
-    p.add_argument("--ic", choices=("sine", "parabola", "dome"))
-    p.add_argument("--grid", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--times", help="comma-separated output times")
-    p.set_defaults(handler=cmd_numeric)
-
-    p = sub.add_parser("compare", help="series vs. finite differences")
-    common(p)
-    _add_motion_flags(p)
-    p.add_argument("--ic", choices=("sine", "parabola"))
-    p.add_argument("--modes", type=int)
-    p.add_argument("--series-grid", dest="series_grid", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--times", help="comma-separated output times")
-    p.add_argument("--tol", type=float)
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("critical", help="critical-speed exponent fit and envelope")
-    common(p)
-    p.add_argument("--D", type=float)
-    p.add_argument("--f0", type=float)
-    p.add_argument("--alpha", type=float, help="logarithmic lag coefficient")
-    p.add_argument("--L0-offset", dest="L0_offset", type=float)
-    p.add_argument("--eta-k", dest="eta_k", type=float)
-    p.add_argument("--eta-p", dest="eta_p", type=float)
-    p.add_argument("--n-dim", dest="n_dim", type=int)
-    p.add_argument("--probes", help="comma-separated boundary offsets")
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--window", help="fit window as lo,hi")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--num-outputs", dest="num_outputs", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--slack-tol", dest="slack_tol", type=float)
-    p.set_defaults(handler=cmd_critical)
-
+        for o in options:
+            flag = o.key.replace("_", "-")
+            if o.kind is SWITCH:
+                p.add_argument("--no-" + flag, dest=o.key, action="store_false",
+                               default=None, help=o.help)
+            else:
+                p.add_argument("--" + flag, dest=o.key, metavar=o.kind.metavar, help=o.help)
+        p.set_defaults(handler=handler, options=options)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_merged(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

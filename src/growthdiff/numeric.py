@@ -27,9 +27,9 @@ v <- z - v.  The symmetric operators, w and the radial one on
 sqrt(cell volume) W, use ``dptsv``: a w or radial step needs 1/2 I - dt/4 A
 positive definite, and a longer one, which would flip the sign of the
 fastest growing mode, raises ``LinAlgError``.  The advective u operator uses
-``dgtsv``; its eigenvalues are at most f0, and a u run with a step of
-dt f0 >= 2 raises ``LinAlgError`` before marching.  An output time off the
-step grid is an extra step boundary, so every stored time is the requested one.
+``dgtsv``; its eigenvalues are at most f0, and a step of dt f0 >= 2 raises
+``LinAlgError`` before its chunk is marched.  An output time off the step
+grid is an extra step boundary, so every stored time is the requested one.
 
 A w run of a centred motion from even data on an even grid marches only its
 even half, as the 1-ball ``solve_radial`` marches it, and mirrors the stored
@@ -116,7 +116,7 @@ class GridSolution:
     def slice_at(self, t: float) -> np.ndarray:
         """Field values at one stored output time."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        if not math.isfinite(t) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not an output time of this run")
         return self.values[i]
 
@@ -130,8 +130,7 @@ _BLOCK = 32    # steps of a chunk whose implicit sides are one product
 
 
 def _schedule(T: float, dt: float, times: np.ndarray):
-    """The steps, made a chunk at a time, the time each output is read at, and
-    the ``StepRecord``.
+    """The steps, made a chunk at a time, and the time each output is read at.
 
     The steps are the uniform grid k h, h = T/round(T/dt); an output time off
     it by more than roundoff (1e-12 T) cuts its step.  Whole steps keep their
@@ -145,12 +144,7 @@ def _schedule(T: float, dt: float, times: np.ndarray):
     k = np.rint(times / h)
     on_grid = np.abs(times - k * h) <= 1e-12 * T
     cuts = times[~on_grid]
-    cut_step = np.floor(cuts / h).astype(int)
-    split = {c: np.concatenate(([c * h], cuts[cut_step == c], [(c + 1) * h]))
-             for c in np.unique(cut_step).tolist()}
-    uncut = [[h]] if len(split) < n else []         # some step is left whole
-    dts = np.concatenate([np.diff(b) for b in split.values()] + uncut)
-    cut_chunk = cut_step // _CHUNK
+    cut_chunk = np.floor(cuts / h).astype(int) // _CHUNK
 
     def chunks():
         for a in range(0, n, _CHUNK):
@@ -161,11 +155,10 @@ def _schedule(T: float, dt: float, times: np.ndarray):
             whole = on_kb[:-1] & on_kb[1:]               # both ends on the grid
             yield (np.where(whole, (kb[:-1] + 0.5) * h, 0.5 * (b[:-1] + b[1:])),
                    np.where(whole, h, np.diff(b))[:, None], b[1:])
-    return (chunks(), np.where(on_grid, k * h, times),
-            StepRecord(n + cuts.size, float(dts.min()), float(dts.max())))
+    return chunks(), np.where(on_grid, k * h, times)
 
 
-def _march(profiles, weights, v0, chunks, reads):
+def _march(profiles, weights, v0, chunks, reads, bound=None):
     """Advance Crank-Nicolson, (I - dt/2 A) v_new = (I + dt/2 A) v_old, over
     the (midpoints, lengths, end times) chunks of steps ``chunks`` yields.
 
@@ -181,8 +174,11 @@ def _march(profiles, weights, v0, chunks, reads):
     changes no bit.  As I + dt/2 A = 2 I - (I - dt/2 A), a step
     solves (1/2 I - dt/4 A) z = v_old in place on its row of that product,
     by ``dptsv`` if every P_j is symmetric (the side must then be positive
-    definite) or else by ``dgtsv``, and v_new = z - v_old.  Returns the
-    unknowns at each of ``reads`` (0 or step ends).
+    definite) or else by ``dgtsv``, and v_new = z - v_old.  ``bound``, if
+    given, bounds A's eigenvalues above: a step with dt bound >= 2 would flip
+    the sign of a mode, and is refused before its chunk's weights are read.
+    Returns the unknowns at each of ``reads`` (0 or step ends) and the
+    ``StepRecord`` of the steps marched.
     """
     v = v0
     n = v.size
@@ -193,7 +189,15 @@ def _march(profiles, weights, v0, chunks, reads):
     for i, t in enumerate(reads.tolist()):
         slot.setdefault(t, []).append(i)
     snaps[slot.get(0.0, [])] = v
+    count, dt_min, dt_max = 0, math.inf, 0.0
     for mids, lengths, ends in chunks:
+        if bound is not None:
+            long = ends[lengths[:, 0] * bound >= 2.0]
+            if long.size:
+                raise np.linalg.LinAlgError(f"step to t={long[0]:.6g} is too long for the "
+                                            "growth rate; use a smaller dt")
+        count += mids.size
+        dt_min, dt_max = min(dt_min, lengths.min()), max(dt_max, lengths.max())
         coef = np.column_stack((np.ones(len(mids)), -0.25 * lengths * weights(mids)))
         for a in range(0, len(mids), _BLOCK):
             rows = coef[a:a + _BLOCK]
@@ -211,7 +215,7 @@ def _march(profiles, weights, v0, chunks, reads):
                     if not np.all(np.isfinite(v)):
                         raise RuntimeError(f"solver produced non-finite values by t={end}")
                     snaps[slot[end]] = v
-    return snaps
+    return snaps, StepRecord(count, float(dt_min), float(dt_max))
 
 
 def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
@@ -239,16 +243,12 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
         raise ValueError("output times must lie in [0, T]")
     interior = slice(0, -1) if kind == "radial" else slice(1, -1)
     profiles, weights, s = make_basis(grid[interior], h)
-    chunks, reads, steps = _schedule(T, dt, times)
-    if kind == "u" and steps.dt_max * motion.physics.f0 >= 2.0:
-        # The Peclet guard leaves every eigenvalue of the u operator real and at most f0.
-        for _, lengths, ends in chunks:
-            long = ends[np.broadcast_to(lengths * motion.physics.f0, (ends.size, 1))[:, 0] >= 2.0]
-            if long.size:
-                raise np.linalg.LinAlgError(f"step to t={long[0]:.6g} is too long for the "
-                                            "growth rate; use a smaller dt")
+    # The Peclet guard leaves every eigenvalue of the u operator real and at most f0.
+    bound = motion.physics.f0 if kind == "u" else None
+    snaps, steps = _march(profiles, weights, s * field0[interior], *_schedule(T, dt, times),
+                          bound)
     values = np.zeros((times.size, grid.size))
-    values[:, interior] = _march(profiles, weights, s * field0[interior], chunks, reads) / s
+    values[:, interior] = snaps / s
     return GridSolution(kind, grid, times, values, steps, n_dim,
                         motion_content_hash(motion))
 

@@ -323,27 +323,55 @@ class TestCriticalCommand:
                     == (tmp_path / ("lib" + suffix)).read_bytes())
 
 
-@pytest.mark.parametrize("argv, artifacts", [
-    (["eigen", "--D", "1", "--L0", "2", "--gamma0", "0", "--gamma1", "0",
-      "--n-dim", "3", "--modes", "3", "--grid", "64"], (".csv", ".json")),
-    (["exact", "--family", "linear", "--D", "0.5", "--f0", "1.2",
-      "--L0", "1", "--slope", "0.7", "--gamma1", "0.3",
-      "--times", "0.2,0.8"], (".csv", ".json")),
-    (["numeric", "--family", "symmetric", "--D", "1", "--f0", "1",
-      "--L0", "2", "--a", "0.1", "--b", "0.2", "--form", "radial",
-      "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"], (".csv", ".json")),
-    (["compare", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", PI,
-      "--t-final", "0.2", "--grid", "64", "--dt", "1e-2"], (".csv", ".json")),
-    (["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
-      "--t-final", "20", "--grid", "64", "--dt", "1e-2",
-      "--num-outputs", "21", "--tol", "10"], ("_envelope.csv", "_report.json")),
-], ids=["eigen", "exact", "numeric", "compare", "critical"])
+_RERUNS = {
+    "eigen": (["eigen", "--D", "1", "--L0", "2", "--gamma0", "0", "--gamma1", "0",
+               "--n-dim", "3", "--modes", "3", "--grid", "64"], (".csv", ".json")),
+    "exact": (["exact", "--family", "linear", "--D", "0.5", "--f0", "1.2",
+               "--L0", "1", "--slope", "0.7", "--gamma1", "0.3",
+               "--times", "0.2,0.8"], (".csv", ".json")),
+    "numeric": (["numeric", "--family", "symmetric", "--D", "1", "--f0", "1",
+                 "--L0", "2", "--a", "0.1", "--b", "0.2", "--form", "radial",
+                 "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"], (".csv", ".json")),
+    "compare": (["compare", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", PI,
+                 "--t-final", "0.2", "--grid", "64", "--dt", "1e-2"], (".csv", ".json")),
+    "critical": (["critical", "--D", "1", "--f0", "1", "--alpha", "1.5",
+                  "--t-final", "20", "--grid", "64", "--dt", "1e-2",
+                  "--num-outputs", "21", "--tol", "10"], ("_envelope.csv", "_report.json")),
+}
+
+
+@pytest.mark.parametrize("argv, artifacts", list(_RERUNS.values()), ids=list(_RERUNS))
 def test_reruns_are_byte_identical(tmp_path, argv, artifacts):
     assert main(argv + ["--out", "one"]) == 0
     assert main(argv + ["--out", "two"]) == 0
     for suffix in artifacts:
         one = (tmp_path / ("one" + suffix)).read_bytes()
         assert one and one == (tmp_path / ("two" + suffix)).read_bytes()
+
+
+def _config_of(argv):
+    """The config object equivalent to ``argv``'s flags: JSON numbers, arrays
+    for comma-separated lists, strings for the rest."""
+    cfg = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = [float(p) for p in text.split(",")] if "," in text else text
+        cfg[flag[2:].replace("-", "_")] = value
+    return cfg
+
+
+@pytest.mark.parametrize("argv, artifacts", list(_RERUNS.values()), ids=list(_RERUNS))
+def test_config_file_writes_what_the_flags_write(tmp_path, argv, artifacts):
+    # A flag's string and a config file's JSON value go through one converter.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_config_of(argv), "out": "config"}))
+    assert main(argv + ["--out", "flags"]) == 0
+    assert main([argv[0], "--config", str(cfg)]) == 0
+    for suffix in artifacts:
+        flags = (tmp_path / ("flags" + suffix)).read_bytes()
+        assert flags and flags == (tmp_path / ("config" + suffix)).read_bytes()
 
 
 _SHORT_RUNS = {
@@ -370,6 +398,54 @@ def test_nan_is_a_config_error(tmp_path, capsys, argv):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_VALID = {
+    "eigen": {"D": 1, "L0": 1, "gamma0": 0, "gamma1": 0, "grid": 64},
+    "numeric": {"family": "fixed", "D": 1, "f0": 1, "L0": 1, "grid": 16, "dt": 1e-2,
+                "t_final": 0.1},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eigen", "out", 5),
+    ("numeric", "dt", None),
+    ("numeric", "family", ["fixed"]),
+    ("eigen", "extrapolate", "no"),
+    ("eigen", "n_dim", True),
+    ("numeric", "D", True),
+], ids=["out-number", "dt-null", "family-array", "extrapolate-string", "n_dim-bool",
+        "D-bool"])
+def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, key, value):
+    # Each of these crashed with a traceback or ran with a silently coerced value.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_VALID[command], key: value}))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key, text, value, message", [
+    ("grid", "1.5", 1.5, "grid must be an integer, got 1.5"),
+    ("family", "box", "box",
+     "family must be one of fixed, linear, quad, sqrt, symmetric, got box"),
+    ("form", "x", "x", "form must be one of u, w, radial, got x"),
+    ("times", "0.1,x", "0.1,x", "times must be one or more numbers, comma-separated "
+     "or a JSON array, got 0.1,x"),
+    ("t_final", "1e-1x", "1e-1x", "t_final must be a number, got 1e-1x"),
+], ids=["grid", "family", "form", "times", "t_final"])
+def test_bad_value_fails_alike_by_flag_and_by_config(tmp_path, capsys, key, text, value,
+                                                     message):
+    argv = _SHORT_RUNS["numeric"]
+    assert main(argv + ["--" + key.replace("_", "-"), text]) == 2
+    by_flag = capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_config_of(argv), key: value}))
+    assert main(["numeric", "--config", str(cfg)]) == 2
+    assert by_flag == capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", sorted(_SHORT_RUNS))
@@ -408,9 +484,8 @@ def test_run_records_name_the_scheme_without_theta(command, tmp_path):
     assert main(_SHORT_RUNS[command] + ["--out", "run"]) == 0
     record = json.loads((tmp_path / "run.json").read_text())
     assert "theta" not in record
-    if command == "numeric":
-        assert record["scheme"] == ("Crank-Nicolson (implicit midpoint), "
-                                    "coefficients at the half step")
+    assert record["scheme"] == ("Crank-Nicolson (implicit midpoint), "
+                                "coefficients at the half step")
 
 
 @pytest.mark.parametrize("command, record", [("numeric", "run.json"), ("compare", "run.json"),

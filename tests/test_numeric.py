@@ -535,6 +535,14 @@ class TestValidation:
                     output_times=[0, 3.0])
         assert str(err.value) == "step to t=3 is too long for the growth rate; use a smaller dt"
 
+    def test_long_u_step_after_a_cut_one_is_refused(self):
+        # The output time 1 cuts the one step of 3: [0, 1] passes, [1, 3] has dt f0 = 2.
+        motion = SeparableMotion.fixed_length(PhysicsParams(1, 1), 10.0)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            solve_u(motion, lambda xi: np.sin(np.pi * xi / 10.0), grid_size=64, dt=3.0, T=3.0,
+                    output_times=[0, 1, 3])
+        assert str(err.value) == "step to t=3 is too long for the growth rate; use a smaller dt"
+
     def test_horizon_guard(self, physics):
         motion = SeparableMotion.sqrt_length(physics, 1.0, -0.5)
         with pytest.raises(DomainCollapsedError):
@@ -568,6 +576,14 @@ class TestValidation:
                       dt=1e-3, T=0.5, output_times=[0.0, 0.5])
         with pytest.raises(ValueError, match="output time"):
             sol.slice_at(0.3)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_slice_refuses_a_non_finite_time(self, physics, t):
+        motion = SeparableMotion.fixed_length(physics, 1.0)
+        sol = solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=16,
+                      dt=1e-2, T=0.1, output_times=[0.0, 0.1])
+        with pytest.raises(ValueError, match=f"t={t} is not an output time of this run"):
+            sol.slice_at(t)
 
 
 class TestExport:

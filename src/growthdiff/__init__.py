@@ -16,6 +16,7 @@ from .motion import (
     DomainCollapsedError,
     EtaSpec,
     MotionState,
+    ParameterError,
     PhysicsParams,
     SeparableMotion,
     TabulatedMotion,

@@ -20,7 +20,9 @@ of the option's kind: a number is a JSON number or a numeric string, an
 integer one with no fractional part, a number list a comma-separated string
 or a JSON array, a switch a JSON boolean.  Any other value, null included,
 is ``config error: <key> must be ...`` by either route.  Exit codes: 0
-success, 2 bad configuration, 3 numerical failure, 4 tolerance breach.
+success, 2 a bad argument (``ParameterError``, raised here or, before any
+computation, by the library), 3 a failure found while computing, 4 a
+tolerance breach.
 ``growthdiff.output`` writes every artifact at 17 significant digits, so
 reruns are byte-identical.
 """
@@ -35,11 +37,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .critical import envelope_to_csv, fit_window, run_critical
+from .critical import envelope_to_csv, run_critical
 from .eigen import eigen_header, eigen_to_csv, solve_radial as radial_modes, solve_sl
 from .exact import build_series, compare_to_series, series_manifest, series_to_csv
-from .motion import (CriticalMotion, DomainCollapsedError, EtaSpec,
-                     PhysicsParams, SeparableMotion, motion_to_document)
+from .motion import (CriticalMotion, EtaSpec, ParameterError, PhysicsParams,
+                     SeparableMotion, motion_to_document)
 from .numeric import grid_manifest, grid_to_csv, solve_radial, solve_u, solve_w
 from .output import write_csv, write_json
 
@@ -49,10 +51,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TOLERANCE = 4
-
-
-class ConfigError(ValueError):
-    """Bad or missing configuration; maps to exit code 2."""
 
 
 def _g(x) -> str:
@@ -135,14 +133,14 @@ def _merged(args) -> argparse.Namespace:
             with open(args.config) as fh:
                 given = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+            raise ParameterError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+            raise ParameterError(f"config file is not valid JSON: {exc}")
         if not isinstance(given, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ParameterError("config file must hold a JSON object")
         unknown = sorted(set(given) - {o.key for o in args.options})
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
     given.update((o.key, getattr(args, o.key)) for o in args.options
                  if getattr(args, o.key) is not None)
     cfg = argparse.Namespace()
@@ -150,7 +148,7 @@ def _merged(args) -> argparse.Namespace:
         try:
             value = o.kind.convert(given[o.key]) if o.key in given else o.default
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(
+            raise ParameterError(
                 f"{o.key} must be {o.kind.name}, got {_shown(given[o.key])}") from None
         setattr(cfg, o.key, value)
     return cfg
@@ -159,7 +157,7 @@ def _merged(args) -> argparse.Namespace:
 def _require(cfg, *names):
     for name in names:
         if getattr(cfg, name) is None:
-            raise ConfigError(f"missing required field: {name}")
+            raise ParameterError(f"missing required field: {name}")
 
 
 # -- motion assembly shared by exact / numeric / compare --------------------
@@ -176,23 +174,17 @@ _FAMILY_REQUIRES = {
 def _build_motion(cfg) -> SeparableMotion:
     _require(cfg, "family", "D", "f0")
     _require(cfg, *_FAMILY_REQUIRES[cfg.family])
-    try:
-        physics = PhysicsParams(D=cfg.D, f0=cfg.f0)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    physics = PhysicsParams(D=cfg.D, f0=cfg.f0)
     tilt = (cfg.gamma1, cfg.c, cfg.d)
-    try:
-        if cfg.family == "fixed":
-            return SeparableMotion.fixed_length(physics, cfg.L0, *tilt)
-        if cfg.family == "linear":
-            return SeparableMotion.linear_length(physics, cfg.L0, cfg.slope, *tilt)
-        if cfg.family == "sqrt":
-            return SeparableMotion.sqrt_length(physics, cfg.L0, cfg.rho, *tilt)
-        if cfg.family == "quad":
-            return SeparableMotion(physics, cfg.a, cfg.b, cfg.L0, *tilt)
-        return SeparableMotion.symmetric(physics, cfg.L0, cfg.a, cfg.b)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if cfg.family == "fixed":
+        return SeparableMotion.fixed_length(physics, cfg.L0, *tilt)
+    if cfg.family == "linear":
+        return SeparableMotion.linear_length(physics, cfg.L0, cfg.slope, *tilt)
+    if cfg.family == "sqrt":
+        return SeparableMotion.sqrt_length(physics, cfg.L0, cfg.rho, *tilt)
+    if cfg.family == "quad":
+        return SeparableMotion(physics, cfg.a, cfg.b, cfg.L0, *tilt)
+    return SeparableMotion.symmetric(physics, cfg.L0, cfg.a, cfg.b)
 
 
 def _initial_condition(name, motion, radial=False):
@@ -204,14 +196,14 @@ def _initial_condition(name, motion, radial=False):
             return lambda r: np.cos(0.5 * np.pi * np.asarray(r) / R0)
         if name == "parabola":
             return lambda r: 1.0 - (np.asarray(r) / R0) ** 2
-        raise ConfigError(f"unknown radial initial condition {name!r}; "
-                          "expected dome or parabola")
+        raise ParameterError(f"unknown radial initial condition {name!r}; "
+                             "expected dome or parabola")
     if name in (None, "sine"):
         return lambda xi: np.sin(np.pi * np.asarray(xi) / L0)
     if name == "parabola":
         return lambda xi: np.asarray(xi) * (L0 - np.asarray(xi))
-    raise ConfigError(f"unknown initial condition {name!r}; "
-                      "expected sine or parabola")
+    raise ParameterError(f"unknown initial condition {name!r}; "
+                         "expected sine or parabola")
 
 
 def _output_times(cfg):
@@ -219,7 +211,7 @@ def _output_times(cfg):
         return [0.25 * k * cfg.t_final for k in range(5)]
     times = sorted(cfg.times)
     if times[0] < 0.0:
-        raise ConfigError("times must be nonnegative")
+        raise ParameterError("times must be nonnegative")
     return times
 
 
@@ -227,10 +219,8 @@ def _output_times(cfg):
 
 def cmd_eigen(cfg) -> int:
     _require(cfg, "D", "L0", "gamma0", "gamma1")
-    if cfg.n_dim not in (0, 1, 2, 3):
-        raise ConfigError(f"n_dim must be 0 (interval) or 1..3, got {cfg.n_dim}")
-    if cfg.n_dim > 0 and cfg.gamma1 != 0.0:
-        raise ConfigError("gamma1 does not apply to radial modes; set it to 0")
+    if cfg.n_dim != 0 and cfg.gamma1 != 0.0:
+        raise ParameterError("gamma1 does not apply to radial modes; set it to 0")
 
     if cfg.n_dim == 0:
         eig = solve_sl(cfg.D, cfg.L0, cfg.gamma0, cfg.gamma1, grid_size=cfg.grid,
@@ -286,7 +276,7 @@ def cmd_compare(cfg) -> int:
     u0 = _initial_condition(cfg.ic, motion)
     times = [t for t in _output_times(cfg) if t > 0.0]
     if not times:
-        raise ConfigError("compare needs at least one positive output time")
+        raise ParameterError("compare needs at least one positive output time")
 
     sol = build_series(motion, u0, grid_size=cfg.series_grid, num_modes=cfg.modes)
     run = solve_u(motion, u0, grid_size=cfg.grid, dt=cfg.dt, T=max(times),
@@ -317,23 +307,10 @@ def cmd_compare(cfg) -> int:
 
 def cmd_critical(cfg) -> int:
     _require(cfg, "D", "f0", "alpha")
-    try:
-        physics = PhysicsParams(D=cfg.D, f0=cfg.f0)
-        motion = CriticalMotion(physics, alpha=cfg.alpha, L0_offset=cfg.L0_offset,
-                                eta=EtaSpec(k=cfg.eta_k, p=cfg.eta_p))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if cfg.n_dim not in (1, 2, 3):
-        raise ConfigError(f"n_dim must be 1, 2 or 3, got {cfg.n_dim}")
-    if cfg.window is not None and len(cfg.window) != 2:
-        raise ConfigError(f"window must be two numbers lo,hi, got {cfg.window}")
-    try:
-        window = fit_window(cfg.t_final, cfg.window, cfg.probes)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
+    motion = CriticalMotion(PhysicsParams(D=cfg.D, f0=cfg.f0), alpha=cfg.alpha,
+                            L0_offset=cfg.L0_offset, eta=EtaSpec(k=cfg.eta_k, p=cfg.eta_p))
     _, envelope, report, document = run_critical(
-        motion, cfg.n_dim, cfg.probes, cfg.t_final, window, cfg.grid, cfg.dt,
+        motion, cfg.n_dim, cfg.probes, cfg.t_final, cfg.window, cfg.grid, cfg.dt,
         cfg.num_outputs, cfg.slack_tol, cfg.tol)
     envelope_to_csv(envelope, cfg.out + "_envelope.csv")
     write_json(cfg.out + "_report.json", document)
@@ -454,11 +431,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(_merged(args))
-    except ConfigError as exc:
+    except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainCollapsedError, ValueError, FloatingPointError, RuntimeError,
-            np.linalg.LinAlgError) as exc:
+    # A ValueError here, DomainCollapsedError and LinAlgError among them,
+    # was found while computing.
+    except (ValueError, FloatingPointError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

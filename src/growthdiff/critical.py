@@ -46,17 +46,17 @@ from .motion import (
     CaseKind,
     CriticalMotion,
     MotionState,
+    ParameterError,
     SeparableMotion,
     classify,
     eval_motion,
     length_jerk,
-    motion_content_hash,
     motion_to_document,
     require_centered,
     time_integral,
     time_rescale,
 )
-from .numeric import GridSolution, StepRecord, negative_values, solve_radial, solve_w, w_weights
+from .numeric import GridSolution, StepRecord, grid_manifest, solve_radial, solve_w, w_weights
 from .output import write_csv
 from .transforms import (
     log_radial_factor,
@@ -135,7 +135,7 @@ def potential_rate(motion: BoundaryMotion, t: float) -> float:
 def potential_asymptote(motion: CriticalMotion) -> float:
     """Leading coefficient of P(t) ~ coeff * t for a critical motion."""
     if not isinstance(motion, CriticalMotion):
-        raise ValueError("the linear asymptote exists only for critical motions")
+        raise ParameterError("the linear asymptote exists only for critical motions")
     ph = motion.physics
     return 4.0 * motion.alpha * ph.c_star ** 3 / ph.D ** 2
 
@@ -166,7 +166,7 @@ def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None
     elif n_dim == 3:
         h0, lam = np.sinc(r_hat), np.pi ** 2
     else:
-        raise ValueError("radial barriers are only available for n_dim <= 3")
+        raise ParameterError("radial barriers are only available for n_dim <= 3")
     return h0 * math.exp(-D * lam * s / R0 ** 2)
 
 
@@ -286,9 +286,9 @@ def subsolution(motion: BoundaryMotion, x, t: float, t_ref: float,
     curvature term has the right sign.
     """
     if n_dim not in (None, 1, 2, 3):
-        raise ValueError("radial barriers are only available for n_dim <= 3")
+        raise ParameterError("radial barriers are only available for n_dim <= 3")
     if t < t_ref:
-        raise ValueError(f"barrier is only defined from its onset t_ref={t_ref}")
+        raise ParameterError(f"barrier is only defined from its onset t_ref={t_ref}")
     return _lower_barrier(motion, x, t, potential_value(motion, t),
                           _clock(motion, t_ref, t)[1], n_dim)
 
@@ -605,12 +605,11 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
                    dt: float, num_outputs: int) -> GridSolution:
     """Potential-form run of a critical motion from its principal-mode profile.
 
-    The output times are 0 and a geometric grid of ``num_outputs`` points from
-    max(10 dt, 1e-2) to t_final.  n_dim = 1 runs ``solve_w`` from a sine,
-    which it marches as the even half of the interval; balls run
-    ``solve_radial`` from the cosine dome.
+    The output times are ``_output_times(t_final, dt, num_outputs)``.  n_dim
+    = 1 runs ``solve_w`` from a sine, which it marches as the even half of
+    the interval; balls run ``solve_radial`` from the cosine dome.
     """
-    outputs = np.concatenate([[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, num_outputs)])
+    outputs = _output_times(t_final, dt, num_outputs)
     if n_dim == 1:
         w0 = lambda xi: np.sin(np.pi * xi / motion.L0)
         return solve_w(motion, w0, grid_size=grid_size, dt=dt, T=t_final,
@@ -621,23 +620,42 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
                         output_times=outputs)
 
 
+def _output_times(t_final: float, dt: float, num_outputs: int) -> np.ndarray:
+    """0 and a geometric grid of ``num_outputs`` points (none for a count
+    below 1) from max(10 dt, 1e-2) to t_final, sorted and distinct."""
+    return np.unique(np.concatenate(
+        [[0.0], np.geomspace(max(10.0 * dt, 1e-2), t_final, max(num_outputs, 0))]))
+
+
+def _window_times(times: np.ndarray, window: tuple) -> np.ndarray:
+    """The output times inside the fit window, of which a fit needs at least 8."""
+    inside = times[(times >= window[0]) & (times <= window[1])]
+    if inside.size < 8:
+        raise ParameterError(f"only {inside.size} output times fall in the fit window "
+                             f"{window}; need >= 8: raise num_outputs or lower dt")
+    return inside
+
+
 def fit_window(t_final: float, window: tuple | None = None,
                probes=(0.5, 1.0, 2.0)) -> tuple[float, float]:
     """Check an exponent fit's inputs and return its window, before any solve.
 
-    The window (default: the last 1.5 decades) must sit inside (0, t_final]
-    and span 1.5 decades.  The probe offsets must be one or more finite
-    positive numbers; ``_probe_log_psi`` checks them against the domain.
+    The window (default: the last 1.5 decades) must be two numbers, sit
+    inside (0, t_final] and span 1.5 decades.  The probe offsets must be one
+    or more finite positive numbers; ``_probe_log_psi`` checks them against
+    the domain.
     """
     if window is None:
         window = (t_final / 10 ** 1.5, t_final)
+    if len(window) != 2:
+        raise ParameterError(f"fit window must be two numbers lo, hi, got {window}")
     if not 0.0 < window[0] < window[1] <= t_final:
-        raise ValueError(f"fit window {window} must sit inside (0, t_final]")
+        raise ParameterError(f"fit window {window} must sit inside (0, t_final]")
     if math.log10(window[1] / window[0]) < 1.5 - 1e-9:
-        raise ValueError("fit window must span at least 1.5 decades")
+        raise ParameterError("fit window must span at least 1.5 decades")
     y = np.asarray(probes, dtype=float)
     if y.ndim != 1 or y.size == 0 or not np.all(np.isfinite(y) & (y > 0.0)):
-        raise ValueError(
+        raise ParameterError(
             f"probe offsets must be one or more finite positive numbers, got {probes!r}")
     return float(window[0]), float(window[1])
 
@@ -666,7 +684,9 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     A critical motion may pass a finished potential-form ``solution`` in place
     of the solve: the grid, steps and dimension then come from that run,
     ``num_outputs`` is unused, and ``t_final`` must be the run's last stored
-    time.  The series route marches nothing and refuses a ``solution``.
+    time.  Either way a fit needs 8 output times in the window; a solve is
+    refused before its march if its own would leave fewer.  The series route
+    marches nothing and refuses a ``solution``.
     """
     ph = motion.physics
     window = fit_window(t_final, window, probes)
@@ -676,33 +696,31 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         alpha = motion.alpha
         predicted = -1.0 - 0.5 * n_dim + alpha * ph.c_star / (2.0 * ph.D)
         if solution is None:
+            times = _window_times(_output_times(t_final, dt, num_outputs), window)
             solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
         else:
             solution.check_owner(motion, f"fit_exponent with n_dim={n_dim}",
                                  "potential-form", n_dim)
             if solution.times[-1] != t_final:
-                raise ValueError(f"t_final={t_final} is not the run's last stored "
-                                 f"time {solution.times[-1]}")
+                raise ParameterError(f"t_final={t_final} is not the run's last stored "
+                                     f"time {solution.times[-1]}")
+            times = _window_times(solution.times, window)
         grid_size, steps = solution.grid_size, solution.steps
-        times = solution.times[(solution.times >= window[0]) & (solution.times <= window[1])]
-        if times.size < 8:
-            raise ValueError(
-                f"only {times.size} output times fall in the fit window; need >= 8")
         logs = _probe_log_psi(motion, solution, [float(y) for y in probes], times)
     else:
         # balanced spreading interval: exact series, no solver
         if solution is not None:
-            raise ValueError("fit_exponent reads a run only for a critical motion; "
-                             "the series route marches nothing")
+            raise ParameterError("fit_exponent reads a run only for a critical motion; "
+                                 "the series route marches nothing")
         if n_dim != 1:
-            raise ValueError("the series route is one-dimensional")
+            raise ParameterError("the series route is one-dimensional")
         if classify(motion) is not CaseKind.LINEAR_LENGTH:
-            raise ValueError("series route needs a linearly spreading interval")
+            raise ParameterError("series route needs a linearly spreading interval")
         slope = motion.b / motion.L0
         if (abs(slope - 2.0 * ph.c_star) > 1e-9 * ph.c_star
                 or abs(motion.c + ph.c_star) > 1e-9 * ph.c_star
                 or motion.gamma1 != 0.0):
-            raise ValueError(
+            raise ParameterError(
                 "series route needs the balanced configuration: both endpoints "
                 "receding at the free speed c*")
         route = "series"
@@ -746,26 +764,25 @@ def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
                  slack_tol: float = 1e-8, tol: float = 0.05) -> CriticalRun:
     """Check the fit's inputs, march once, verify the envelope, fit, report.
 
-    The document is the fit report plus the motion, its hash, ``tol``
-    (recorded, not applied), the envelope and the march's
-    ``negative_values``.  Nothing is written.
+    The inputs are checked before the march: the window and probes
+    (``fit_window``), and the count of output times in the window.  The
+    document is the march's ``grid_manifest`` (run kind, scheme, step record,
+    negative values, motion hash), then the fit report, the motion, ``tol``
+    (recorded, not applied) and the envelope; the keys they share carry the
+    same values.  Nothing is written.
     """
     window = fit_window(t_final, window, probes)
+    _window_times(_output_times(t_final, dt, num_outputs), window)
     solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
     envelope = verify_envelope(motion, solution, slack_tol=slack_tol)
     report = fit_exponent(motion, n_dim=n_dim, probes=probes, t_final=t_final,
                           window=window, solution=solution)
-    document = fit_report_document(report)
-    document["motion"] = motion_to_document(motion)
-    document["motion_hash"] = motion_content_hash(motion)
-    document["tol"] = tol
-    document["envelope"] = {
-        "C1": envelope.C1, "C2": envelope.C2, "t_cal": envelope.t_cal,
-        "onset": envelope.onset, "worst_slack": envelope.worst_slack,
-        "worst_time": envelope.worst_time, "worst_xi": envelope.worst_xi,
-        "slack_tol": slack_tol,
-    }
-    document["negative_values"] = negative_values(solution)
+    document = {**grid_manifest(solution), **fit_report_document(report),
+                "motion": motion_to_document(motion), "tol": tol, "envelope": {
+                    "C1": envelope.C1, "C2": envelope.C2, "t_cal": envelope.t_cal,
+                    "onset": envelope.onset, "worst_slack": envelope.worst_slack,
+                    "worst_time": envelope.worst_time, "worst_xi": envelope.worst_xi,
+                    "slack_tol": slack_tol}}
     return CriticalRun(solution, envelope, report, document)
 
 

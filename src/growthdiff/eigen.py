@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .motion import ParameterError
 from .output import write_csv
 
 __all__ = [
@@ -115,12 +116,12 @@ def _eigenpairs(frozen, unknowns: slice, shift: float, grid_size: int, num_modes
     first nonzero value.
     """
     if grid_size < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
+        raise ParameterError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
     if num_modes < 1 or num_modes > grid_size // 4:
-        raise ValueError(
+        raise ParameterError(
             f"num_modes must lie in [1, grid_size/4] = [1, {grid_size // 4}], got {num_modes}")
     if extrapolate and grid_size % 2 != 0:
-        raise ValueError("extrapolation requires an even grid_size")
+        raise ParameterError("extrapolation requires an even grid_size")
 
     def eigh(N, vectors):
         row, weights = frozen(N)
@@ -154,7 +155,7 @@ def solve_sl(D: float, L0: float, gamma0: float, gamma1: float,
     error is a clean h^2 term); the modes are kept from the fine grid.
     """
     if D <= 0 or L0 <= 0:
-        raise ValueError("D and L0 must be positive")
+        raise ParameterError("D and L0 must be positive")
     coef = np.array([D, gamma0 / (4.0 * D * L0 ** 2),
                      (gamma1 + 0.5 * gamma0) / (2.0 * D * L0 ** 2)])
 
@@ -177,9 +178,9 @@ def principal_eigen_bound(rho: float, gamma1: float, D: float, L0: float) -> flo
         sigma_1 < -|rho| / (2 L0^2) + gamma1^2 / (4 D rho^2 L0^2).
     """
     if rho == 0.0:
-        raise ValueError("the shrinking-case bound requires rho != 0")
+        raise ParameterError("the shrinking-case bound requires rho != 0")
     if D <= 0 or L0 <= 0:
-        raise ValueError("D and L0 must be positive")
+        raise ParameterError("D and L0 must be positive")
     r = abs(rho)
     return -r / (2.0 * L0 ** 2) + gamma1 ** 2 / (4.0 * D * rho ** 2 * L0 ** 2)
 
@@ -187,9 +188,9 @@ def principal_eigen_bound(rho: float, gamma1: float, D: float, L0: float) -> flo
 def radial_principal_bound(rho: float, n_dim: int, R0: float) -> float:
     """Ball analogue of the shrinking-case bound: sigma_1 < -n |rho| / (2 R0^2)."""
     if rho == 0.0:
-        raise ValueError("the shrinking-case bound requires rho != 0")
+        raise ParameterError("the shrinking-case bound requires rho != 0")
     if n_dim < 1:
-        raise ValueError("n_dim must be a positive integer")
+        raise ParameterError("n_dim must be a positive integer")
     return -n_dim * abs(rho) / (2.0 * R0 ** 2)
 
 
@@ -205,9 +206,9 @@ def solve_radial(D: float, R0: float, gamma0: float, n_dim: int,
     potential is r^2/R0^2 - 1; gamma0 / (4 D R0^2) is added back to the sigmas.
     """
     if D <= 0 or R0 <= 0:
-        raise ValueError("D and R0 must be positive")
+        raise ParameterError("D and R0 must be positive")
     if n_dim not in (1, 2, 3):
-        raise ValueError(f"n_dim must be 1, 2 or 3, got {n_dim}")
+        raise ParameterError(f"n_dim must be 1, 2 or 3, got {n_dim}")
     shift = gamma0 / (4.0 * D * R0 ** 2)
     coef = np.array([D, shift])
 

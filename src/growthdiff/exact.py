@@ -33,6 +33,7 @@ from .motion import (
     BoundaryMotion,
     CaseKind,
     DomainCollapsedError,
+    ParameterError,
     SeparableMotion,
     _quadrature_rescale,
     classify,
@@ -122,7 +123,7 @@ def expand(w0_values, eigen: EigenSystem) -> np.ndarray:
     """Mode coefficients of grid data w0 against the eigensystem's quadrature rule."""
     w0 = np.asarray(w0_values, dtype=float)
     if w0.shape != eigen.grid.shape:
-        raise ValueError(f"w0 has {w0.size} values, eigen grid has {eigen.grid.size}")
+        raise ParameterError(f"w0 has {w0.size} values, eigen grid has {eigen.grid.size}")
     return eigen.modes @ (eigen.weights * w0)
 
 
@@ -136,7 +137,7 @@ def build_series(motion: SeparableMotion, u0, grid_size: int = 512,
     """
     kind = classify(motion)
     if kind in (CaseKind.CRITICAL_CASE, CaseKind.GENERAL):
-        raise ValueError(f"series solutions need a separable motion, got {kind.value}")
+        raise ParameterError(f"series solutions need a separable motion, got {kind.value}")
     eig = solve_sl(motion.physics.D, motion.L0, motion.gamma0, motion.gamma1,
                    grid_size=grid_size, num_modes=num_modes, extrapolate=extrapolate)
     w0 = transform_ic(motion, eig.grid, u0(eig.grid) if callable(u0) else u0)
@@ -148,8 +149,8 @@ def build_series(motion: SeparableMotion, u0, grid_size: int = 512,
 
 
 def _check_time(sol, t: float) -> None:
-    if t < 0.0:
-        raise ValueError(f"series solutions are defined for t >= 0, got t={t}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"series solutions are defined for finite t >= 0, got t={t}")
     if t >= sol.horizon:
         raise DomainCollapsedError(
             f"t={t} is at or beyond the collapse time {sol.horizon}")
@@ -160,7 +161,7 @@ def _reference_xi(sol, xi) -> np.ndarray:
     L0 = sol.motion.L0
     tol = 1e-12 * L0
     if np.any(xi < -tol) or np.any(xi > L0 + tol):
-        raise ValueError(f"xi must lie in [0, {L0}]")
+        raise ParameterError(f"xi must lie in [0, {L0}]")
     return np.clip(xi, 0.0, L0)
 
 
@@ -225,7 +226,7 @@ def _closed_drift(motion: SeparableMotion, t: float, L: float, s: float) -> floa
 def eval_w(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.ndarray:
     """Potential-form field w(xi, t) = sum c_n exp(sigma_n s(t)) g_n(xi)."""
     if route not in ("fast", "generic"):
-        raise ValueError(f"unknown route {route!r}")
+        raise ParameterError(f"unknown route {route!r}")
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
     s = time_rescale(sol.motion, t) if route == "fast" else _quadrature_rescale(sol.motion, t)
@@ -242,7 +243,7 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
     decades makes the terms cancel past ``_TAIL_RTOL``.
     """
     if route not in ("fast", "generic"):
-        raise ValueError(f"unknown route {route!r}")
+        raise ParameterError(f"unknown route {route!r}")
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
     m = sol.motion
@@ -303,7 +304,7 @@ def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
     sector is expanded.
     """
     if not isinstance(motion, SeparableMotion):
-        raise ValueError("radial series need a separable diameter motion")
+        raise ParameterError("radial series need a separable diameter motion")
     require_centered(motion)
     R0 = 0.5 * motion.L0
     eig = solve_radial(motion.physics.D, R0, motion.gamma0 / 16.0, n_dim,
@@ -323,7 +324,7 @@ def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     tol = 1e-12 * R0
     if np.any(r < -tol) or np.any(r > R0 + tol):
-        raise ValueError(f"reference radius must lie in [0, {R0}]")
+        raise ParameterError(f"reference radius must lie in [0, {R0}]")
     r = np.clip(r, 0.0, R0)
     state = eval_motion(sol.motion, t)
     D = sol.physics.D
@@ -384,7 +385,7 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
     """
     kind = classify(motion)
     if kind in (CaseKind.CRITICAL_CASE, CaseKind.GENERAL):
-        raise ValueError(f"growth verdicts need a separable motion, got {kind.value}")
+        raise ParameterError(f"growth verdicts need a separable motion, got {kind.value}")
     horizon = validity_horizon(motion)
     if math.isfinite(horizon):
         return GrowthVerdict("collapse", collapse_time=horizon,

@@ -16,6 +16,10 @@ the barrier gauge in ``critical``) goes through one checked quadrature,
 ``time_integral``, built on QUADPACK's adaptive rule (Piessens et al.,
 *QUADPACK*, Springer 1983).
 
+A check that reads only the caller's arguments raises ``ParameterError``
+before any computation, across the package; a failure found while
+computing, such as ``DomainCollapsedError``, is another ``ValueError``.
+
 Three families are supported:
 
 * ``SeparableMotion`` -- L(t)^2 = a t^2 + 2 b t + L0^2 together with a left
@@ -56,6 +60,7 @@ __all__ = [
     "MotionState",
     "CaseKind",
     "DomainCollapsedError",
+    "ParameterError",
     "classify",
     "eval_motion",
     "length_jerk",
@@ -77,6 +82,10 @@ LINEAR_DEGENERACY_RTOL = 1e-12
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 400}
 
 
+class ParameterError(ValueError):
+    """A bad argument, refused before any computation; the CLI exits 2."""
+
+
 class DomainCollapsedError(ValueError):
     """Raised when a motion is evaluated at or beyond its collapse time."""
 
@@ -90,9 +99,9 @@ class PhysicsParams:
 
     def __post_init__(self) -> None:
         if not (self.D > 0.0):
-            raise ValueError(f"diffusivity D must be positive, got {self.D}")
+            raise ParameterError(f"diffusivity D must be positive, got {self.D}")
         if not (self.f0 > 0.0):
-            raise ValueError(f"growth rate f0 must be positive, got {self.f0}")
+            raise ParameterError(f"growth rate f0 must be positive, got {self.f0}")
 
     @cached_property
     def c_star(self) -> float:
@@ -117,7 +126,7 @@ class EtaSpec:
             object.__setattr__(self, "k", 0.0)
             object.__setattr__(self, "p", -1.0)
         elif not (self.p < 0.0):
-            raise ValueError(f"eta exponent p must be negative, got {self.p}")
+            raise ParameterError(f"eta exponent p must be negative, got {self.p}")
 
     # With k = 0, eta and its derivatives are zero, and subtracting them
     # leaves every kinematic value unchanged, so they are not computed.
@@ -161,7 +170,7 @@ class SeparableMotion:
 
     def __post_init__(self) -> None:
         if not (self.L0 > 0.0):
-            raise ValueError(f"initial length L0 must be positive, got {self.L0}")
+            raise ParameterError(f"initial length L0 must be positive, got {self.L0}")
 
     # -- convenience constructors for the individual closed-form cases --
 
@@ -234,9 +243,9 @@ class CriticalMotion:
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0):
-            raise ValueError(f"log-lag coefficient alpha must be positive, got {self.alpha}")
+            raise ParameterError(f"log-lag coefficient alpha must be positive, got {self.alpha}")
         if not (self.L0_offset > 0.0):
-            raise ValueError(f"L0_offset must be positive, got {self.L0_offset}")
+            raise ParameterError(f"L0_offset must be positive, got {self.L0_offset}")
 
     @cached_property
     def t0(self) -> float:
@@ -265,13 +274,13 @@ class TabulatedMotion:
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 4:
-            raise ValueError("tabulated motion needs at least 4 samples")
+            raise ParameterError("tabulated motion needs at least 4 samples")
         if not np.all(np.diff(t) > 0):
-            raise ValueError("sample times must be strictly increasing")
+            raise ParameterError("sample times must be strictly increasing")
         if len(self.A_values) != t.size or len(self.L_values) != t.size:
-            raise ValueError("A_values and L_values must match times in length")
+            raise ParameterError("A_values and L_values must match times in length")
         if t[0] > 0.0:
-            raise ValueError("samples must cover t = 0")
+            raise ParameterError("samples must cover t = 0")
         object.__setattr__(self, "times", tuple(float(v) for v in t))
         object.__setattr__(self, "A_values", tuple(float(v) for v in self.A_values))
         object.__setattr__(self, "L_values", tuple(float(v) for v in self.L_values))
@@ -435,8 +444,8 @@ def _cubic_read(c, s: float):
 
 def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
     if (t if xp is math else t.max(initial=-math.inf)) > m.times[-1]:
-        raise ValueError(f"t={_first(t, t > m.times[-1])} beyond tabulated range "
-                         f"[0, {m.times[-1]}]")
+        raise ParameterError(f"t={_first(t, t > m.times[-1])} beyond tabulated range "
+                             f"[0, {m.times[-1]}]")
     cA, cL, s = _spline_piece(m, t, xp)
     L, Ldot, Lddot = _cubic_read(cL, s)
     if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
@@ -450,13 +459,15 @@ _KINEMATICS = {SeparableMotion: _separable_kinematics, CriticalMotion: _critical
 
 
 def eval_motion(motion: BoundaryMotion, t: float | np.ndarray) -> MotionState:
-    """Kinematics at a time t, or at each time of a 1-D array t; s(t) is ``time_rescale``'s job."""
+    """Kinematics at a finite time t >= 0, or at each time of a 1-D array t;
+    s(t) is ``time_rescale``'s job."""
     if not isinstance(t, float) and isinstance(t, np.ndarray):    # a float skips the second test
-        if t.min(initial=0.0) < 0.0:
-            raise ValueError(f"motions are defined for t >= 0, got t={_first(t, t < 0.0)}")
+        if not (0.0 <= t.min(initial=0.0) and t.max(initial=0.0) < math.inf):    # False for nan
+            raise ParameterError(f"motions are defined for finite t >= 0, got "
+                                 f"t={_first(t, ~((t >= 0.0) & (t < math.inf)))}")
         return _KINEMATICS[type(motion)](motion, t, np)
-    if t < 0.0:
-        raise ValueError(f"motions are defined for t >= 0, got t={t}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"motions are defined for finite t >= 0, got t={t}")
     return _KINEMATICS[type(motion)](motion, t)
 
 
@@ -510,8 +521,8 @@ def time_rescale(motion: BoundaryMotion, t: float) -> float:
     motions fall back to ``time_integral``, at tolerance 1e-12 with its error
     estimate checked.
     """
-    if t < 0.0:
-        raise ValueError(f"time_rescale requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"time_rescale requires a finite t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     if isinstance(motion, SeparableMotion):
@@ -633,7 +644,7 @@ def require_centered(motion: BoundaryMotion) -> None:
     w equation takes any motion."""
     defect = centering_defect(motion)
     if defect is not None:
-        raise ValueError(f"motion is not centred: {defect}")
+        raise ParameterError(f"motion is not centred: {defect}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +675,7 @@ def motion_from_document(doc: dict) -> BoundaryMotion:
         phys = PhysicsParams(float(doc["physics"]["D"]), float(doc["physics"]["f0"]))
         params = doc["params"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed motion document: {exc}") from exc
+        raise ParameterError(f"malformed motion document: {exc}") from exc
     if family == "separable":
         return SeparableMotion(phys, float(params["a"]), float(params["b"]),
                                float(params["L0"]), float(params.get("gamma1", 0.0)),
@@ -676,7 +687,7 @@ def motion_from_document(doc: dict) -> BoundaryMotion:
     if family == "tabulated":
         return TabulatedMotion(phys, tuple(params["times"]), tuple(params["A"]),
                                tuple(params["L"]))
-    raise ValueError(f"unknown motion family {family!r}")
+    raise ParameterError(f"unknown motion family {family!r}")
 
 
 def motion_dumps(motion: BoundaryMotion) -> str:

@@ -52,6 +52,7 @@ from .eigen import interval_profiles, profile_rows, radial_profiles
 from .motion import (
     BoundaryMotion,
     DomainCollapsedError,
+    ParameterError,
     centering_defect,
     motion_content_hash,
     eval_motion,
@@ -108,16 +109,16 @@ class GridSolution:
         kind is checked first, then the motion hash; ``user`` names the caller."""
         if self.kind not in _FORMS[form] or n_dim not in (None, self.n_dim):
             dimension = "" if n_dim is None else " of that dimension"
-            raise ValueError(f"{user} needs a {form} run{dimension}, got a "
-                             f"{self.kind!r} run with n_dim={self.n_dim}")
+            raise ParameterError(f"{user} needs a {form} run{dimension}, got a "
+                                 f"{self.kind!r} run with n_dim={self.n_dim}")
         if self.motion_hash != motion_content_hash(motion):
-            raise ValueError("the run was computed for a different motion")
+            raise ParameterError("the run was computed for a different motion")
 
     def slice_at(self, t: float) -> np.ndarray:
         """Field values at one stored output time."""
         i = int(np.argmin(np.abs(self.times - t)))
         if not math.isfinite(t) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not an output time of this run")
+            raise ParameterError(f"t={t} is not an output time of this run")
         return self.values[i]
 
 
@@ -228,19 +229,19 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     Dirichlet node at each end; radial runs only at r = R0.
     """
     if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
-    grid = np.linspace(0.0, extent, grid_size + 1)
-    h = extent / grid_size
-    if not (dt > 0.0) or not (T > 0.0):
-        raise ValueError("dt and T must be positive")
-    if T >= validity_horizon(motion):
-        raise DomainCollapsedError(
-            f"T={T} reaches the collapse time {validity_horizon(motion)}")
-    field0 = initial_values(ic, grid, ball=kind == "radial")
+        raise ParameterError("grid_size must be at least 8")
+    if not (0.0 < dt < math.inf and 0.0 < T < math.inf):     # False for nan
+        raise ParameterError(f"dt and T must be finite and positive, got dt={dt}, T={T}")
     times = np.unique(np.linspace(0.0, T, 11) if output_times is None else
                       np.asarray(output_times, dtype=float))
     if not np.all((times >= 0.0) & (times <= T)):   # False for nan
-        raise ValueError("output times must lie in [0, T]")
+        raise ParameterError("output times must lie in [0, T]")
+    grid = np.linspace(0.0, extent, grid_size + 1)
+    h = extent / grid_size
+    field0 = initial_values(ic, grid, ball=kind == "radial")
+    if T >= validity_horizon(motion):
+        raise DomainCollapsedError(
+            f"T={T} reaches the collapse time {validity_horizon(motion)}")
     interior = slice(0, -1) if kind == "radial" else slice(1, -1)
     profiles, weights, s = make_basis(grid[interior], h)
     # The Peclet guard leaves every eigenvalue of the u operator real and at most f0.
@@ -344,7 +345,7 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
     profiles ``eigen.solve_radial`` freezes, marched on sqrt(mu h) W.
     """
     if n_dim not in (1, 2, 3):
-        raise ValueError(f"n_dim must be 1, 2 or 3, got {n_dim}")
+        raise ParameterError(f"n_dim must be 1, 2 or 3, got {n_dim}")
     require_centered(motion)
     R0 = 0.5 * motion.L0
     D = motion.physics.D

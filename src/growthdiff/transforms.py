@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .motion import BoundaryMotion, CriticalMotion, eval_motion, time_integral
+from .motion import BoundaryMotion, CriticalMotion, ParameterError, eval_motion, time_integral
 
 __all__ = [
     "xi_from_x",
@@ -65,8 +65,8 @@ def drift_integral(motion: BoundaryMotion, t: float) -> float:
     error estimate checked), which keeps this routine independent of the
     closed-form reductions used elsewhere.
     """
-    if t < 0.0:
-        raise ValueError(f"drift_integral requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"drift_integral requires a finite t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     inv4d = 0.25 / motion.physics.D
@@ -146,10 +146,10 @@ def initial_values(data, grid, ball: bool = False) -> np.ndarray:
     last node, r = R0, of a ball."""
     values = np.asarray(data(grid) if callable(data) else data, dtype=float)
     if values.shape != grid.shape:
-        raise ValueError(f"initial data has shape {values.shape}, grid has shape {grid.shape}")
+        raise ParameterError(f"initial data has shape {values.shape}, grid has shape {grid.shape}")
     ends = values[-1:] if ball else values[[0, -1]]
     if np.any(np.abs(ends) > 1e-12 * (np.max(np.abs(values)) or 1.0)):
-        raise ValueError("initial data must vanish " + (
+        raise ParameterError("initial data must vanish " + (
             "on the ball boundary" if ball else "at both interval endpoints"))
     return values
 

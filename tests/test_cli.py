@@ -400,6 +400,76 @@ def test_nan_is_a_config_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+_FIXED = ["--family", "fixed", "--D", "1", "--f0", "1", "--L0", "1"]
+_CENTRED = ["--family", "symmetric", "--D", "1", "--f0", "1", "--L0", "1", "--a", "0",
+            "--b", "0"]
+_EIGEN = ["eigen", "--D", "1", "--L0", "1", "--gamma0", "0", "--gamma1", "0"]
+_CRITICAL = ["critical", "--D", "1", "--f0", "1", "--alpha", "1.5"]
+
+# One command per library argument check, with the message it prints.
+_BAD_ARGUMENTS = {
+    "numeric-grid": (["numeric", *_FIXED, "--grid", "4"], "grid_size must be at least 8"),
+    "numeric-dt": (["numeric", *_FIXED, "--dt", "-1"],
+                   "dt and T must be finite and positive, got dt=-1.0, T=1.0"),
+    "numeric-t-final-inf": (["numeric", *_FIXED, "--t-final", "inf"],
+                            "dt and T must be finite and positive, got dt=0.001, T=inf"),
+    "numeric-times-past-t-final": (["numeric", *_FIXED, "--times", "0,2", "--t-final", "0.1"],
+                                   "output times must lie in [0, T]"),
+    "numeric-radial-off-centre": (["numeric", *_FIXED, "--gamma1", "0.5", "--form", "radial"],
+                                  "motion is not centred: gamma1 + gamma0/2 = 5.000e-01"),
+    "numeric-radial-n-dim": (["numeric", *_CENTRED, "--form", "radial", "--n-dim", "4"],
+                             "n_dim must be 1, 2 or 3, got 4"),
+    "numeric-D": (["numeric", *_FIXED, "--D", "0"], "diffusivity D must be positive, got 0.0"),
+    "numeric-f0": (["numeric", *_FIXED, "--f0", "-1"],
+                   "growth rate f0 must be positive, got -1.0"),
+    "numeric-L0": (["numeric", *_FIXED, "--L0", "-1"],
+                   "initial length L0 must be positive, got -1.0"),
+    "eigen-L0": (_EIGEN + ["--L0", "-1"], "D and L0 must be positive"),
+    "eigen-grid": (_EIGEN + ["--grid", "32"], "grid_size must be at least 64, got 32"),
+    "eigen-odd-grid": (_EIGEN + ["--grid", "65"], "extrapolation requires an even grid_size"),
+    "eigen-radial-D": (_EIGEN + ["--D", "-1", "--n-dim", "3"], "D and R0 must be positive"),
+    "eigen-n-dim": (_EIGEN + ["--n-dim", "5"], "n_dim must be 1, 2 or 3, got 5"),
+    "exact-modes": (["exact", *_FIXED, "--modes", "1000"],
+                    "num_modes must lie in [1, grid_size/4] = [1, 128], got 1000"),
+    "exact-times-inf": (["exact", *_FIXED, "--times", "inf"],
+                        "motions are defined for finite t >= 0, got t=inf"),
+    "compare-grid": (["compare", *_FIXED, "--grid", "4"], "grid_size must be at least 8"),
+    "critical-grid": (_CRITICAL + ["--grid", "4"], "grid_size must be at least 8"),
+    "critical-num-outputs": (_CRITICAL + ["--num-outputs", "5"],
+                             "only 2 output times fall in the fit window"),
+    "critical-dt": (_CRITICAL + ["--dt", "200"], "only 1 output times fall in the fit window"),
+    "critical-n-dim": (_CRITICAL + ["--n-dim", "4"], "n_dim must be 1, 2 or 3, got 4"),
+    "critical-alpha": (_CRITICAL + ["--alpha", "-1"],
+                       "log-lag coefficient alpha must be positive, got -1.0"),
+    "critical-L0-offset": (_CRITICAL + ["--L0-offset", "0"],
+                           "L0_offset must be positive, got 0.0"),
+    "critical-eta-p": (_CRITICAL + ["--eta-k", "1", "--eta-p", "0.5"],
+                       "eta exponent p must be negative, got 0.5"),
+    "critical-window": (_CRITICAL + ["--window", "5"],
+                        "fit window must be two numbers lo, hi, got (5.0,)"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(_BAD_ARGUMENTS.values()),
+                         ids=list(_BAD_ARGUMENTS))
+def test_library_argument_check_is_a_config_error(tmp_path, capsys, argv, message):
+    # The library raises ParameterError before computing; main maps it alone to 2.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_long_u_step_is_a_numeric_failure(tmp_path, capsys):
+    # dt f0 >= 2 is found from the operator's bound while marching: exit 3.
+    rc = main(["numeric", "--family", "fixed", "--D", "1", "--f0", "1", "--L0", "10",
+               "--form", "u", "--grid", "64", "--dt", "3", "--t-final", "3", "--times", "0,3"])
+    assert rc == 3
+    assert ("numeric failure: step to t=3 is too long for the growth rate"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 _VALID = {
     "eigen": {"D": 1, "L0": 1, "gamma0": 0, "gamma1": 0, "grid": 64},
     "numeric": {"family": "fixed", "D": 1, "f0": 1, "L0": 1, "grid": 16, "dt": 1e-2,

@@ -21,9 +21,9 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  supersolution_residual, verify_envelope,
                                  verify_nested)
 from growthdiff.exact import build_series, eval_series
-from growthdiff.motion import (CriticalMotion, EtaSpec, PhysicsParams, SeparableMotion,
-                               TabulatedMotion, eval_motion)
-from growthdiff.numeric import negative_values, solve_radial, solve_u, solve_w
+from growthdiff.motion import (CriticalMotion, EtaSpec, ParameterError, PhysicsParams,
+                               SeparableMotion, TabulatedMotion, eval_motion)
+from growthdiff.numeric import grid_manifest, solve_radial, solve_u, solve_w
 from growthdiff.transforms import psi_from_W, u_from_w
 
 # Glued-barrier geometry: the profile dies at xi/L0 = -SLOPE_SUM / P^(1/3),
@@ -677,22 +677,36 @@ class TestRunCritical:
         _assert_fields_equal(run.solution, sol)
         _assert_fields_equal(run.envelope, verify_envelope(crit15, sol, slack_tol=1e-6))
         _assert_fields_equal(run.report, fit_exponent(crit15, t_final=20.0, solution=sol))
-        assert list(run.document) == list(fit_report_document(run.report)) + [
-            "motion", "motion_hash", "tol", "envelope", "negative_values"]
-        assert run.document["negative_values"] == negative_values(sol)
+        # The run record first, then the fit report; the keys both hold agree.
+        manifest, fit = grid_manifest(sol), fit_report_document(run.report)
+        assert list(run.document) == list(dict.fromkeys([*manifest, *fit])) + [
+            "motion", "tol", "envelope"]
+        shared = manifest.keys() & fit.keys()
+        assert shared == {"schema_version", "grid_size", "steps", "n_dim", "t_final"}
+        assert all(manifest[key] == fit[key] for key in shared)
+        assert {key: run.document[key] for key in manifest} == manifest
         assert run.document["tol"] == 10.0
         assert run.document["envelope"]["slack_tol"] == 1e-6
         assert run.document["envelope"]["C2"] == run.envelope.C2
 
     @pytest.mark.parametrize("bad", [
         dict(window=(2.0, 20.0)), dict(window=(0.0, 20.0)), dict(window=(0.5, 25.0)),
-        dict(probes=()), dict(probes=(0.0, 1.0)), dict(probes=(math.nan,)),
-    ], ids=["short-window", "window-at-zero", "window-past-t-final", "no-probes",
-            "zero-probe", "nan-probe"])
+        dict(window=(5.0,)), dict(probes=()), dict(probes=(0.0, 1.0)),
+        dict(probes=(math.nan,)), dict(num_outputs=5), dict(num_outputs=0),
+        dict(num_outputs=-3), dict(dt=200.0),
+    ], ids=["short-window", "window-at-zero", "window-past-t-final", "one-number-window",
+            "no-probes", "zero-probe", "nan-probe", "few-outputs", "no-outputs",
+            "negative-outputs", "outputs-past-t-final"])
     def test_bad_fit_inputs_cost_no_solve(self, crit15, bad, monkeypatch):
         monkeypatch.setattr(critical, "solve_critical", _no_solve)
-        with pytest.raises(ValueError, match="fit window|probe offsets"):
-            run_critical(crit15, **bad, **self.ARGS)
+        with pytest.raises(ParameterError, match="fit window|probe offsets"):
+            run_critical(crit15, **{**self.ARGS, **bad})
+
+    def test_few_outputs_cost_fit_exponent_no_solve(self, crit15, monkeypatch):
+        monkeypatch.setattr(critical, "solve_critical", _no_solve)
+        with pytest.raises(ParameterError, match="only 7 output times fall in the fit "
+                                                 "window .* raise num_outputs or lower dt"):
+            fit_exponent(crit15, t_final=20.0, grid_size=64, dt=1e-2, num_outputs=11)
 
 
 class TestComparisonBounds:

@@ -14,7 +14,7 @@ from growthdiff.exact import (SeriesSolution, TruncationWarning, build_radial_se
                               eval_radial_physical, eval_radial_series, eval_series,
                               eval_w, expand, growth_region, series_manifest,
                               transform_ic)
-from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
+from growthdiff.motion import (CriticalMotion, DomainCollapsedError, ParameterError,
                                PhysicsParams, SeparableMotion, TabulatedMotion,
                                eval_motion, motion_content_hash, validity_horizon)
 from growthdiff.numeric import solve_u, solve_w
@@ -209,6 +209,18 @@ class TestEvaluation:
         sol = build_series(motion, _sine(1.0), grid_size=128, num_modes=8)
         with pytest.raises(DomainCollapsedError):
             eval_series(sol, [0.5], 1.2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("evaluate", [eval_series, eval_w, eval_radial_series],
+                             ids=["u", "w", "radial"])
+    def test_non_finite_time_is_refused(self, physics, evaluate, t):
+        # nan passed t < 0 and summed to [nan]; inf was read as a collapse.
+        motion = SeparableMotion.symmetric(physics, 1.0)
+        sol = (build_radial_series(motion, lambda r: np.cos(np.pi * r), 3, grid_size=128,
+                                   num_modes=4) if evaluate is eval_radial_series else
+               build_series(motion, _sine(1.0), grid_size=128, num_modes=4))
+        with pytest.raises(ParameterError, match=f"finite t >= 0, got t={t}$"):
+            evaluate(sol, [0.25], t)
 
 
 class TestDualRoutes:

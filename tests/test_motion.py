@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from growthdiff.motion import (CaseKind, CriticalMotion, DomainCollapsedError,
-                               EtaSpec, PhysicsParams, SeparableMotion,
+                               EtaSpec, ParameterError, PhysicsParams, SeparableMotion,
                                TabulatedMotion, classify, eval_motion,
                                length_jerk, motion_content_hash, motion_from_document,
                                motion_to_document, time_integral,
@@ -245,6 +245,37 @@ class TestArrayRead:
             eval_motion(motion, np.array((0.0, 0.1, bad, 0.05) + later))
         assert type(many.value) is type(one.value)
         assert str(many.value) == str(one.value)
+
+
+_NON_FINITE = pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf],
+                                      ids=["nan", "inf", "-inf"])
+
+
+@_NON_FINITE
+class TestNonFiniteTimesAreRefused:
+    # t < 0 is False for nan, which read on to an all-nan state; +inf read a
+    # motion that never collapses as collapsed.
+    MOTIONS = {
+        "fixed": lambda ph: SeparableMotion.fixed_length(ph, 1.0),
+        "critical": lambda ph: CriticalMotion(ph, alpha=1.0),
+        "tabulated": lambda ph: _tabulated_from(ph, lambda t: -0.5 * (1.0 + t),
+                                                lambda t: 1.0 + t),
+    }
+
+    @pytest.mark.parametrize("family", sorted(MOTIONS))
+    def test_scalar_read(self, physics, family, t):
+        with pytest.raises(ParameterError, match=f"finite t >= 0, got t={t}$"):
+            eval_motion(self.MOTIONS[family](physics), t)
+
+    @pytest.mark.parametrize("family", sorted(MOTIONS))
+    def test_array_read_names_the_first_bad_time(self, physics, family, t):
+        with pytest.raises(ParameterError, match=f"finite t >= 0, got t={t}$"):
+            eval_motion(self.MOTIONS[family](physics), np.array([0.0, 0.5, t, 1.0]))
+
+    @pytest.mark.parametrize("family", ["fixed", "critical"])
+    def test_time_rescale(self, physics, family, t):
+        with pytest.raises(ParameterError, match=f"finite t >= 0, got {t}$"):
+            time_rescale(self.MOTIONS[family](physics), t)
 
 
 class TestTimeRescale:

@@ -9,7 +9,7 @@ from growthdiff.eigen import solve_radial as radial_modes
 from growthdiff.eigen import solve_sl
 from growthdiff.exact import (TruncationWarning, build_radial_series, build_series,
                               eval_radial_series, eval_series)
-from growthdiff.motion import (CriticalMotion, DomainCollapsedError,
+from growthdiff.motion import (CriticalMotion, DomainCollapsedError, ParameterError,
                                PhysicsParams, SeparableMotion, TabulatedMotion, eval_motion,
                                validity_horizon)
 import growthdiff.numeric as numeric
@@ -569,6 +569,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="grid_size|positive|output times must "
                                              r"lie in \[0, T\]"):
             solve_u(motion, lambda xi: np.sin(np.pi * xi), **base)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["dt", "T"])
+    @pytest.mark.parametrize("form", ["u", "w"])
+    def test_non_finite_step_or_horizon_is_refused(self, physics, form, name, t):
+        # T = inf was read as reaching the collapse time inf.
+        motion = SeparableMotion.fixed_length(physics, 1.0)
+        run = {"dt": 1e-2, "T": 0.1, name: t}
+        with pytest.raises(ParameterError, match=f"^dt and T must be finite and positive, "
+                                                 f"got dt={run['dt']}, T={run['T']}$"):
+            (solve_u if form == "u" else solve_w)(motion, lambda xi: np.sin(np.pi * xi),
+                                                  grid_size=16, output_times=[0.0], **run)
 
     def test_slice_requires_stored_time(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)

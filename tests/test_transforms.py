@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from growthdiff.exact import build_radial_series
-from growthdiff.motion import (CriticalMotion, PhysicsParams, SeparableMotion,
-                               TabulatedMotion, eval_motion, require_centered)
+from growthdiff.motion import (CriticalMotion, ParameterError, PhysicsParams,
+                               SeparableMotion, TabulatedMotion, eval_motion,
+                               require_centered)
 from growthdiff.numeric import solve_radial
 from growthdiff.transforms import (drift_integral, initial_W_from_psi,
                                    initial_w_from_u, log_radial_factor,
@@ -252,3 +253,9 @@ class TestRadialFactor:
         expected = psi0 * np.exp(log_radial_factor(motion, r, 0.0, 2))
         np.testing.assert_allclose(initial_W_from_psi(motion, r, psi0, 2),
                                    expected, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_drift_integral_refuses_a_non_finite_time(physics, t):
+    with pytest.raises(ParameterError, match=f"finite t >= 0, got {t}$"):
+        drift_integral(_moving(physics), t)

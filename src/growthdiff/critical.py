@@ -58,13 +58,7 @@ from .motion import (
 )
 from .numeric import GridSolution, StepRecord, grid_manifest, solve_radial, solve_w, w_weights
 from .output import write_csv
-from .transforms import (
-    log_radial_factor,
-    log_shape_factor,
-    log_time_factor,
-    psi_from_W,
-    u_from_w,
-)
+from .transforms import log_radial_factor, log_shape_factor, log_time_factor
 
 __all__ = [
     "EnvelopeViolationError",
@@ -216,11 +210,18 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
     return float(st.t[i])
 
 
-def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float):
-    """Piecewise barrier value, xi-derivative and second derivative at potential P(t)."""
+def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float,
+                     extent: float):
+    """Piecewise barrier value, xi-derivative and second derivative at potential
+    P(t), refused unless the profile fits in ``extent`` L0 (1 on the interval,
+    0.5 on a ball)."""
     L0 = motion.L0
     if P <= 0.0:
         raise ValueError(f"barrier undefined: P({t}) = {P:.3g} is not positive")
+    p_min = _min_potential(extent)
+    if P < p_min:
+        raise ValueError(f"barrier does not fit in the {'half ' if extent < 1.0 else ''}domain "
+                         f"at t={t}: P = {P:.4g} < {p_min:.4g}")
     p13 = P ** (1.0 / 3.0)
     xi_hat = xi / L0
     z = p13 * xi_hat + _C1
@@ -263,13 +264,11 @@ def _clock(motion: BoundaryMotion, t_from: float, t_to: float) -> tuple[float, f
 def _lower_barrier(motion: BoundaryMotion, x, t: float, P: float, log_gauge: float,
                    n_dim: int | None = None) -> np.ndarray:
     """Airy barrier at P(t) and log a(t): a wbar(xi) on the interval (n_dim None),
-    a wtilde(R0 - r) / r^((n-1)/2) on a ball, where it must fit the half domain."""
+    a wtilde(R0 - r) / r^((n-1)/2) on a ball (``_barrier_profile`` checks the fit)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n_dim is None:
-        return _barrier_profile(motion, x, t, P)[0] * math.exp(log_gauge)
-    if P < _min_potential(0.5):
-        raise ValueError("barrier does not fit in the half domain at this time")
-    w1 = _barrier_profile(motion, 0.5 * motion.L0 - x, t, P)[0]
+        return _barrier_profile(motion, x, t, P, 1.0)[0] * math.exp(log_gauge)
+    w1 = _barrier_profile(motion, 0.5 * motion.L0 - x, t, P, 0.5)[0]
     out = np.zeros_like(x)
     mask = w1 > 0.0
     out[mask] = math.exp(log_gauge) * w1[mask] / x[mask] ** (0.5 * (n_dim - 1))
@@ -322,7 +321,7 @@ def subsolution_residual(motion: BoundaryMotion, xi, t: float,
     st = eval_motion(motion, t)
     D = motion.physics.D
     P = _potential(st, D)
-    val, der, der2 = _barrier_profile(motion, xi, t, P)
+    val, der, der2 = _barrier_profile(motion, xi, t, P, 1.0)
     d_eff = D * (motion.L0 / st.L) ** 2
     pdot = _potential_rate(motion, st, D)
     gauge_rate = _SLOPE_SUM * D * P ** (2.0 / 3.0) / st.L ** 2
@@ -344,6 +343,7 @@ class EnvelopePair:
     lower: np.ndarray          # C1 * subsolution at each (time, node)
     upper: np.ndarray          # C2 * supersolution at each (time, node)
     field: np.ndarray
+    slack: np.ndarray          # the smaller barrier gap over max |field| at that time
     C1: float
     C2: float
     t_cal: float
@@ -362,8 +362,10 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     C1 scales the subsolution down likewise.  At every later output time the
     field must stay between the scaled barriers, up to slack_tol relative to
     the field's sup norm; a deeper violation raises EnvelopeViolationError
-    with its location.  The motion must be centred: the barriers' signs
-    assume the centred potential.
+    with its location.  ``EnvelopePair.slack`` is that relative gap at every
+    (time, node), the smaller of the two, and ``envelope_to_csv`` writes it.
+    The motion must be centred: the barriers' signs assume the centred
+    potential.
     """
     solution.check_owner(motion, "verify_envelope", "potential-form")
     require_centered(motion)
@@ -409,19 +411,19 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     upper *= C2
 
     field = solution.values[check]
-    worst = np.inf
-    worst_t = worst_xi = float("nan")
-    for t, lo, mid, hi in zip(times, lower, field, upper):
-        scale = float(np.max(np.abs(mid)))
-        if scale == 0.0:
-            continue
-        for slack in ((hi - mid) / scale, (mid - lo) / scale):
-            j = int(np.argmin(slack))
-            if slack[j] < worst:
-                worst, worst_t, worst_xi = float(slack[j]), t, float(grid[j])
-    pair = EnvelopePair(solution.times[check], grid,
-                        lower, upper, field, C1, C2, t_cal, onset,
-                        worst, worst_t, worst_xi)
+    scale = np.max(np.abs(field), axis=1)
+    below = field - lower
+    slack = upper - field
+    np.copyto(slack, below, where=below < slack)    # np.where(below < above, below, above)
+    slack /= np.maximum(scale, 1e-300)[:, None]
+    # The gate reads the rows whose field is not all zero.
+    rows = np.flatnonzero(scale > 0.0)
+    worst, worst_t, worst_xi = math.inf, math.nan, math.nan
+    if rows.size:
+        i, j = divmod(int(np.argmin(slack[rows])), grid.size)
+        worst, worst_t, worst_xi = float(slack[rows[i], j]), times[rows[i]], float(grid[j])
+    pair = EnvelopePair(solution.times[check], grid, lower, upper, field, slack,
+                        C1, C2, t_cal, onset, worst, worst_t, worst_xi)
     if worst < -slack_tol:
         raise EnvelopeViolationError(
             f"envelope violated: slack {worst:.3e} at t={worst_t:.6g}, "
@@ -430,24 +432,24 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
 
 
 def envelope_to_csv(pair: EnvelopePair, path) -> None:
-    """Long-format CSV of the barriers and the field at every checked node.
-
-    The slack column is the smaller barrier gap relative to the field's sup
-    norm at that time, the quantity ``verify_envelope`` gates on.
-    """
-    def blocks():
-        for t, lower, field, upper in zip(pair.times, pair.lower, pair.field, pair.upper):
-            scale = max(float(np.max(np.abs(field))), 1e-300)
-            above, below = upper - field, field - lower
-            slack = np.where(below < above, below, above) / scale  # min(), ties and NaN
-            yield np.column_stack((np.full(field.size, t), pair.grid, lower,
-                                   field, upper, slack))
-
-    write_csv(path, ["t", "xi", "lower", "field", "upper", "slack"], blocks())
+    """Long-format CSV of the barriers and the field at every checked node;
+    the slack column is ``pair.slack``, the array ``verify_envelope`` gates on."""
+    write_csv(path, ["t", "xi", "lower", "field", "upper", "slack"],
+              (np.column_stack((np.full(pair.grid.size, t), pair.grid, lower, field, upper, slack))
+               for t, lower, field, upper, slack in zip(pair.times, pair.lower, pair.field,
+                                                        pair.upper, pair.slack)))
 
 
 # ---------------------------------------------------------------------------
 # boundary gradient and exponent fit
+
+
+def _log_psi_factor(motion: BoundaryMotion, solution: GridSolution, at, t: float):
+    """log(psi / field) at reference node(s) ``at`` and time t of a potential-form
+    run: log_time_factor + log_shape_factor on a w run, -log_radial_factor on a ball."""
+    if solution.kind == "w":
+        return log_time_factor(motion, t) + log_shape_factor(motion, at, t)
+    return -log_radial_factor(motion, at, t, solution.n_dim)
 
 
 def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -455,7 +457,7 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
 
     The shape factor is flat at the endpoint, so the gradient is the one-sided
     slope of the stored field times dxi/dx = L0/L, times the psi/w (or psi/W)
-    factor of ``transforms`` at the endpoint.
+    factor at the endpoint.
     """
     solution.check_owner(motion, "boundary_gradient", "potential-form")
     grid = solution.grid
@@ -466,12 +468,10 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
     for i, (t, scale) in enumerate(zip(solution.times.tolist(), scales.tolist())):
         vals = solution.values[i]
         if solution.kind == "w":
-            slope = (4.0 * vals[1] - vals[2]) / (2.0 * h)
-            out[i] = slope * scale * float(u_from_w(motion, 0.0, t, 1.0))
+            end, slope = 0.0, (4.0 * vals[1] - vals[2]) / (2.0 * h)
         else:
-            slope = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-            out[i] = -slope * scale * float(psi_from_W(motion, 0.5 * L0, t, 1.0,
-                                                       solution.n_dim))
+            end, slope = 0.5 * L0, -(3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+        out[i] = slope * scale * float(np.exp(_log_psi_factor(motion, solution, end, t)))
     return np.asarray(solution.times, dtype=float), out
 
 
@@ -538,8 +538,8 @@ def _probe_log_psi(motion, solution, probes, times):
     """log psi(boundary + y, t) reassembled from potential-form snapshots.
 
     Returns one row per probe offset y and one column per time.  Each
-    snapshot's spline is built once and read at every probe; the psi/w (or
-    psi/W) factor comes from ``transforms``.  A probe outside the domain
+    stored row's spline is built once and read at every probe, and the psi/w
+    (or psi/W) factor is ``_log_psi_factor``'s.  A probe outside the domain
     (y <= 0, or y >= L(t) on the interval, y > R(t) on the ball) raises
     ValueError rather than being extrapolated.
     """
@@ -552,18 +552,16 @@ def _probe_log_psi(motion, solution, probes, times):
             name, extent = "L", L
             outside = (y <= 0.0) | (y >= extent)
             at = y * L0 / L
-            log_fac = log_time_factor(motion, t) + log_shape_factor(motion, at, t)
         else:
             name, extent = "R", 0.5 * L
             outside = (y <= 0.0) | (y > extent)
             at = (extent - y) * R0 / extent
-            log_fac = -log_radial_factor(motion, at, t, solution.n_dim)
         if np.any(outside):
             raise ValueError(
                 f"probe offset y={probes[int(np.argmax(outside))]} lies outside the "
                 f"domain at t={t:.6g}, where {name}(t)={extent:.6g}")
-        idx = int(np.argmin(np.abs(solution.times - t)))
-        w_vals = CubicSpline(solution.grid, solution.values[idx])(at)
+        log_fac = _log_psi_factor(motion, solution, at, t)
+        w_vals = CubicSpline(solution.grid, solution.slice_at(t))(at)
         for y_j, w_val in zip(probes, w_vals):
             if w_val <= 0.0:
                 raise RuntimeError(

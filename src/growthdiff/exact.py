@@ -157,12 +157,14 @@ def _check_time(sol, t: float) -> None:
 
 
 def _reference_xi(sol, xi) -> np.ndarray:
+    """Positions clipped to [0, L0], or [0, R0] on a ball (``sol.eigen.L0``)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    L0 = sol.motion.L0
-    tol = 1e-12 * L0
-    if np.any(xi < -tol) or np.any(xi > L0 + tol):
-        raise ParameterError(f"xi must lie in [0, {L0}]")
-    return np.clip(xi, 0.0, L0)
+    size = sol.eigen.L0
+    tol = 1e-12 * size
+    if not np.all((xi >= -tol) & (xi <= size + tol)):     # False for nan
+        name = "reference radius" if sol.eigen.radial else "xi"
+        raise ParameterError(f"{name} must lie in [0, {size}]")
+    return np.clip(xi, 0.0, size)
 
 
 def _sum_modes(sol, xi: np.ndarray, log_theta: np.ndarray,
@@ -320,12 +322,8 @@ def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
 def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:
     """Physical density psi at reference radius r in [0, R0] (r maps to |x| R0/R)."""
     _check_time(sol, t)
-    R0 = 0.5 * sol.motion.L0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    tol = 1e-12 * R0
-    if np.any(r < -tol) or np.any(r > R0 + tol):
-        raise ParameterError(f"reference radius must lie in [0, {R0}]")
-    r = np.clip(r, 0.0, R0)
+    R0 = sol.eigen.L0
+    r = _reference_xi(sol, r)
     state = eval_motion(sol.motion, t)
     D = sol.physics.D
     RdotR = 0.25 * state.Ldot * state.L

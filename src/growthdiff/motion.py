@@ -70,7 +70,6 @@ __all__ = [
     "require_centered",
     "motion_to_document",
     "motion_from_document",
-    "motion_dumps",
     "motion_content_hash",
 ]
 
@@ -128,28 +127,16 @@ class EtaSpec:
         elif not (self.p < 0.0):
             raise ParameterError(f"eta exponent p must be negative, got {self.p}")
 
-    # With k = 0, eta and its derivatives are zero, and subtracting them
-    # leaves every kinematic value unchanged, so they are not computed.
-
-    def value(self, t: float) -> float:
+    def derivative(self, t, order: int = 0):
+        """The order-th derivative of eta at t (order 0: eta itself).  With
+        k = 0 every derivative is zero, and subtracting it leaves every
+        kinematic value unchanged, so it is not computed."""
         if self.k == 0.0:
             return 0.0
-        return self.k * (1.0 + t) ** self.p
-
-    def d1(self, t: float) -> float:
-        if self.k == 0.0:
-            return 0.0
-        return self.k * self.p * (1.0 + t) ** (self.p - 1.0)
-
-    def d2(self, t: float) -> float:
-        if self.k == 0.0:
-            return 0.0
-        return self.k * self.p * (self.p - 1.0) * (1.0 + t) ** (self.p - 2.0)
-
-    def d3(self, t: float) -> float:
-        if self.k == 0.0:
-            return 0.0
-        return self.k * self.p * (self.p - 1.0) * (self.p - 2.0) * (1.0 + t) ** (self.p - 3.0)
+        coeff = self.k
+        for j in range(order):
+            coeff *= self.p - j
+        return coeff * (1.0 + t) ** (self.p - order)
 
 
 @dataclass(frozen=True)
@@ -249,7 +236,12 @@ class CriticalMotion:
 
     @cached_property
     def t0(self) -> float:
-        return (0.5 * self.L0_offset + self.eta.value(0.0)) / self.physics.c_star
+        return (0.5 * self.L0_offset + self.eta.derivative(0.0)) / self.physics.c_star
+
+    @cached_property
+    def _horizon(self) -> float:
+        """``validity_horizon``, computed once per motion."""
+        return _critical_horizon(self)
 
     @property
     def L0(self) -> float:
@@ -304,6 +296,11 @@ class TabulatedMotion:
     @cached_property
     def L0(self) -> float:
         return float(self._spline(0.0)[1])
+
+    @cached_property
+    def _horizon(self) -> float:
+        """``validity_horizon``, computed once per motion."""
+        return _tabulated_horizon(self)
 
 
 BoundaryMotion = SeparableMotion | CriticalMotion | TabulatedMotion
@@ -398,18 +395,22 @@ def _separable_kinematics(m: SeparableMotion, t, xp=math):
 
 def _critical_half_length(m: CriticalMotion, t, xp=math):
     """c* (t + t0) - alpha log(1 + t) - eta(t); nonpositive once the domain collapsed."""
-    return m.physics.c_star * (t + m.t0) - m.alpha * xp.log1p(t) - m.eta.value(t)
+    return m.physics.c_star * (t + m.t0) - m.alpha * xp.log1p(t) - m.eta.derivative(t)
 
 
 def _critical_kinematics(m: CriticalMotion, t, xp=math):
     cs = m.physics.c_star
     eta = m.eta
     L = 2.0 * _critical_half_length(m, t, xp)
-    if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
-        raise DomainCollapsedError(
-            f"critical motion collapsed at or before t={_first(t, L <= 0.0)}; increase L0_offset")
-    Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.d1(t))
-    Lddot = 2.0 * (m.alpha / (1.0 + t) ** 2 - eta.d2(t))
+    horizon = m._horizon
+    # Past a collapse the half-length turns positive again once c* t outgrows
+    # the lag, so the time is checked as well as the length.
+    if (L <= 0.0 or t >= horizon) if xp is math else (
+            L.min(initial=math.inf) <= 0.0 or t.max(initial=-math.inf) >= horizon):
+        raise DomainCollapsedError(f"critical motion collapsed at or before t="
+                                   f"{_first(t, (L <= 0.0) | (t >= horizon))}; increase L0_offset")
+    Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.derivative(t, 1))
+    Lddot = 2.0 * (m.alpha / (1.0 + t) ** 2 - eta.derivative(t, 2))
     return MotionState(t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
 
 
@@ -450,6 +451,11 @@ def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
     L, Ldot, Lddot = _cubic_read(cL, s)
     if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
         raise DomainCollapsedError(f"tabulated length is non-positive at t={_first(t, L <= 0.0)}")
+    # The spline may turn positive again past its first zero; the domain stays gone.
+    horizon = m._horizon
+    if (t if xp is math else t.max(initial=-math.inf)) >= horizon:
+        raise DomainCollapsedError(f"tabulated length vanished at t={horizon}, before "
+                                   f"t={_first(t, t >= horizon)}")
     A, Adot, Addot = _cubic_read(cA, s)
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
@@ -476,7 +482,7 @@ def length_jerk(motion: BoundaryMotion, st: MotionState):
     if isinstance(motion, SeparableMotion):
         return -3.0 * motion.gamma0 * st.Ldot / st.L ** 4
     if isinstance(motion, CriticalMotion):
-        return 2.0 * (-2.0 * motion.alpha / (1.0 + st.t) ** 3 - motion.eta.d3(st.t))
+        return 2.0 * (-2.0 * motion.alpha / (1.0 + st.t) ** 3 - motion.eta.derivative(st.t, 3))
     l3 = _spline_piece(motion, st.t, np if isinstance(st.t, np.ndarray) else math)[1][0]
     return 0.0 + l3 * 6.0           # PPoly's sum for the third derivative
 
@@ -566,6 +572,19 @@ def _separable_horizon(m: SeparableMotion) -> float:
     return positive[0] if positive else math.inf
 
 
+def _first_root(f, ts, vals, **tols) -> float:
+    """The first root of f on the samples ``vals = f(ts)``: 0.0 when the first
+    sample is nonpositive, +inf when none is, else brentq (xtol 1e-13) between
+    the first nonpositive sample and the one before it."""
+    below = np.flatnonzero(vals <= 0.0)
+    if below.size == 0:
+        return math.inf
+    i = below[0]
+    if i == 0:
+        return 0.0
+    return brentq(f, ts[i - 1], ts[i], xtol=1e-13, **tols)
+
+
 def _critical_horizon(m: CriticalMotion) -> float:
     cs = m.physics.c_star
     # Beyond t_safe the half-length derivative is certainly positive.
@@ -575,35 +594,21 @@ def _critical_horizon(m: CriticalMotion) -> float:
         kd = 2.0 * abs(m.eta.k * m.eta.p) / cs
         t_safe = max(t_safe, kd ** (1.0 / (1.0 - m.eta.p)))
     ts = np.linspace(0.0, t_safe + 1.0, 4097)
-    vals = _critical_half_length(m, ts, np)
-    below = np.nonzero(vals <= 0.0)[0]
-    if below.size == 0:
-        return math.inf
-    i = below[0]
-    return brentq(lambda t: _critical_half_length(m, t), ts[i - 1], ts[i],
-                  xtol=1e-13, rtol=1e-14)
+    return _first_root(lambda t: _critical_half_length(m, t), ts,
+                       _critical_half_length(m, ts, np), rtol=1e-14)
 
 
 def _tabulated_horizon(m: TabulatedMotion) -> float:
     ts = np.linspace(m.times[0], m.times[-1], 8 * len(m.times))
-    vals = m._spline(ts)[:, 1]
-    below = np.nonzero(vals <= 0.0)[0]
-    if below.size == 0:
-        return math.inf
-    i = below[0]
-    if i == 0:
-        return 0.0
-    return brentq(lambda t: _cubic_read(*_spline_piece(m, t)[1:])[0], ts[i - 1], ts[i],
-                  xtol=1e-13)
+    return _first_root(lambda t: _cubic_read(*_spline_piece(m, t)[1:])[0], ts,
+                       m._spline(ts)[:, 1])
 
 
 def validity_horizon(motion: BoundaryMotion) -> float:
     """First positive time at which L(t) = 0, or +inf if the length never vanishes."""
     if isinstance(motion, SeparableMotion):
         return motion.horizon
-    if isinstance(motion, CriticalMotion):
-        return _critical_horizon(motion)
-    return _tabulated_horizon(motion)
+    return motion._horizon
 
 
 def centering_defect(motion: BoundaryMotion) -> str | None:
@@ -670,31 +675,32 @@ def motion_to_document(motion: BoundaryMotion) -> dict:
 
 
 def motion_from_document(doc: dict) -> BoundaryMotion:
+    """The motion ``motion_to_document`` described; a document that builds no
+    valid motion (a key missing, a value of the wrong kind, an unknown family,
+    a refused parameter) raises ``ParameterError``."""
     try:
         family = doc["family"]
         phys = PhysicsParams(float(doc["physics"]["D"]), float(doc["physics"]["f0"]))
         params = doc["params"]
-    except (KeyError, TypeError) as exc:
+        if family == "separable":
+            return SeparableMotion(phys, float(params["a"]), float(params["b"]),
+                                   float(params["L0"]), float(params.get("gamma1", 0.0)),
+                                   float(params.get("c", 0.0)), float(params.get("d", 0.0)))
+        if family == "critical":
+            eta = params.get("eta", {})
+            return CriticalMotion(phys, float(params["alpha"]), float(params["L0_offset"]),
+                                  EtaSpec(float(eta.get("k", 0.0)), float(eta.get("p", -1.0))))
+        if family == "tabulated":
+            return TabulatedMotion(phys, tuple(params["times"]), tuple(params["A"]),
+                                   tuple(params["L"]))
+        raise ParameterError(f"unknown motion family {family!r}")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParameterError(f"malformed motion document: {exc}") from exc
-    if family == "separable":
-        return SeparableMotion(phys, float(params["a"]), float(params["b"]),
-                               float(params["L0"]), float(params.get("gamma1", 0.0)),
-                               float(params.get("c", 0.0)), float(params.get("d", 0.0)))
-    if family == "critical":
-        eta = params.get("eta", {})
-        return CriticalMotion(phys, float(params["alpha"]), float(params["L0_offset"]),
-                              EtaSpec(float(eta.get("k", 0.0)), float(eta.get("p", -1.0))))
-    if family == "tabulated":
-        return TabulatedMotion(phys, tuple(params["times"]), tuple(params["A"]),
-                               tuple(params["L"]))
-    raise ParameterError(f"unknown motion family {family!r}")
-
-
-def motion_dumps(motion: BoundaryMotion) -> str:
-    return json.dumps(motion_to_document(motion), sort_keys=True)
 
 
 def motion_content_hash(motion: BoundaryMotion) -> str:
+    """SHA-256 of the motion document, serialized with sorted keys."""
     import hashlib
 
-    return hashlib.sha256(motion_dumps(motion).encode()).hexdigest()
+    document = json.dumps(motion_to_document(motion), sort_keys=True)
+    return hashlib.sha256(document.encode()).hexdigest()

@@ -70,7 +70,6 @@ __all__ = [
     "w_weights",
     "solve_radial",
     "grid_to_csv",
-    "negative_values",
     "grid_manifest",
 ]
 
@@ -371,20 +370,12 @@ def grid_to_csv(solution: GridSolution, path) -> None:
                for t, row in zip(solution.times, solution.values)))
 
 
-def negative_values(solution: GridSolution) -> dict:
-    """The count of negative stored values, with the first and last output
-    time holding one (None if there is none): a run record's
-    ``negative_values``."""
+def grid_manifest(solution: GridSolution) -> dict:
+    """JSON-ready run description: scheme, sizes, step record, the motion
+    content hash, and ``negative_values``: the count of negative stored values,
+    with the first and last output time holding one (None if there is none)."""
     negative = np.count_nonzero(solution.values < 0.0, axis=1)
     at = solution.times[negative > 0]
-    return {"count": int(negative.sum()),
-            "first_t": float(at[0]) if at.size else None,
-            "last_t": float(at[-1]) if at.size else None}
-
-
-def grid_manifest(solution: GridSolution) -> dict:
-    """JSON-ready run description: scheme, sizes, step record,
-    ``negative_values`` and the motion content hash."""
     return {
         "schema_version": 1,
         "kind": solution.kind,
@@ -394,6 +385,8 @@ def grid_manifest(solution: GridSolution) -> dict:
         "n_dim": solution.n_dim,
         "num_output_times": int(solution.times.size),
         "t_final": float(solution.times[-1]) if solution.times.size else None,
-        "negative_values": negative_values(solution),
+        "negative_values": {"count": int(negative.sum()),
+                            "first_t": float(at[0]) if at.size else None,
+                            "last_t": float(at[-1]) if at.size else None},
         "motion_hash": solution.motion_hash,
     }

@@ -142,11 +142,15 @@ def initial_w_from_u(motion: BoundaryMotion, xi, u0_values):
 
 def initial_values(data, grid, ball: bool = False) -> np.ndarray:
     """``data`` (a callable of the nodes, or node values) on ``grid``; it must
-    vanish, to 1e-12 of its maximum, at both ends of an interval, or at the
-    last node, r = R0, of a ball."""
+    be finite, and vanish, to 1e-12 of its maximum, at both ends of an
+    interval, or at the last node, r = R0, of a ball."""
     values = np.asarray(data(grid) if callable(data) else data, dtype=float)
     if values.shape != grid.shape:
         raise ParameterError(f"initial data has shape {values.shape}, grid has shape {grid.shape}")
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        j = int(np.argmin(finite))
+        raise ParameterError(f"initial data must be finite, got {values[j]} at node {grid[j]:.6g}")
     ends = values[-1:] if ball else values[[0, -1]]
     if np.any(np.abs(ends) > 1e-12 * (np.max(np.abs(values)) or 1.0)):
         raise ParameterError("initial data must vanish " + (

@@ -7,7 +7,8 @@ import pytest
 import growthdiff.critical as critical
 from growthdiff.cli import main
 from growthdiff.critical import envelope_to_csv, run_critical
-from growthdiff.motion import CriticalMotion, PhysicsParams
+from growthdiff.exact import build_series, eval_series
+from growthdiff.motion import CriticalMotion, PhysicsParams, SeparableMotion, motion_to_document
 from growthdiff.output import write_json
 
 PI = "3.141592653589793"
@@ -120,6 +121,20 @@ class TestExactCommand:
         x = [float(row.split(",")[0]) for row in rows]
         assert x == pytest.approx([-0.9, 0.0, 0.9], abs=1e-12)
 
+    def test_quad_family_is_the_general_length_law(self, tmp_path):
+        # --family quad takes L^2 = a t^2 + 2 b t + L0^2 as given.
+        rc = main(["exact", "--family", "quad", "--D", "1", "--f0", "1", "--L0", "1",
+                   "--a", "0.5", "--b", "0.2", "--gamma1", "0.3", "--times", "0,0.5",
+                   "--xi-samples", "5", "--out", "quad"])
+        assert rc == 0
+        motion = SeparableMotion(PhysicsParams(1.0, 1.0), 0.5, 0.2, 1.0, gamma1=0.3)
+        assert json.loads((tmp_path / "quad.json").read_text())["motion"] == \
+            motion_to_document(motion)
+        table = np.loadtxt(tmp_path / "quad.csv", delimiter=",", skiprows=1)
+        sol = build_series(motion, lambda xi: np.sin(np.pi * xi))
+        xi = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(table[5:, 4], eval_series(sol, xi, 0.5))
+
     def test_rejects_unknown_initial_condition(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "fixed", "D": 1.0, "f0": 1.0,
@@ -154,6 +169,26 @@ class TestNumericCommand:
                    "--t-final", "0.1"])
         assert rc == 0
         assert json.loads((tmp_path / "numeric.json").read_text())["kind"] == "radial"
+
+    def test_quad_family_marches_the_given_law(self, tmp_path):
+        rc = main(["numeric", "--family", "quad", "--D", "1", "--f0", "1", "--L0", "1",
+                   "--a", "0.5", "--b", "0.2", "--form", "w", "--grid", "64",
+                   "--dt", "1e-3", "--t-final", "0.1"])
+        assert rc == 0
+        params = json.loads((tmp_path / "numeric.json").read_text())["motion"]["params"]
+        assert (params["a"], params["b"], params["L0"]) == (0.5, 0.2, 1.0)
+
+    @pytest.mark.parametrize("form, family, expect", [
+        ("u", ["--family", "fixed"], lambda x: x * (2.0 - x)),
+        ("radial", ["--family", "symmetric", "--a", "0", "--b", "0"], lambda r: 1.0 - r * r),
+    ], ids=["interval", "ball"])
+    def test_parabola_initial_data(self, tmp_path, form, family, expect):
+        rc = main(["numeric", *family, "--D", "1", "--f0", "1", "--L0", "2", "--form", form,
+                   "--ic", "parabola", "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"])
+        assert rc == 0
+        table = np.loadtxt(tmp_path / "numeric.csv", delimiter=",", skiprows=1)
+        first = table[table[:, 0] == 0.0]
+        np.testing.assert_allclose(first[:, 2], expect(first[:, 1]), rtol=0.0, atol=1e-15)
 
     def test_peclet_breach_is_a_numeric_failure(self, capsys):
         rc = main(["numeric", "--family", "fixed", "--D", "1", "--f0", "1",

@@ -292,8 +292,16 @@ class TestRadialBarriers:
     def test_rejects_profiles_wider_than_the_half_domain(self, crit15):
         # At t = 5 the interval barrier exists but the ball variant does not.
         assert potential_value(crit15, 5.0) > (-SLOPE_SUM) ** 3
-        with pytest.raises(ValueError, match="does not fit"):
+        with pytest.raises(ValueError, match="does not fit in the half domain"):
             subsolution(crit15, [0.2], 5.0, 5.0, 3)
+        # At t = 1, P = 4.67 is below the interval's threshold too: the profile
+        # would not vanish by xi = L0, so it is no subsolution there.
+        assert potential_value(crit15, 1.0) < (-SLOPE_SUM) ** 3
+        for barrier in (lambda: subsolution(crit15, [0.5, crit15.L0], 1.0, 1.0),
+                        lambda: subsolution_residual(crit15, [0.5], 1.0, 1.0)):
+            with pytest.raises(ValueError, match=r"does not fit in the domain at t=1\.0: "
+                                                 r"P = 4\.67\d* < 51\.06"):
+                barrier()
 
     def test_supersolution_vanishes_at_the_ball_boundary(self, crit25):
         R0 = 0.5 * crit25.L0
@@ -423,6 +431,28 @@ class TestVerifyEnvelope:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,xi,lower,field,upper,slack"
         assert len(lines) == 1 + pair.times.size * pair.grid.size
+
+    @pytest.mark.parametrize("case", ["interval", "ball"])
+    def test_gate_and_csv_read_one_slack(self, case, crit15, interval_run, crit25, ball_run,
+                                         tmp_path):
+        motion, run = (crit15, interval_run) if case == "interval" else (crit25, ball_run)
+        # A stored row of zeros after t_cal has slack -lower / 1e-300 in the table,
+        # and the gate skips it.
+        values = run.values.copy()
+        values[-1] = 0.0
+        pair = verify_envelope(motion, dataclasses.replace(run, values=values))
+        scale = np.max(np.abs(pair.field), axis=1, keepdims=True)
+        gap = np.minimum(pair.upper - pair.field, pair.field - pair.lower)
+        np.testing.assert_array_equal(pair.slack, gap / np.maximum(scale, 1e-300))
+        path = tmp_path / "envelope.csv"
+        envelope_to_csv(pair, path)
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 5], pair.slack.ravel())
+        assert pair.slack[-1].min() < -1e200
+        rows = pair.slack[:-1]
+        i, j = np.unravel_index(np.argmin(rows), rows.shape)
+        assert pair.worst_slack == rows.min() == rows[i, j]
+        assert (pair.worst_time, pair.worst_xi) == (pair.times[i], pair.grid[j])
 
     def test_ball_field_stays_between_barriers(self, crit25, ball_run):
         pair = verify_envelope(crit25, ball_run)
@@ -759,6 +789,13 @@ class TestComparisonBounds:
     def test_initial_data_must_vanish_at_the_ends(self, wobble):
         with pytest.raises(ValueError, match="must vanish at both interval endpoints"):
             envelope_bounds_general(wobble, lambda xi: np.cos(np.pi * xi),
+                                    -6.5255, 0.3, -0.3, 3.4127, 2.0,
+                                    grid_size=128, num_modes=8, n_check=100)
+
+    def test_initial_data_must_be_finite(self, wobble):
+        with pytest.raises(ParameterError, match="initial data must be finite, got nan"):
+            envelope_bounds_general(wobble, lambda xi: np.where(xi == 1.0, np.nan,
+                                                                 np.sin(0.5 * np.pi * xi)),
                                     -6.5255, 0.3, -0.3, 3.4127, 2.0,
                                     grid_size=128, num_modes=8, n_check=100)
 

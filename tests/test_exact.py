@@ -59,6 +59,15 @@ class TestExpansion:
         with pytest.raises(ValueError, match="vanish"):
             transform_ic(motion, xi, np.cos(np.pi * xi))
 
+    @pytest.mark.parametrize("node", [0, 64, 128], ids=["left end", "interior", "right end"])
+    def test_non_finite_initial_data_is_refused(self, physics, node):
+        # A nan passed the end test (False for nan) and the series summed to nan.
+        motion = SeparableMotion.fixed_length(physics, 1.0)
+        data = np.sin(np.pi * np.linspace(0.0, 1.0, 129))
+        data[node] = math.nan
+        with pytest.raises(ParameterError, match="initial data must be finite, got nan"):
+            build_series(motion, data, grid_size=128, num_modes=4)
+
     def test_shape_mismatch_rejected(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)
         sol = build_series(motion, _sine(1.0), grid_size=128, num_modes=4)
@@ -209,6 +218,14 @@ class TestEvaluation:
         sol = build_series(motion, _sine(1.0), grid_size=128, num_modes=8)
         with pytest.raises(DomainCollapsedError):
             eval_series(sol, [0.5], 1.2)
+
+    @pytest.mark.parametrize("evaluate", [eval_series, eval_physical], ids=["xi", "x"])
+    def test_nan_position_is_refused(self, physics, evaluate):
+        # nan compared False with both ends of the domain and was summed to nan.
+        motion = SeparableMotion.fixed_length(physics, 1.0)
+        sol = build_series(motion, _sine(1.0), grid_size=128, num_modes=4)
+        with pytest.raises(ParameterError, match=r"xi must lie in \[0, 1.0\]"):
+            evaluate(sol, [math.nan, 0.5], 0.1)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("evaluate", [eval_series, eval_w, eval_radial_series],
@@ -397,6 +414,31 @@ class TestGrowthRegion:
         with pytest.raises(ValueError):
             growth_region(CriticalMotion(physics, alpha=1.0))
 
+    def test_accelerating_ends_on_a_fixed_length_decay(self, physics):
+        verdict = growth_region(SeparableMotion.fixed_length(physics, 1.0, gamma1=0.5))
+        assert verdict.kind == "decay"
+        assert verdict.rate is None
+        assert "super-exponential" in verdict.note
+
+    @pytest.mark.parametrize("c, kind, rate", [(3.0, "decay", 1.0 - 9.0 / 4.0),
+                                               (2.0, "marginal", 0.0)])
+    def test_diffusive_spreading_against_drift(self, physics, c, kind, rate):
+        # rate = f0 - c^2 / 4D: drift 3 beats f0 = 1, and drift 2 = c* balances it.
+        verdict = growth_region(SeparableMotion.sqrt_length(physics, 1.0, 2.0, c=c))
+        assert verdict.kind == kind
+        assert verdict.rate == rate
+
+    @pytest.mark.parametrize("a, b", [(16.0, 0.0), (16.0, 8.0)], ids=["quad_pos", "quad_neg"])
+    def test_quadratic_length_window_follows_the_asymptotic_drift(self, physics, a, b):
+        # v = sqrt(a) = 4; the endpoint drift tends to c - gamma1 v / beta.
+        motion = SeparableMotion(physics, a, b, 1.0, gamma1=0.8)
+        beta = b * b - a
+        c_eff = -0.8 * 4.0 / beta
+        verdict = growth_region(motion)
+        assert verdict.kind == "window"
+        assert verdict.window[0] == 0.0
+        assert verdict.window[1] == pytest.approx((2.0 - c_eff) / 4.0, rel=1e-14)
+
 
 class TestRadialSeries:
     def test_stationary_ball_fundamental_mode(self, physics):
@@ -432,6 +474,25 @@ class TestRadialSeries:
         motion = SeparableMotion.fixed_length(physics, 2.0)
         with pytest.raises(ValueError, match="centred"):
             build_radial_series(motion, lambda r: np.sinc(r), 3, grid_size=128)
+
+    def test_non_finite_initial_data_is_refused(self, physics):
+        motion = SeparableMotion.symmetric(physics, 2.0)
+        with pytest.raises(ParameterError, match="initial data must be finite, got inf"):
+            build_radial_series(motion, lambda r: np.where(r == 0.5, np.inf, np.sinc(r)), 3,
+                                grid_size=128)
+
+    @pytest.mark.parametrize("evaluate, r", [
+        (eval_radial_series, -0.1), (eval_radial_series, 1.1),
+        (eval_radial_series, math.nan), (eval_radial_physical, math.nan)],
+        ids=["below", "above", "nan", "physical nan"])
+    def test_reference_radius_outside_the_ball_is_refused(self, physics, evaluate, r):
+        # The interval's rule: [0, R0] to 1e-12 R0, and nan refused.  A physical
+        # nan passes the ball's own check and is mapped to a nan reference radius.
+        motion = SeparableMotion.symmetric(physics, 2.0)
+        sol = build_radial_series(motion, lambda r: np.sinc(r), 3, grid_size=128,
+                                  num_modes=4)
+        with pytest.raises(ParameterError, match=r"reference radius must lie in \[0, 1.0\]"):
+            evaluate(sol, [0.5, r], 0.1)
 
     def test_radius_outside_ball_rejected(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0)

@@ -112,7 +112,7 @@ class TestEvalMotion:
         motion = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(1.0, -0.5))
         st = eval_motion(motion, 2.0)
         assert vars(physics)["c_star"] == 2.0 * math.sqrt(physics.D * physics.f0)
-        t0 = (0.5 * motion.L0_offset + motion.eta.value(0.0)) / physics.c_star
+        t0 = (0.5 * motion.L0_offset + motion.eta.derivative(0.0)) / physics.c_star
         assert vars(motion)["t0"] == t0
         fresh = CriticalMotion(physics, alpha=1.5, eta=EtaSpec(1.0, -0.5))
         assert fresh == motion and hash(fresh) == hash(motion)
@@ -122,8 +122,8 @@ class TestEvalMotion:
         eta = EtaSpec(1.0, -0.5)
         h = 1e-4
         for t in (0.0, 0.8, 12.0):
-            diff = (eta.d2(t + h) - eta.d2(t - h)) / (2.0 * h)
-            assert eta.d3(t) == pytest.approx(diff, rel=1e-6)
+            diff = (eta.derivative(t + h, 2) - eta.derivative(t - h, 2)) / (2.0 * h)
+            assert eta.derivative(t, 3) == pytest.approx(diff, rel=1e-6)
 
     @pytest.mark.parametrize("eta", [EtaSpec(), EtaSpec(-0.0, -0.5),
                                      EtaSpec(1.0, -0.5), EtaSpec(-0.4, -1.5)])
@@ -383,6 +383,26 @@ class TestValidityHorizon:
     def test_critical_infinite(self, physics):
         assert validity_horizon(CriticalMotion(physics, alpha=1.5)) == math.inf
 
+    def test_collapsing_critical_motion_ends_at_the_root(self, physics):
+        # c* t + 0.1 - 3 log(1 + t) turns negative early: the scan finds a sign
+        # change and brentq refines it to xtol 1e-13, rtol 1e-14.
+        motion = CriticalMotion(physics, alpha=3.0, L0_offset=0.2)
+        horizon = validity_horizon(motion)
+        assert horizon == 0.12002054991322864
+        half = lambda t: physics.c_star * (t + motion.t0) - 3.0 * math.log1p(t)
+        assert abs(half(horizon)) < 1e-13
+        assert half(0.5 * horizon) > 0.0
+        assert eval_motion(motion, 0.99 * horizon).L > 0.0
+        for t in (horizon, 1.5 * horizon, 4.0):
+            with pytest.raises(DomainCollapsedError, match="collapsed"):
+                eval_motion(motion, t)
+        with pytest.raises(DomainCollapsedError, match=f"t={horizon}"):
+            eval_motion(motion, np.array([0.5 * horizon, horizon, 4.0]))
+
+    def test_tabulated_length_vanishing_at_the_first_sample(self, physics):
+        motion = TabulatedMotion(physics, (0.0, 1.0, 2.0, 3.0), (0.0,) * 4, (0.0, 1.0, 2.0, 1.0))
+        assert validity_horizon(motion) == 0.0
+
     def test_shrinking_linear_law_with_positive_roundoff_collapses(self, physics):
         # gamma0 = a L0^2 - b^2 rounds to +8.9e-16 here; L = L0 + slope t still
         # ends at L0/|slope| and must not bounce back past it.
@@ -472,6 +492,28 @@ class TestTabulated:
         with pytest.raises(DomainCollapsedError,
                            match=r"^tabulated length is non-positive at t=1\.5$"):
             eval_motion(motion, 1.5)
+
+    @pytest.mark.parametrize("times, A, L, message", [
+        ((0.0, 1.0, 2.0), (0.0,) * 3, (1.0,) * 3, "at least 4 samples"),
+        ((0.0, 1.0, 1.0, 2.0), (0.0,) * 4, (1.0,) * 4, "strictly increasing"),
+        ((0.0, 1.0, 2.0, 3.0), (0.0,) * 3, (1.0,) * 4, "must match times in length"),
+        ((0.5, 1.0, 2.0, 3.0), (0.0,) * 4, (1.0,) * 4, "cover t = 0"),
+    ], ids=["few", "unsorted", "lengths", "late start"])
+    def test_constructor_refusals(self, physics, times, A, L, message):
+        with pytest.raises(ParameterError, match=message):
+            TabulatedMotion(physics, times, A, L)
+
+    def test_length_turning_positive_again_stays_collapsed(self, physics):
+        # The samples dip below zero and recover; the domain ends at the first zero.
+        motion = TabulatedMotion(physics, (0.0, 1.0, 2.0, 3.0, 4.0), (0.0,) * 5,
+                                 (1.0, -0.5, 1.0, 2.0, 3.0))
+        horizon = validity_horizon(motion)
+        assert 0.0 < horizon < 1.0
+        assert eval_motion(motion, 0.5 * horizon).L > 0.0
+        for t in (2.5, np.array([0.5 * horizon, 2.5])):
+            with pytest.raises(DomainCollapsedError,
+                               match=f"^tabulated length vanished at t={horizon}, before t=2.5$"):
+                eval_motion(motion, t)
 
     def test_out_of_range_names_the_table(self, physics):
         motion = _tabulated_from(physics, lambda t: -0.5 * (2.0 + t), lambda t: 2.0 + t)
@@ -564,6 +606,23 @@ class TestSerialization:
         assert doc["params"]["eta"] == {"k": 0.0, "p": -1.0}
         doc["params"]["eta"] = {"eta0": 0.5, "k": 0.0, "p": -0.5}
         assert motion_from_document(doc) == CriticalMotion(physics, alpha=1.5)
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda d: d["params"].pop("a"), "'a'"),
+        (lambda d: d["params"].update(a="x"), "could not convert string to float: 'x'"),
+        (lambda d: d["physics"].update(D="x"), "could not convert string to float: 'x'"),
+        (lambda d: d.update(params=[1.0, 2.0]), "list indices must be integers"),
+        (lambda d: d.update(family="critical", params={"alpha": 1.5, "L0_offset": 1.0,
+                                                       "eta": 0.5}), "has no attribute 'get'"),
+        (lambda d: d.update(family="tabulated", params={"times": [0, 1, 2, 3],
+                                                        "A": [0] * 4}), "'L'"),
+        (lambda d: d.update(family="spiral"), "unknown motion family 'spiral'"),
+    ], ids=["no a", "bad a", "bad D", "list params", "number eta", "no L", "family"])
+    def test_malformed_documents_are_refused(self, physics, edit, cause):
+        doc = motion_to_document(SeparableMotion.fixed_length(physics, 1.0))
+        edit(doc)
+        with pytest.raises(ParameterError, match="^malformed motion document: .*" + cause):
+            motion_from_document(doc)
 
     def test_hash_distinguishes_parameters(self, physics):
         m1 = SeparableMotion.fixed_length(physics, 1.0, c=0.5)

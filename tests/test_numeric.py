@@ -555,6 +555,19 @@ class TestValidation:
             solve_u(motion, lambda xi: np.cos(np.pi * xi), grid_size=64,
                     dt=1e-3, T=0.1)
 
+    @pytest.mark.parametrize("solve", [
+        lambda m, f: solve_u(m, f, grid_size=64, dt=1e-3, T=0.01),
+        lambda m, f: solve_w(m, f, grid_size=64, dt=1e-3, T=0.01),
+        lambda m, f: solve_radial(m, f, 3, grid_size=64, dt=1e-3, T=0.01),
+    ], ids=["u", "w", "radial"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_initial_data_is_refused(self, physics, solve, bad):
+        # A nan passed the end test and marched until the finite check at t = 0.01.
+        motion = SeparableMotion.symmetric(physics, 1.0)
+        data = lambda x: np.where(x == 0.5, bad, np.sin(np.pi * x))
+        with pytest.raises(ParameterError, match=f"initial data must be finite, got {bad}"):
+            solve(motion, data)
+
     @pytest.mark.parametrize("kwargs", [
         {"grid_size": 4},
         {"dt": -1e-3},

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from growthdiff.exact import build_radial_series
-from growthdiff.motion import (CriticalMotion, ParameterError, PhysicsParams,
+from growthdiff.motion import (CriticalMotion, EtaSpec, ParameterError, PhysicsParams,
                                SeparableMotion, TabulatedMotion, eval_motion,
                                require_centered)
 from growthdiff.numeric import solve_radial
@@ -86,6 +86,15 @@ class TestTimeFactor:
                                limit=200)
             got = log_time_factor(motion, t)
             assert got == pytest.approx(physics.f0 * t - expected, abs=1e-8)
+
+    @pytest.mark.parametrize("k, p", [(0.5, -0.5), (-0.3, -1.5)])
+    def test_critical_eta_terms_match_the_drift_integral(self, k, p):
+        # The closed form's eta terms against f0 t minus the checked quadrature.
+        for ph in (PhysicsParams(1.0, 1.0), PhysicsParams(0.5, 2.0)):
+            motion = CriticalMotion(ph, alpha=1.5, eta=EtaSpec(k, p))
+            for t in (0.5, 7.0, 300.0):
+                assert log_time_factor(motion, t) == pytest.approx(
+                    ph.f0 * t - drift_integral(motion, t), rel=1e-13)
 
 
 class TestShapeFactor:

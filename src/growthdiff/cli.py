@@ -239,6 +239,8 @@ def cmd_exact(cfg) -> int:
     motion = _build_motion(cfg)
     u0 = _initial_condition(cfg.ic, motion)
     times = _output_times(cfg)
+    if cfg.xi_samples < 2:
+        raise ParameterError(f"xi_samples must be at least 2, got {cfg.xi_samples}")
 
     sol = build_series(motion, u0, grid_size=cfg.grid, num_modes=cfg.modes)
     xi = np.linspace(0.0, motion.L0, cfg.xi_samples)

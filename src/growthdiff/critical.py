@@ -56,7 +56,7 @@ from .motion import (
     time_integral,
     time_rescale,
 )
-from .numeric import GridSolution, StepRecord, grid_manifest, solve_radial, solve_w, w_weights
+from .numeric import GridSolution, grid_manifest, solve_radial, solve_w, w_weights
 from .output import write_csv
 from .transforms import log_radial_factor, log_shape_factor, log_time_factor
 
@@ -395,10 +395,9 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
                                     log_gauge, n_dim)
         upper[row] = _upper_barrier(motion, grid, s, n_dim)
 
-    interior = slice(1, -1)
     w_cal, sub_cal, sup_cal = solution.values[check[0]], lower[0], upper[0]
-    pos = sup_cal[interior] > 0.0
-    C2 = float(np.max(w_cal[interior][pos] / sup_cal[interior][pos]))
+    pos = sup_cal > 0.0
+    C2 = float(np.max(w_cal[pos] / sup_cal[pos]))
     mask = sub_cal > 1e-14 * np.max(sub_cal)
     if not np.any(mask):
         raise ValueError("subsolution vanished on the whole grid at t_cal")
@@ -460,19 +459,15 @@ def boundary_gradient(motion: BoundaryMotion, solution: GridSolution) -> tuple[n
     factor at the endpoint.
     """
     solution.check_owner(motion, "boundary_gradient", "potential-form")
-    grid = solution.grid
-    h = grid[1] - grid[0]
-    out = np.empty(solution.times.size)
-    L0 = motion.L0
-    scales = L0 / eval_motion(motion, solution.times).L
-    for i, (t, scale) in enumerate(zip(solution.times.tolist(), scales.tolist())):
-        vals = solution.values[i]
-        if solution.kind == "w":
-            end, slope = 0.0, (4.0 * vals[1] - vals[2]) / (2.0 * h)
-        else:
-            end, slope = 0.5 * L0, -(3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-        out[i] = slope * scale * float(np.exp(_log_psi_factor(motion, solution, end, t)))
-    return np.asarray(solution.times, dtype=float), out
+    times = solution.times
+    # Each row runs from its boundary node, where the stored field is zero.
+    w_run = solution.kind == "w"
+    rows = solution.values if w_run else solution.values[:, ::-1]
+    end = 0.0 if w_run else 0.5 * motion.L0
+    slopes = (4.0 * rows[:, 1] - rows[:, 2]) / (2.0 * (solution.grid[1] - solution.grid[0]))
+    scales = motion.L0 / eval_motion(motion, times).L
+    factors = [float(np.exp(_log_psi_factor(motion, solution, end, t))) for t in times.tolist()]
+    return np.asarray(times, dtype=float), slopes * scales * factors
 
 
 @dataclass(frozen=True)
@@ -495,8 +490,6 @@ class CriticalFitReport:
     probes: tuple
     window: tuple
     t_final: float
-    grid_size: int
-    steps: StepRecord          # the run's step count and dt range; zeros on the series route
     residual_rms: float
     limit_exponent: float
     limit_per_probe: tuple
@@ -524,8 +517,6 @@ def fit_report_document(report: CriticalFitReport) -> dict:
         "probes": list(report.probes),
         "window": list(report.window),
         "t_final": report.t_final,
-        "grid_size": report.grid_size,
-        "steps": report.steps._asdict(),
         "residual_rms": report.residual_rms,
         "limit_exponent": report.limit_exponent,
         "limit_error": report.limit_error,
@@ -580,32 +571,26 @@ _RELAXATION_POWER = -0.5
 def _fit_log_decay(times: np.ndarray, logs) -> tuple:
     """Regress each row of log psi on log t, plainly and with the relaxation term.
 
-    Returns the least-squares slopes, the exponents p and coefficients b of
-    log psi = c + p log t + b t^(-1/2), and the residual RMS of the plain fit.
+    Each model is one least-squares solve over every probe, with design
+    [1, log t] or [1, log t, t^(-1/2)].  Returns the plain slopes, the
+    exponents p and coefficients b of log psi = c + p log t + b t^(-1/2), and
+    the residual RMS of the plain fit.
     """
-    log_t = np.log(times)
-    design = np.column_stack([np.ones_like(log_t), log_t, times ** _RELAXATION_POWER])
-    slopes, limits, relax = [], [], []
-    resid_sq = 0.0
-    for lg in logs:
-        coeffs, res = np.polynomial.polynomial.polyfit(log_t, lg, 1, full=True)
-        slopes.append(float(coeffs[1]))
-        if res[0].size:
-            resid_sq += float(res[0][0])
-        _, p, b = np.linalg.lstsq(design, lg, rcond=None)[0]
-        limits.append(float(p))
-        relax.append(float(b))
-    rms = math.sqrt(resid_sq / (len(slopes) * times.size))
-    return slopes, limits, relax, rms
+    rhs = np.transpose(logs)                 # one column per probe
+    design = np.column_stack((np.ones_like(times), np.log(times), times ** _RELAXATION_POWER))
+    plain, resid_sq = np.linalg.lstsq(design[:, :2], rhs, rcond=None)[:2]
+    _, limits, relax = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    return plain[1].tolist(), limits.tolist(), relax.tolist(), math.sqrt(resid_sq.sum() / rhs.size)
 
 
 def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size: int,
                    dt: float, num_outputs: int) -> GridSolution:
-    """Potential-form run of a critical motion from its principal-mode profile.
+    """Potential-form run of a critical motion from the 1-ball's principal mode.
 
     The output times are ``_output_times(t_final, dt, num_outputs)``.  n_dim
     = 1 runs ``solve_w`` from a sine, which it marches as the even half of
-    the interval; balls run ``solve_radial`` from the cosine dome.
+    the interval; balls run ``solve_radial`` from the cosine dome, which is
+    the 1-ball's mode: n = 2 and 3 start from it, not from J0 or sinc.
     """
     outputs = _output_times(t_final, dt, num_outputs)
     if n_dim == 1:
@@ -680,11 +665,11 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     least squares with the relaxation power fixed by theory.
 
     A critical motion may pass a finished potential-form ``solution`` in place
-    of the solve: the grid, steps and dimension then come from that run,
-    ``num_outputs`` is unused, and ``t_final`` must be the run's last stored
-    time.  Either way a fit needs 8 output times in the window; a solve is
-    refused before its march if its own would leave fewer.  The series route
-    marches nothing and refuses a ``solution``.
+    of the solve: the grid and dimension come from that run, ``num_outputs``
+    is unused, and ``t_final`` must be the run's last stored time.  Either
+    way a fit needs 8 output times in the window; a solve is refused before
+    its march if its own would leave fewer.  The series route marches
+    nothing and refuses a ``solution``.
     """
     ph = motion.physics
     window = fit_window(t_final, window, probes)
@@ -703,7 +688,6 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
                 raise ParameterError(f"t_final={t_final} is not the run's last stored "
                                      f"time {solution.times[-1]}")
             times = _window_times(solution.times, window)
-        grid_size, steps = solution.grid_size, solution.steps
         logs = _probe_log_psi(motion, solution, [float(y) for y in probes], times)
     else:
         # balanced spreading interval: exact series, no solver
@@ -724,7 +708,6 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
         route = "series"
         alpha = 0.0
         predicted = -1.5
-        grid_size, steps = 0, StepRecord(0, 0.0, 0.0)
         eig = solve_sl(ph.D, motion.L0, motion.gamma0, 0.0, grid_size=1024,
                        num_modes=4, extrapolate=True)
         coeffs = np.zeros(eig.num_modes)
@@ -742,8 +725,7 @@ def fit_exponent(motion: BoundaryMotion, n_dim: int = 1,
     slopes, limits, relax, rms = _fit_log_decay(times, logs)
     return CriticalFitReport(route, n_dim, alpha, predicted, float(np.mean(slopes)),
                              tuple(slopes), tuple(float(y) for y in probes),
-                             window, float(t_final),
-                             grid_size, steps, rms, float(np.mean(limits)),
+                             window, float(t_final), rms, float(np.mean(limits)),
                              tuple(limits), float(np.mean(relax)))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .motion import ParameterError
+from .motion import ParameterError, _require_finite
 from .output import write_csv
 
 __all__ = [
@@ -154,6 +154,7 @@ def solve_sl(D: float, L0: float, gamma0: float, gamma1: float,
     Richardson-extrapolated from a half-resolution solve (the central-difference
     error is a clean h^2 term); the modes are kept from the fine grid.
     """
+    _require_finite(D=D, L0=L0, gamma0=gamma0, gamma1=gamma1)
     if D <= 0 or L0 <= 0:
         raise ParameterError("D and L0 must be positive")
     coef = np.array([D, gamma0 / (4.0 * D * L0 ** 2),
@@ -205,6 +206,7 @@ def solve_radial(D: float, R0: float, gamma0: float, n_dim: int,
     solved is [D, gamma0 / (4 D R0^2)] times ``radial_profiles``, whose
     potential is r^2/R0^2 - 1; gamma0 / (4 D R0^2) is added back to the sigmas.
     """
+    _require_finite(D=D, R0=R0, gamma0=gamma0)
     if D <= 0 or R0 <= 0:
         raise ParameterError("D and R0 must be positive")
     if n_dim not in (1, 2, 3):

@@ -225,13 +225,19 @@ def _closed_drift(motion: SeparableMotion, t: float, L: float, s: float) -> floa
     return acc / (4.0 * D)
 
 
-def eval_w(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.ndarray:
-    """Potential-form field w(xi, t) = sum c_n exp(sigma_n s(t)) g_n(xi)."""
+def _route_clock(sol, xi, t: float, route: str):
+    """The checked positions and s(t) on ``route``: the closed form on "fast",
+    quadrature on "generic"; the route, t and xi are checked in that order."""
     if route not in ("fast", "generic"):
         raise ParameterError(f"unknown route {route!r}")
     _check_time(sol, t)
     xi = _reference_xi(sol, xi)
-    s = time_rescale(sol.motion, t) if route == "fast" else _quadrature_rescale(sol.motion, t)
+    return xi, (time_rescale if route == "fast" else _quadrature_rescale)(sol.motion, t)
+
+
+def eval_w(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.ndarray:
+    """Potential-form field w(xi, t) = sum c_n exp(sigma_n s(t)) g_n(xi)."""
+    xi, s = _route_clock(sol, xi, t, route)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s)
 
 
@@ -244,18 +250,10 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
     measures u's own roundoff, and warns where a factor spanning tens of
     decades makes the terms cancel past ``_TAIL_RTOL``.
     """
-    if route not in ("fast", "generic"):
-        raise ParameterError(f"unknown route {route!r}")
-    _check_time(sol, t)
-    xi = _reference_xi(sol, xi)
+    xi, s = _route_clock(sol, xi, t, route)
     m = sol.motion
     state = eval_motion(m, t)
-    if route == "fast":
-        s = time_rescale(m, t)
-        drift = _closed_drift(m, t, state.L, s)
-    else:
-        s = _quadrature_rescale(m, t)
-        drift = drift_integral(m, t)
+    drift = _closed_drift(m, t, state.L, s) if route == "fast" else drift_integral(m, t)
     log_pre = m.physics.f0 * t - drift + log_shape_factor(m, xi, t, state)
     return _sum_modes(sol, xi, sol.eigen.sigmas * s, log_pre)
 

@@ -89,6 +89,13 @@ class DomainCollapsedError(ValueError):
     """Raised when a motion is evaluated at or beyond its collapse time."""
 
 
+def _require_finite(**fields) -> None:
+    """Refuse a non-finite field: nan passes no sign check and inf passes some."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicsParams:
     """Diffusivity and linear growth rate; both strictly positive."""
@@ -97,6 +104,7 @@ class PhysicsParams:
     f0: float
 
     def __post_init__(self) -> None:
+        _require_finite(D=self.D, f0=self.f0)
         if not (self.D > 0.0):
             raise ParameterError(f"diffusivity D must be positive, got {self.D}")
         if not (self.f0 > 0.0):
@@ -121,6 +129,7 @@ class EtaSpec:
     p: float = -1.0
 
     def __post_init__(self) -> None:
+        _require_finite(k=self.k, p=self.p)
         if self.k == 0.0:
             object.__setattr__(self, "k", 0.0)
             object.__setattr__(self, "p", -1.0)
@@ -156,6 +165,7 @@ class SeparableMotion:
     d: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(a=self.a, b=self.b, L0=self.L0, gamma1=self.gamma1, c=self.c, d=self.d)
         if not (self.L0 > 0.0):
             raise ParameterError(f"initial length L0 must be positive, got {self.L0}")
 
@@ -170,6 +180,7 @@ class SeparableMotion:
     def linear_length(physics: PhysicsParams, L0: float, slope: float,
                       gamma1: float = 0.0, c: float = 0.0, d: float = 0.0) -> "SeparableMotion":
         """L(t) = L0 + slope * t, realised as a = slope^2, b = slope * L0."""
+        _require_finite(slope=slope)
         if slope == 0.0:
             return SeparableMotion.fixed_length(physics, L0, gamma1, c, d)
         return SeparableMotion(physics, slope * slope, slope * L0, L0, gamma1, c, d)
@@ -229,6 +240,7 @@ class CriticalMotion:
     eta: EtaSpec = field(default_factory=EtaSpec)
 
     def __post_init__(self) -> None:
+        _require_finite(alpha=self.alpha, L0_offset=self.L0_offset)
         if not (self.alpha > 0.0):
             raise ParameterError(f"log-lag coefficient alpha must be positive, got {self.alpha}")
         if not (self.L0_offset > 0.0):
@@ -267,6 +279,11 @@ class TabulatedMotion:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 4:
             raise ParameterError("tabulated motion needs at least 4 samples")
+        for name, v in (("times", t), ("A_values", self.A_values), ("L_values", self.L_values)):
+            finite = np.isfinite(np.asarray(v, dtype=float))
+            if not np.all(finite):
+                j = int(np.argmin(finite))
+                raise ParameterError(f"tabulated {name} must be finite, got {v[j]} at index {j}")
         if not np.all(np.diff(t) > 0):
             raise ParameterError("sample times must be strictly increasing")
         if len(self.A_values) != t.size or len(self.L_values) != t.size:
@@ -360,15 +377,11 @@ def _first(t, bad):
 
 # Each kinematics body reads one time t with ``xp = math``, or a 1-D array of
 # times with ``xp = numpy``, where a check tests the array's extreme entry.
+# A body guards only its length's sign; ``eval_motion`` checks the horizon.
 def _separable_kinematics(m: SeparableMotion, t, xp=math):
     Lsq = m.a * t * t + 2.0 * m.b * t + m.L0 ** 2
-    horizon = m.horizon
-    # Past the horizon L^2 may be positive again (a linear law bounces), so
-    # the time is checked as well as the square.
-    if (Lsq <= 0.0 or t >= horizon) if xp is math else (
-            Lsq.min(initial=math.inf) <= 0.0 or t.max(initial=-math.inf) >= horizon):
-        raise DomainCollapsedError(f"interval length vanished at or before t="
-                                   f"{_first(t, (Lsq <= 0.0) | (t >= horizon))} (horizon {horizon})")
+    if (Lsq if xp is math else Lsq.min(initial=math.inf)) <= 0.0:
+        raise DomainCollapsedError(f"interval length vanished at t={_first(t, Lsq <= 0.0)}")
     L = xp.sqrt(Lsq)
     Ldot = (m.a * t + m.b) / L
     Lddot = m.gamma0 / L ** 3
@@ -402,13 +415,9 @@ def _critical_kinematics(m: CriticalMotion, t, xp=math):
     cs = m.physics.c_star
     eta = m.eta
     L = 2.0 * _critical_half_length(m, t, xp)
-    horizon = m._horizon
-    # Past a collapse the half-length turns positive again once c* t outgrows
-    # the lag, so the time is checked as well as the length.
-    if (L <= 0.0 or t >= horizon) if xp is math else (
-            L.min(initial=math.inf) <= 0.0 or t.max(initial=-math.inf) >= horizon):
+    if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
         raise DomainCollapsedError(f"critical motion collapsed at or before t="
-                                   f"{_first(t, (L <= 0.0) | (t >= horizon))}; increase L0_offset")
+                                   f"{_first(t, L <= 0.0)}; increase L0_offset")
     Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.derivative(t, 1))
     Lddot = 2.0 * (m.alpha / (1.0 + t) ** 2 - eta.derivative(t, 2))
     return MotionState(t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
@@ -451,11 +460,6 @@ def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
     L, Ldot, Lddot = _cubic_read(cL, s)
     if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
         raise DomainCollapsedError(f"tabulated length is non-positive at t={_first(t, L <= 0.0)}")
-    # The spline may turn positive again past its first zero; the domain stays gone.
-    horizon = m._horizon
-    if (t if xp is math else t.max(initial=-math.inf)) >= horizon:
-        raise DomainCollapsedError(f"tabulated length vanished at t={horizon}, before "
-                                   f"t={_first(t, t >= horizon)}")
     A, Adot, Addot = _cubic_read(cA, s)
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
@@ -465,16 +469,23 @@ _KINEMATICS = {SeparableMotion: _separable_kinematics, CriticalMotion: _critical
 
 
 def eval_motion(motion: BoundaryMotion, t: float | np.ndarray) -> MotionState:
-    """Kinematics at a finite time t >= 0, or at each time of a 1-D array t;
-    s(t) is ``time_rescale``'s job."""
+    """Kinematics at a finite time t >= 0 before ``validity_horizon``, or at
+    each time of a 1-D array t; s(t) is ``time_rescale``'s job."""
     if not isinstance(t, float) and isinstance(t, np.ndarray):    # a float skips the second test
         if not (0.0 <= t.min(initial=0.0) and t.max(initial=0.0) < math.inf):    # False for nan
             raise ParameterError(f"motions are defined for finite t >= 0, got "
                                  f"t={_first(t, ~((t >= 0.0) & (t < math.inf)))}")
-        return _KINEMATICS[type(motion)](motion, t, np)
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"motions are defined for finite t >= 0, got t={t}")
-    return _KINEMATICS[type(motion)](motion, t)
+        st, last = _KINEMATICS[type(motion)](motion, t, np), t.max(initial=-math.inf)
+    else:
+        if not 0.0 <= t < math.inf:
+            raise ParameterError(f"motions are defined for finite t >= 0, got t={t}")
+        st, last = _KINEMATICS[type(motion)](motion, t), t
+    # Past its first zero a length may turn positive again; the domain stays gone.
+    horizon = validity_horizon(motion)
+    if last >= horizon:
+        raise DomainCollapsedError(f"motion collapsed: its length vanished at t={horizon}, "
+                                   f"before t={float(last)}")
+    return st
 
 
 def length_jerk(motion: BoundaryMotion, st: MotionState):

@@ -276,11 +276,14 @@ def solve_u(motion: BoundaryMotion, u0, grid_size: int = 512, dt: float = 1e-3,
             peclet = np.max(np.abs(c[:, 1:2] + c[:, 2:3] * ends), axis=1) * h / c[:, 0]
             bad = np.flatnonzero(peclet > 2.0)
             if bad.size:
-                t, peclet = ts[bad[0]], peclet[bad[0]]
-                need = int(math.ceil(grid_size * peclet / 2.0)) + 1
-                raise ValueError(
-                    f"cell Peclet number {peclet:.2f} exceeds 2 at t={t:.6g}; "
-                    f"increase grid_size to at least {need}")
+                t, peclet = ts[bad[0]], float(peclet[bad[0]])
+                need, advice = grid_size * peclet / 2.0, ""    # need is inf past any grid
+                if math.isfinite(need):
+                    # Rounded up to the three digits shown, so the advice is enough.
+                    need = math.ceil(need) + 1
+                    scale = 10 ** max(0, len(str(need)) - 3)
+                    advice = f"; increase grid_size to at least {-(-need // scale) * scale:.3g}"
+                raise ValueError(f"cell Peclet number {peclet:#.3g} exceeds 2 at t={t:.6g}{advice}")
             return c
         return np.vstack((interval_profiles(L0, grid_size)[:1],
                           profile_rows(xi.size, (-0.5 / h, 0.0, 0.5 / h),
@@ -347,15 +350,14 @@ def solve_radial(motion: BoundaryMotion, W0, n_dim: int, grid_size: int = 512,
         raise ParameterError(f"n_dim must be 1, 2 or 3, got {n_dim}")
     require_centered(motion)
     R0 = 0.5 * motion.L0
-    D = motion.physics.D
 
     def make_basis(r, h):
         profiles, mu = radial_profiles(R0, n_dim, grid_size)
 
         def weights(ts):
-            st = eval_motion(motion, ts)
-            return np.column_stack((D * (R0 / (0.5 * st.L)) ** 2,
-                                    0.25 * st.Lddot * st.L / (4.0 * D)))
+            # D (R0/R)^2 = D (L0/L)^2, and Q = Rddot R / 4D is a quarter of Lddot L / 4D.
+            diffusion, potential, _ = w_weights(motion, eval_motion(motion, ts))
+            return np.column_stack((diffusion, 0.25 * potential))
         return profiles, weights, np.sqrt(mu * h)
 
     return _solve("radial", motion, W0, R0, grid_size, dt, T, output_times, n_dim,

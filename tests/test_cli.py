@@ -441,7 +441,8 @@ _CENTRED = ["--family", "symmetric", "--D", "1", "--f0", "1", "--L0", "1", "--a"
 _EIGEN = ["eigen", "--D", "1", "--L0", "1", "--gamma0", "0", "--gamma1", "0"]
 _CRITICAL = ["critical", "--D", "1", "--f0", "1", "--alpha", "1.5"]
 
-# One command per library argument check, with the message it prints.
+# One command per argument check, the library's or the command line's, with the
+# message it prints.
 _BAD_ARGUMENTS = {
     "numeric-grid": (["numeric", *_FIXED, "--grid", "4"], "grid_size must be at least 8"),
     "numeric-dt": (["numeric", *_FIXED, "--dt", "-1"],
@@ -482,6 +483,34 @@ _BAD_ARGUMENTS = {
                        "eta exponent p must be negative, got 0.5"),
     "critical-window": (_CRITICAL + ["--window", "5"],
                         "fit window must be two numbers lo, hi, got (5.0,)"),
+    # A non-finite parameter ran on into nan fields, an overflow or a LAPACK refusal.
+    "exact-f0-inf": (["exact", *_FIXED, "--f0", "inf"], "f0 must be finite, got inf"),
+    "exact-c-inf": (["exact", *_FIXED, "--c", "inf"], "c must be finite, got inf"),
+    "numeric-c-inf": (["numeric", *_FIXED, "--c", "inf", "--form", "u", "--grid", "64",
+                       "--dt", "1e-3", "--t-final", "0.1"], "c must be finite, got inf"),
+    "numeric-D-inf": (["numeric", *_FIXED, "--D", "inf"], "D must be finite, got inf"),
+    "numeric-L0-inf": (["numeric", *_FIXED, "--L0", "inf"], "L0 must be finite, got inf"),
+    "numeric-gamma1-inf": (["numeric", *_FIXED, "--gamma1", "inf"],
+                           "gamma1 must be finite, got inf"),
+    "numeric-slope-inf": (["numeric", "--family", "linear", "--D", "1", "--f0", "1", "--L0", "1",
+                           "--slope", "inf"], "slope must be finite, got inf"),
+    "eigen-gamma0-inf": (_EIGEN + ["--gamma0", "inf"], "gamma0 must be finite, got inf"),
+    "eigen-radial-gamma0-inf": (_EIGEN + ["--gamma0", "inf", "--n-dim", "2"],
+                                "gamma0 must be finite, got inf"),
+    "critical-eta-k-inf": (_CRITICAL + ["--eta-k", "inf"], "k must be finite, got inf"),
+    # Fewer than two positions wrote an empty table, or only the xi = 0 rows.
+    "exact-xi-samples--1": (["exact", *_FIXED, "--xi-samples", "-1"],
+                            "xi_samples must be at least 2, got -1"),
+    "exact-xi-samples-0": (["exact", *_FIXED, "--xi-samples", "0"],
+                           "xi_samples must be at least 2, got 0"),
+    "exact-xi-samples-1": (["exact", *_FIXED, "--xi-samples", "1"],
+                           "xi_samples must be at least 2, got 1"),
+    "numeric-radial-ic": (["numeric", *_CENTRED, "--form", "radial", "--ic", "sine"],
+                          "unknown radial initial condition 'sine'; expected dome or parabola"),
+    "numeric-negative-times": (["numeric", *_FIXED, "--times=-1,0.5"],
+                               "times must be nonnegative"),
+    "compare-no-positive-time": (["compare", *_FIXED, "--times", "0"],
+                                 "compare needs at least one positive output time"),
 }
 
 
@@ -519,8 +548,10 @@ _VALID = {
     ("eigen", "extrapolate", "no"),
     ("eigen", "n_dim", True),
     ("numeric", "D", True),
+    ("numeric", "times", 5),
+    ("numeric", "times", []),
 ], ids=["out-number", "dt-null", "family-array", "extrapolate-string", "n_dim-bool",
-        "D-bool"])
+        "D-bool", "times-number", "times-empty"])
 def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, key, value):
     # Each of these crashed with a traceback or ran with a silently coerced value.
     cfg = tmp_path / "cfg.json"
@@ -530,6 +561,33 @@ def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, key
     assert err.startswith(f"config error: {key} must be ")
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"D": 1,', "config file is not valid JSON: "),
+    ("[1, 2]", "config file must hold a JSON object"),
+], ids=["invalid-json", "not-an-object"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("D, c, message", [
+    ("1e-300", "1e10", "cell Peclet number 1.56e+308 exceeds 2 at t=0.0005"),
+    ("1", "1e306", "cell Peclet number 1.56e+304 exceeds 2 at t=0.0005; "
+     "increase grid_size to at least 5.01e+305"),
+], ids=["grid-overflows", "huge-grid"])
+def test_extreme_peclet_refusal_is_a_short_numeric_failure(tmp_path, capsys, D, c, message):
+    # The first ended in an OverflowError traceback; the second printed both
+    # numbers with 300 digits.
+    rc = main(["numeric", "--family", "fixed", "--D", D, "--f0", "1", "--L0", "1", "--c", c,
+               "--form", "u", "--grid", "64", "--dt", "1e-3", "--t-final", "0.1"])
+    assert rc == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, text, value, message", [

@@ -22,9 +22,9 @@ from growthdiff.critical import (EnvelopeViolationError, _fit_log_decay,
                                  verify_nested)
 from growthdiff.exact import build_series, eval_series
 from growthdiff.motion import (CriticalMotion, EtaSpec, ParameterError, PhysicsParams,
-                               SeparableMotion, TabulatedMotion, eval_motion)
+                               SeparableMotion, TabulatedMotion, eval_motion, time_rescale)
 from growthdiff.numeric import grid_manifest, solve_radial, solve_u, solve_w
-from growthdiff.transforms import psi_from_W, u_from_w
+from growthdiff.transforms import log_radial_factor, psi_from_W, u_from_w
 
 # Glued-barrier geometry: the profile dies at xi/L0 = -SLOPE_SUM / P^(1/3),
 # so it fits the interval once P >= (-SLOPE_SUM)^3 and the half-domain of a
@@ -171,6 +171,21 @@ class TestOnset:
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         with pytest.raises(ValueError, match="no valid barrier onset"):
             subsolution_onset(motion, 10.0)
+
+    def test_constant_potential_past_the_threshold_starts_at_zero(self, physics):
+        # gamma0 = 300 holds P at 75 > 51.06 with dP/dt = 0 from t = 0 on.
+        motion = SeparableMotion(physics, 300.0, 0.0, 1.0)
+        assert potential_value(motion, 1.0) == 75.0
+        assert subsolution_onset(motion, 5.0) == 0.0
+
+    def test_onset_after_a_dip_of_the_rate_is_a_sample(self, physics):
+        # P starts at 128 and dips to about 109 before growing: it never leaves the
+        # threshold, so the onset is the first sample from which dP/dt stays >= 0.
+        motion = CriticalMotion(physics, alpha=0.5, L0_offset=8.0)
+        assert potential_rate(motion, 0.0) < 0.0
+        onset = subsolution_onset(motion, 20.0)
+        assert onset == 1.328125 == 20.0 * 272 / 4096
+        assert potential_value(motion, onset) > (-SLOPE_SUM) ** 3
 
 
 class TestBarrierProfile:
@@ -383,6 +398,42 @@ class TestVerifyEnvelope:
         with pytest.raises(ValueError, match="not centred"):
             verify_envelope(motion, run)
 
+    def test_one_time_past_the_onset_leaves_no_room(self, crit15):
+        run = solve_w(crit15, lambda xi: np.sin(np.pi * xi / crit15.L0), grid_size=64,
+                      dt=1e-2, T=40.0, output_times=[0.0, 40.0])
+        with pytest.raises(ValueError, match=r"^no room to verify: barrier onset 3\.87 "
+                                             "leaves fewer than two output times$"):
+            verify_envelope(crit15, run)
+
+    def test_subsolution_between_the_nodes_is_refused(self, physics):
+        # P = 5e4 leaves the barrier alive only on xi/L0 < 0.1007, short of the
+        # first node of an 8-interval grid.
+        motion = SeparableMotion.symmetric(physics, 1.0, a=2e5)
+        run = solve_w(motion, lambda xi: np.sin(np.pi * xi), grid_size=8, dt=1e-3, T=0.01,
+                      output_times=[0.0, 0.01])
+        with pytest.raises(ValueError, match="^subsolution vanished on the whole grid at t_cal$"):
+            verify_envelope(motion, run)
+
+    def test_field_negative_at_calibration_is_refused(self, crit15, interval_run):
+        values = interval_run.values.copy()
+        i = int(np.argmin(np.abs(interval_run.times - 4.18256)))      # t_cal
+        values[i] = -np.abs(interval_run.values[i])
+        with pytest.raises(ValueError, match="^field is not positive where the subsolution "
+                                             "lives at t_cal; calibration impossible$"):
+            verify_envelope(crit15, dataclasses.replace(interval_run, values=values))
+
+    def test_ball_calibrates_the_supersolution_at_the_centre(self, crit25, ball_run):
+        # r = 0 is an unknown of the ball, not a Dirichlet node: a field whose
+        # ratio to the sine-like barrier peaks there sets C2 from it.
+        pair = verify_envelope(crit25, ball_run)
+        i = int(np.flatnonzero(ball_run.times == pair.t_cal)[0])
+        sup = critical._upper_barrier(crit25, ball_run.grid, time_rescale(crit25, pair.t_cal), 3)
+        values = ball_run.values.copy()
+        values[i, 0] = 2.0 * pair.C2 * sup[0]
+        centred = verify_envelope(crit25, dataclasses.replace(ball_run, values=values))
+        assert centred.C2 == values[i, 0] / sup[0] > pair.C2
+        assert centred.C1 == pair.C1
+
     def test_onset_failure_propagates(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0, a=1.0)
         run = solve_w(motion, lambda xi: np.sin(0.5 * np.pi * xi),
@@ -508,6 +559,18 @@ class TestBoundaryGradient:
             expect = -slope * scale * psi_from_W(crit25, [R0], t, [1.0], 3)[0]
             assert grad == pytest.approx(expect, rel=1e-12)
 
+    def test_ball_gradient_is_the_three_point_formula(self, crit25, ball_snapshot):
+        # The ball's row read from its boundary node r = R0, where W = 0, is
+        # -(3 W_N - 4 W_N-1 + W_N-2) / 2h to the last bit.
+        times, grads = boundary_gradient(crit25, ball_snapshot)
+        h = ball_snapshot.grid[1] - ball_snapshot.grid[0]
+        scales = crit25.L0 / eval_motion(crit25, ball_snapshot.times).L
+        for t, grad, W, scale in zip(times.tolist(), grads.tolist(), ball_snapshot.values,
+                                     scales.tolist()):
+            slope = -(3.0 * W[-1] - 4.0 * W[-2] + W[-3]) / (2.0 * h)
+            factor = float(np.exp(-log_radial_factor(crit25, 0.5 * crit25.L0, t, 3)))
+            assert grad == slope * scale * factor
+
 
 class TestProbes:
     PROBES = [0.5, 1.0, 2.0]
@@ -577,6 +640,20 @@ class TestFitExponent:
                 assert slope < p - 0.01
         assert slopes[2] == pytest.approx(-1.5, abs=1e-12)
 
+    def test_plain_fit_recovers_linear_data_for_every_probe_at_once(self):
+        # A (probes x times) array, as the numeric route passes it: each model is
+        # one solve over all probes.
+        times = np.geomspace(2.5, 80.0, 25)
+        cases = ((-0.4, 2.0), (0.0, -1.0), (1.25, 0.5), (-3.0, 7.0))
+        logs = np.array([c + p * np.log(times) for p, c in cases])
+        slopes, limits, relax, rms = _fit_log_decay(times, logs)
+        assert all(isinstance(v, float) for v in slopes + limits + relax)
+        for (p, _), slope, limit, coeff in zip(cases, slopes, limits, relax):
+            assert slope == pytest.approx(p, abs=1e-12)
+            assert limit == pytest.approx(p, abs=1e-10)
+            assert coeff == pytest.approx(0.0, abs=1e-10)
+        assert rms < 1e-12
+
     def test_series_route_rejects_other_motions(self, physics):
         cstar = physics.c_star
         with pytest.raises(ValueError, match="linearly spreading"):
@@ -591,6 +668,14 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="one-dimensional"):
             fit_exponent(balanced, n_dim=2, window=(1e2, 1e4), t_final=1e4)
 
+    def test_series_probe_at_the_moving_end_is_refused(self, physics):
+        # y = L(100) sits on the right end at the window's first time, where u = 0.
+        cstar = physics.c_star
+        balanced = SeparableMotion.linear_length(physics, 1.0, 2.0 * cstar, c=-cstar)
+        end = eval_motion(balanced, 100.0).L
+        with pytest.raises(RuntimeError, match=f"^probe value nonpositive for offset y={end}$"):
+            fit_exponent(balanced, probes=(0.5, end), window=(1e2, 1e4), t_final=1e4)
+
     def test_numeric_route_reuses_a_computed_run(self, crit15, interval_run):
         report = fit_exponent(crit15, window=(2.5, 80.0), t_final=80.0,
                               solution=interval_run)
@@ -602,8 +687,8 @@ class TestFitExponent:
         assert -0.65 < report.fitted_exponent < -0.35
         assert report.residual_rms < 0.3
         assert len(report.per_probe) == 3
-        assert report.grid_size == interval_run.grid_size
-        assert report.steps == interval_run.steps
+        # The run's grid size and steps live in its own record, not in the fit report.
+        assert not {"grid_size", "steps"} & fit_report_document(report).keys()
 
     def test_window_validation(self, crit15, interval_run):
         with pytest.raises(ValueError, match="1.5 decades"):
@@ -712,7 +797,7 @@ class TestRunCritical:
         assert list(run.document) == list(dict.fromkeys([*manifest, *fit])) + [
             "motion", "tol", "envelope"]
         shared = manifest.keys() & fit.keys()
-        assert shared == {"schema_version", "grid_size", "steps", "n_dim", "t_final"}
+        assert shared == {"schema_version", "n_dim", "t_final"}
         assert all(manifest[key] == fit[key] for key in shared)
         assert {key: run.document[key] for key in manifest} == manifest
         assert run.document["tol"] == 10.0

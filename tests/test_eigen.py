@@ -8,6 +8,7 @@ from scipy.special import j0, spherical_jn
 
 from growthdiff.eigen import (principal_eigen_bound, radial_principal_bound,
                               solve_radial, solve_sl)
+from growthdiff.motion import ParameterError
 
 
 class TestInterval:
@@ -88,6 +89,19 @@ class TestPrincipalBound:
     def test_rejects_zero_rho(self):
         with pytest.raises(ValueError):
             principal_eigen_bound(0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("D, L0", [(0.0, 1.0), (1.0, -1.0)])
+    def test_rejects_nonpositive_diffusivity_or_length(self, D, L0):
+        with pytest.raises(ParameterError, match="^D and L0 must be positive$"):
+            principal_eigen_bound(1.0, 0.0, D, L0)
+
+    @pytest.mark.parametrize("rho, n_dim, message", [
+        (0.0, 2, "the shrinking-case bound requires rho != 0"),
+        (1.0, 0, "n_dim must be a positive integer"),
+    ], ids=["zero-rho", "zero-dimension"])
+    def test_radial_bound_refusals(self, rho, n_dim, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            radial_principal_bound(rho, n_dim, 1.0)
 
     def test_negative_gamma0_example(self):
         eig = solve_sl(1.0, 1.0, -1.0, 0.0, grid_size=512, num_modes=1)

@@ -465,6 +465,11 @@ class TestRadialSeries:
                                        eval_physical(sol_int, radius, t),
                                        rtol=1e-6)
 
+    def test_needs_a_separable_diameter_motion(self, physics):
+        with pytest.raises(ParameterError,
+                           match="^radial series need a separable diameter motion$"):
+            build_radial_series(CriticalMotion(physics, alpha=1.5), lambda r: np.cos(r), 3)
+
     def test_boundary_data_must_vanish(self, physics):
         motion = SeparableMotion.symmetric(physics, 2.0)
         with pytest.raises(ValueError, match="vanish"):

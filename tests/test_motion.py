@@ -1,4 +1,6 @@
+import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from growthdiff.motion import (CaseKind, CriticalMotion, DomainCollapsedError,
+from growthdiff.eigen import solve_radial, solve_sl
+from growthdiff.motion import (_KINEMATICS, CaseKind, CriticalMotion, DomainCollapsedError,
                                EtaSpec, ParameterError, PhysicsParams, SeparableMotion,
                                TabulatedMotion, classify, eval_motion,
                                length_jerk, motion_content_hash, motion_from_document,
@@ -29,6 +32,61 @@ class TestPhysicsParams:
     def test_rejects_nonpositive_rates(self, D, f0):
         with pytest.raises(ValueError):
             PhysicsParams(D=D, f0=f0)
+
+
+_TABLE = (0.0, 1.0, 2.0, 3.0)
+
+# One constructor per field that must be finite, with the value put in that field.
+_FINITE_FIELDS = {
+    "PhysicsParams.D": (lambda x: PhysicsParams(x, 1.0), "D"),
+    "PhysicsParams.f0": (lambda x: PhysicsParams(1.0, x), "f0"),
+    "SeparableMotion.a": (lambda x: SeparableMotion(PhysicsParams(1, 1), x, 0.0, 1.0), "a"),
+    "SeparableMotion.b": (lambda x: SeparableMotion(PhysicsParams(1, 1), 0.0, x, 1.0), "b"),
+    "SeparableMotion.L0": (lambda x: SeparableMotion(PhysicsParams(1, 1), 0.0, 0.0, x), "L0"),
+    "SeparableMotion.gamma1": (lambda x: SeparableMotion.fixed_length(PhysicsParams(1, 1), 1.0,
+                                                                      gamma1=x), "gamma1"),
+    "SeparableMotion.c": (lambda x: SeparableMotion.fixed_length(PhysicsParams(1, 1), 1.0,
+                                                                 c=x), "c"),
+    "SeparableMotion.d": (lambda x: SeparableMotion.fixed_length(PhysicsParams(1, 1), 1.0,
+                                                                 d=x), "d"),
+    "linear_length.slope": (lambda x: SeparableMotion.linear_length(PhysicsParams(1, 1), 1.0,
+                                                                    x), "slope"),
+    "CriticalMotion.alpha": (lambda x: CriticalMotion(PhysicsParams(1, 1), x), "alpha"),
+    "CriticalMotion.L0_offset": (lambda x: CriticalMotion(PhysicsParams(1, 1), 1.5, x),
+                                 "L0_offset"),
+    "EtaSpec.k": (lambda x: EtaSpec(x, -0.5), "k"),
+    "EtaSpec.p": (lambda x: EtaSpec(0.5, x), "p"),
+    "EtaSpec.p-unperturbed": (lambda x: EtaSpec(0.0, x), "p"),
+    "TabulatedMotion.times": (lambda x: TabulatedMotion(PhysicsParams(1, 1), (0.0, 1.0, x, 3.0),
+                                                        (0.0,) * 4, (1.0,) * 4),
+                              "tabulated times"),
+    "TabulatedMotion.A_values": (lambda x: TabulatedMotion(PhysicsParams(1, 1), _TABLE,
+                                                           (0.0, 0.0, x, 0.0), (1.0,) * 4),
+                                 "tabulated A_values"),
+    "TabulatedMotion.L_values": (lambda x: TabulatedMotion(PhysicsParams(1, 1), _TABLE,
+                                                           (0.0,) * 4, (1.0, 1.0, x, 1.0)),
+                                 "tabulated L_values"),
+    "solve_sl.D": (lambda x: solve_sl(x, 1.0, 0.0, 0.0, grid_size=64, num_modes=1), "D"),
+    "solve_sl.L0": (lambda x: solve_sl(1.0, x, 0.0, 0.0, grid_size=64, num_modes=1), "L0"),
+    "solve_sl.gamma0": (lambda x: solve_sl(1.0, 1.0, x, 0.0, grid_size=64, num_modes=1),
+                        "gamma0"),
+    "solve_sl.gamma1": (lambda x: solve_sl(1.0, 1.0, 0.0, x, grid_size=64, num_modes=1),
+                        "gamma1"),
+    "solve_radial.D": (lambda x: solve_radial(x, 1.0, 0.0, 3, grid_size=64, num_modes=1), "D"),
+    "solve_radial.R0": (lambda x: solve_radial(1.0, x, 0.0, 3, grid_size=64, num_modes=1),
+                        "R0"),
+    "solve_radial.gamma0": (lambda x: solve_radial(1.0, 1.0, x, 3, grid_size=64, num_modes=1),
+                            "gamma0"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, name", list(_FINITE_FIELDS.values()), ids=list(_FINITE_FIELDS))
+def test_non_finite_parameter_is_refused(build, name, value):
+    # nan passes no sign check and inf passes some: each ran on into nan
+    # fields, an overflow or a LAPACK refusal.
+    with pytest.raises(ParameterError, match=f"^{name} must be finite, got {value}"):
+        build(value)
 
 
 class TestClassify:
@@ -367,6 +425,29 @@ class TestTimeIntegral:
             time_integral(lambda z: math.sin(1e4 * z), 0.0, 5.0)
 
 
+def test_zero_slope_is_the_fixed_length(physics):
+    assert (SeparableMotion.linear_length(physics, 1.5, 0.0, gamma1=0.25, c=0.5, d=1.0)
+            == SeparableMotion.fixed_length(physics, 1.5, 0.25, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("build, t", [
+    (lambda ph: SeparableMotion.linear_length(ph, 1.0, -0.5), 3.0),
+    (lambda ph: CriticalMotion(ph, alpha=3.0, L0_offset=0.2), 4.0),
+    (lambda ph: TabulatedMotion(ph, (0.0, 1.0, 2.0, 3.0, 4.0), (0.0,) * 5,
+                                (1.0, -0.5, 1.0, 2.0, 3.0)), 2.5),
+], ids=["linear-bounce", "critical-revival", "tabulated-recovery"])
+def test_every_family_refuses_past_the_horizon_in_one_message(physics, build, t):
+    # Each length is positive again at t; the one refusal names the horizon and the
+    # latest time read, for a scalar and for an array read alike.
+    motion = build(physics)
+    horizon = validity_horizon(motion)
+    assert _KINEMATICS[type(motion)](motion, t).L > 0.0
+    for read in (t, np.array([0.5 * horizon, t, 0.25 * horizon])):
+        with pytest.raises(DomainCollapsedError, match=f"^motion collapsed: its length "
+                                                       f"vanished at t={horizon}, before t={t}$"):
+            eval_motion(motion, read)
+
+
 class TestValidityHorizon:
     def test_sqrt_collapse(self, physics):
         assert validity_horizon(SeparableMotion.sqrt_length(physics, 2.0, -1.0)) == \
@@ -512,7 +593,8 @@ class TestTabulated:
         assert eval_motion(motion, 0.5 * horizon).L > 0.0
         for t in (2.5, np.array([0.5 * horizon, 2.5])):
             with pytest.raises(DomainCollapsedError,
-                               match=f"^tabulated length vanished at t={horizon}, before t=2.5$"):
+                               match=f"^motion collapsed: its length vanished at t={horizon}, "
+                                     "before t=2.5$"):
                 eval_motion(motion, t)
 
     def test_out_of_range_names_the_table(self, physics):
@@ -623,6 +705,27 @@ class TestSerialization:
         edit(doc)
         with pytest.raises(ParameterError, match="^malformed motion document: .*" + cause):
             motion_from_document(doc)
+
+    @pytest.mark.parametrize("text, name", [
+        ('{"family": "separable", "physics": {"D": 1, "f0": 1}, '
+         '"params": {"a": 0, "b": 0, "L0": 1, "c": NaN}}', "c"),
+        ('{"family": "critical", "physics": {"D": NaN, "f0": 1}, '
+         '"params": {"alpha": 1.5, "L0_offset": 1}}', "D"),
+        ('{"family": "critical", "physics": {"D": 1, "f0": 1}, '
+         '"params": {"alpha": 1.5, "L0_offset": 1, "eta": {"k": Infinity}}}', "k"),
+        ('{"family": "tabulated", "physics": {"D": 1, "f0": 1}, '
+         '"params": {"times": [0, 1, 2, 3], "A": [0, 0, 0, 0], "L": [1, NaN, 1, 1]}}',
+         "tabulated L_values"),
+    ], ids=["separable-c", "physics-D", "eta-k", "tabulated-L"])
+    def test_json_nan_literal_is_refused(self, text, name):
+        # Python's json module reads NaN and Infinity, which are not JSON.
+        with pytest.raises(ParameterError,
+                           match=f"^malformed motion document: {name} must be finite, got "):
+            motion_from_document(json.loads(text))
+
+    def test_unknown_motion_type_has_no_document(self, physics):
+        with pytest.raises(TypeError, match="unknown motion type .*SimpleNamespace"):
+            motion_to_document(types.SimpleNamespace(physics=physics))
 
     def test_hash_distinguishes_parameters(self, physics):
         m1 = SeparableMotion.fixed_length(physics, 1.0, c=0.5)

@@ -595,6 +595,16 @@ class TestValidation:
             (solve_u if form == "u" else solve_w)(motion, lambda xi: np.sin(np.pi * xi),
                                                   grid_size=16, output_times=[0.0], **run)
 
+    def test_overflowing_march_is_a_numeric_failure(self, physics):
+        # dt f0 = 1.999 passes the step bound, and each step multiplies the
+        # principal mode by about 1.3e3: the field overflows in 100 steps.
+        motion = SeparableMotion.fixed_length(physics, 100.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError,
+                               match=r"^solver produced non-finite values by t=199\.9$"):
+                solve_u(motion, lambda xi: np.sin(np.pi * xi / 100.0), grid_size=64,
+                        dt=1.999, T=199.9, output_times=[0.0, 199.9])
+
     def test_slice_requires_stored_time(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)
         sol = solve_u(motion, lambda xi: np.sin(np.pi * xi), grid_size=64,

@@ -10,7 +10,7 @@ from growthdiff.exact import build_radial_series
 from growthdiff.motion import (CriticalMotion, EtaSpec, ParameterError, PhysicsParams,
                                SeparableMotion, TabulatedMotion, eval_motion,
                                require_centered)
-from growthdiff.numeric import solve_radial
+from growthdiff.numeric import solve_radial, solve_u
 from growthdiff.transforms import (drift_integral, initial_W_from_psi,
                                    initial_w_from_u, log_radial_factor,
                                    log_shape_factor, log_time_factor,
@@ -20,6 +20,13 @@ from growthdiff.transforms import (drift_integral, initial_W_from_psi,
 
 def _moving(physics):
     return SeparableMotion(physics, 1.0, 2.0, 1.0, gamma1=0.3, c=-0.5, d=0.1)
+
+
+def test_initial_data_of_the_wrong_shape_is_refused(physics):
+    motion = SeparableMotion.fixed_length(physics, 1.0)
+    with pytest.raises(ParameterError,
+                       match=r"^initial data has shape \(64,\), grid has shape \(65,\)$"):
+        solve_u(motion, np.zeros(64), grid_size=64, dt=1e-3, T=0.01)
 
 
 class TestCoordinateMaps:

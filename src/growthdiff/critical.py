@@ -48,6 +48,8 @@ from .motion import (
     MotionState,
     ParameterError,
     SeparableMotion,
+    _kinematics_on,
+    _require_time,
     classify,
     eval_motion,
     length_jerk,
@@ -145,8 +147,23 @@ def _check_potential_sign(motion: BoundaryMotion, points: np.ndarray) -> None:
                          f"P({points[np.argmax(negative)]:.6g}) < 0")
 
 
+def _check_barrier(motion: BoundaryMotion, t: float, n_dim: int | None,
+                   t_ref: float | None = None) -> None:
+    """The one check of a barrier's arguments, before any computation: n_dim is
+    None (the interval) or 1..3, t and an Airy barrier's onset t_ref pass the
+    time rule, and t >= t_ref."""
+    if n_dim not in (None, 1, 2, 3):
+        raise ParameterError("radial barriers are only available for n_dim <= 3")
+    _require_time(motion, t)
+    if t_ref is not None:
+        _require_time(motion, t_ref)
+        if t < t_ref:
+            raise ParameterError(f"barrier is only defined from its onset t_ref={t_ref}")
+
+
 def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None) -> np.ndarray:
-    """Principal mode at rescaled time s: the interval's (n_dim None) in xi, a ball's in r."""
+    """Principal mode at rescaled time s: the interval's (n_dim None) in xi, a ball's
+    in r (n_dim 1, 2 or 3)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     D, L0 = motion.physics.D, motion.L0
     if n_dim is None:
@@ -157,10 +174,8 @@ def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None
         h0, lam = np.cos(0.5 * np.pi * r_hat), np.pi ** 2 / 4.0
     elif n_dim == 2:
         h0, lam = j0(_BESSEL_J0_ZERO * r_hat), _BESSEL_J0_ZERO ** 2
-    elif n_dim == 3:
-        h0, lam = np.sinc(r_hat), np.pi ** 2
     else:
-        raise ParameterError("radial barriers are only available for n_dim <= 3")
+        h0, lam = np.sinc(r_hat), np.pi ** 2
     return h0 * math.exp(-D * lam * s / R0 ** 2)
 
 
@@ -172,6 +187,7 @@ def supersolution(motion: BoundaryMotion, x, t: float, n_dim: int | None = None)
     the potential term only removes mass when P >= 0; refuses motions whose
     potential dips negative before t.
     """
+    _check_barrier(motion, t, n_dim)
     _check_potential_sign(motion, np.linspace(0.0, t, 128))
     return _upper_barrier(motion, x, time_rescale(motion, t), n_dim)
 
@@ -189,6 +205,7 @@ def subsolution_onset(motion: BoundaryMotion, t_max: float,
     Requires P(t) large enough for the profile to fit in the domain and
     dP/dt >= 0 from the onset to t_max.  Raises if no such time exists.
     """
+    _require_time(motion, t_max)
     p_min = _min_potential(0.5 if radial else 1.0)
     D = motion.physics.D
     st = eval_motion(motion, np.linspace(0.0, t_max, 4097))
@@ -246,10 +263,10 @@ def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float,
 def _clock(motion: BoundaryMotion, t_from: float, t_to: float) -> tuple[float, float]:
     """Increments of s(t) and of the gauge log a(t) = _SLOPE_SUM D int P^(2/3) / L^2
     over [t_from, t_to]; both quadratures share their nodes, so each state is read once."""
+    state = cache(_kinematics_on(motion, t_from, t_to))
     if t_to == t_from:
         return 0.0, 0.0
     D, L0sq = motion.physics.D, motion.L0 ** 2
-    state = cache(lambda z: eval_motion(motion, z))
 
     def gauge(z):
         P = _potential(state(z), D)
@@ -284,10 +301,7 @@ def subsolution(motion: BoundaryMotion, x, t: float, t_ref: float,
     two-sided critical bounds are only available for n_dim <= 3, where the
     curvature term has the right sign.
     """
-    if n_dim not in (None, 1, 2, 3):
-        raise ParameterError("radial barriers are only available for n_dim <= 3")
-    if t < t_ref:
-        raise ParameterError(f"barrier is only defined from its onset t_ref={t_ref}")
+    _check_barrier(motion, t, n_dim, t_ref)
     return _lower_barrier(motion, x, t, potential_value(motion, t),
                           _clock(motion, t_ref, t)[1], n_dim)
 
@@ -317,6 +331,7 @@ def subsolution_residual(motion: BoundaryMotion, xi, t: float,
     Must be <= 0 wherever the barrier is positive.  Points in the dead region
     are reported as exactly zero.
     """
+    _check_barrier(motion, t, None, t_ref)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     st = eval_motion(motion, t)
     D = motion.physics.D
@@ -353,6 +368,14 @@ class EnvelopePair:
     worst_xi: float
 
 
+def _refuse_nan(**tolerances) -> None:
+    """Refuse a NaN tolerance: it compares False with everything, so it turns
+    its gate off.  An infinite tolerance is a gate that passes everything."""
+    for name, value in tolerances.items():
+        if math.isnan(value):
+            raise ParameterError(f"{name} must be a number, got {value}")
+
+
 def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
                     slack_tol: float = 1e-8) -> EnvelopePair:
     """Calibrate barriers at one snapshot and check them at all later ones.
@@ -365,8 +388,9 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     with its location.  ``EnvelopePair.slack`` is that relative gap at every
     (time, node), the smaller of the two, and ``envelope_to_csv`` writes it.
     The motion must be centred: the barriers' signs assume the centred
-    potential.
+    potential.  A NaN slack_tol is refused.
     """
+    _refuse_nan(slack_tol=slack_tol)
     solution.check_owner(motion, "verify_envelope", "potential-form")
     require_centered(motion)
     t_end = float(solution.times[-1])
@@ -749,8 +773,9 @@ def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
     document is the march's ``grid_manifest`` (run kind, scheme, step record,
     negative values, motion hash), then the fit report, the motion, ``tol``
     (recorded, not applied) and the envelope; the keys they share carry the
-    same values.  Nothing is written.
+    same values.  Nothing is written.  A NaN slack_tol or tol is refused.
     """
+    _refuse_nan(slack_tol=slack_tol, tol=tol)
     window = fit_window(t_final, window, probes)
     _window_times(_output_times(t_final, dt, num_outputs), window)
     solution = solve_critical(motion, n_dim, t_final, grid_size, dt, num_outputs)
@@ -772,6 +797,8 @@ def run_critical(motion: CriticalMotion, n_dim: int = 1, probes=(0.5, 1.0, 2.0),
 
 def verify_nested(inner: BoundaryMotion, outer: BoundaryMotion, t_max: float) -> None:
     """Check that the inner domain stays inside the outer one up to t_max."""
+    _require_time(inner, t_max)
+    _require_time(outer, t_max)
     ts = np.linspace(0.0, t_max, 256)
     si, so = eval_motion(inner, ts), eval_motion(outer, ts)
     bad = (si.A < so.A - 1e-12) | (si.A + si.L > so.A + so.L + 1e-12)
@@ -801,6 +828,7 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
     with the true motion's time rescaling and exponential factors
     (``eval_bound``), they bound the solution one-sidedly.
     """
+    _require_time(motion, t_max)
     D = motion.physics.D
     L0 = motion.L0
     scale0 = max(abs(gamma0_lo), abs(gamma0_hi), 1.0)

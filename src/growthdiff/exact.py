@@ -32,10 +32,10 @@ from .eigen import EigenSystem, solve_radial, solve_sl
 from .motion import (
     BoundaryMotion,
     CaseKind,
-    DomainCollapsedError,
     ParameterError,
     SeparableMotion,
     _quadrature_rescale,
+    _require_time,
     classify,
     eval_motion,
     motion_content_hash,
@@ -104,10 +104,6 @@ class SeriesSolution:
         return len(self.coeffs)
 
     @cached_property
-    def horizon(self) -> float:
-        return validity_horizon(self.motion)
-
-    @cached_property
     def _modes(self) -> CubicSpline:
         """One spline through all mode shapes; called at xi it returns (modes, points)."""
         return CubicSpline(self.eigen.grid, self.eigen.modes, axis=1)
@@ -146,14 +142,6 @@ def build_series(motion: SeparableMotion, u0, grid_size: int = 512,
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _check_time(sol, t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"series solutions are defined for finite t >= 0, got t={t}")
-    if t >= sol.horizon:
-        raise DomainCollapsedError(
-            f"t={t} is at or beyond the collapse time {sol.horizon}")
 
 
 def _reference_xi(sol, xi) -> np.ndarray:
@@ -230,7 +218,7 @@ def _route_clock(sol, xi, t: float, route: str):
     quadrature on "generic"; the route, t and xi are checked in that order."""
     if route not in ("fast", "generic"):
         raise ParameterError(f"unknown route {route!r}")
-    _check_time(sol, t)
+    _require_time(sol.motion, t)
     xi = _reference_xi(sol, xi)
     return xi, (time_rescale if route == "fast" else _quadrature_rescale)(sol.motion, t)
 
@@ -260,7 +248,6 @@ def eval_series(sol: SeriesSolution, xi, t: float, route: str = "fast") -> np.nd
 
 def eval_physical(sol: SeriesSolution, x, t: float) -> np.ndarray:
     """Physical density psi(x, t); x must lie inside the moving interval."""
-    _check_time(sol, t)
     state = eval_motion(sol.motion, t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     tol = 1e-12 * max(sol.motion.L0, state.L)
@@ -319,21 +306,19 @@ def build_radial_series(motion: SeparableMotion, psi0, n_dim: int,
 
 def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:
     """Physical density psi at reference radius r in [0, R0] (r maps to |x| R0/R)."""
-    _check_time(sol, t)
+    r, s = _route_clock(sol, r, t, "fast")
     R0 = sol.eigen.L0
-    r = _reference_xi(sol, r)
     state = eval_motion(sol.motion, t)
     D = sol.physics.D
     RdotR = 0.25 * state.Ldot * state.L
     log_pre = (0.5 * sol.eigen.n_dim * math.log(2.0 * R0 / state.L)
                + sol.physics.f0 * t
                - RdotR * r * r / (4.0 * D * R0 ** 2))
-    return _sum_modes(sol, r, sol.eigen.sigmas * time_rescale(sol.motion, t), log_pre)
+    return _sum_modes(sol, r, sol.eigen.sigmas * s, log_pre)
 
 
 def eval_radial_physical(sol: SeriesSolution, radius, t: float) -> np.ndarray:
     """Physical density at physical radius |x| = radius inside the ball."""
-    _check_time(sol, t)
     state = eval_motion(sol.motion, t)
     R = 0.5 * state.L
     radius = np.atleast_1d(np.asarray(radius, dtype=float))

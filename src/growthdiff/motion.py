@@ -20,6 +20,12 @@ A check that reads only the caller's arguments raises ``ParameterError``
 before any computation, across the package; a failure found while
 computing, such as ``DomainCollapsedError``, is another ``ValueError``.
 
+Every function of a motion's time checks the time with one rule,
+``_require_time``, before it reads the kinematics: a time that is not finite
+and >= 0, or lies past a tabulated motion's table, raises ``ParameterError``;
+then one at or past ``validity_horizon`` raises ``DomainCollapsedError("motion
+collapsed: its length vanished at t=<horizon>, before t=<t>")``.
+
 Three families are supported:
 
 * ``SeparableMotion`` -- L(t)^2 = a t^2 + 2 b t + L0^2 together with a left
@@ -42,7 +48,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -220,8 +226,8 @@ class SeparableMotion:
         return classify(self)
 
     @cached_property
-    def horizon(self) -> float:
-        """First positive time at which L vanishes, or +inf (``validity_horizon``)."""
+    def _horizon(self) -> float:
+        """``validity_horizon``, computed once per motion."""
         return _separable_horizon(self)
 
 
@@ -375,9 +381,28 @@ def _first(t, bad):
     return float(t[np.argmax(bad)]) if isinstance(t, np.ndarray) else t
 
 
+def _require_time(motion: BoundaryMotion, t) -> None:
+    """The time rule (module docstring) for t, or for each entry of a 1-D array t,
+    whose first offending entry a refusal names.  It accepts one interval."""
+    lo = hi = t
+    if not isinstance(t, float) and isinstance(t, np.ndarray):    # a float skips the second test
+        lo, hi = t.min(initial=0.0), t.max(initial=-math.inf)
+    if not (0.0 <= lo and hi < math.inf):      # False for nan
+        raise ParameterError(f"motions are defined for finite t >= 0, got "
+                             f"t={_first(t, ~np.isfinite(t) | (t < 0.0))}")
+    if type(motion) is TabulatedMotion and hi > motion.times[-1]:
+        raise ParameterError(f"t={_first(t, t > motion.times[-1])} beyond tabulated range "
+                             f"[0, {motion.times[-1]}]")
+    # Past its first zero a length may turn positive again; the domain stays gone.
+    horizon = motion._horizon
+    if hi >= horizon:
+        raise DomainCollapsedError(f"motion collapsed: its length vanished at t={horizon}, "
+                                   f"before t={float(_first(t, t >= horizon))}")
+
+
 # Each kinematics body reads one time t with ``xp = math``, or a 1-D array of
-# times with ``xp = numpy``, where a check tests the array's extreme entry.
-# A body guards only its length's sign; ``eval_motion`` checks the horizon.
+# times with ``xp = numpy``, that the rule accepted.  Its length-sign guard only
+# meets roundoff just below the horizon, before a sqrt or a division fails.
 def _separable_kinematics(m: SeparableMotion, t, xp=math):
     Lsq = m.a * t * t + 2.0 * m.b * t + m.L0 ** 2
     if (Lsq if xp is math else Lsq.min(initial=math.inf)) <= 0.0:
@@ -453,9 +478,6 @@ def _cubic_read(c, s: float):
 
 
 def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
-    if (t if xp is math else t.max(initial=-math.inf)) > m.times[-1]:
-        raise ParameterError(f"t={_first(t, t > m.times[-1])} beyond tabulated range "
-                             f"[0, {m.times[-1]}]")
     cA, cL, s = _spline_piece(m, t, xp)
     L, Ldot, Lddot = _cubic_read(cL, s)
     if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
@@ -469,23 +491,20 @@ _KINEMATICS = {SeparableMotion: _separable_kinematics, CriticalMotion: _critical
 
 
 def eval_motion(motion: BoundaryMotion, t: float | np.ndarray) -> MotionState:
-    """Kinematics at a finite time t >= 0 before ``validity_horizon``, or at
-    each time of a 1-D array t; s(t) is ``time_rescale``'s job."""
+    """Kinematics at a time t the time rule accepts, or at each time of a 1-D
+    array t; s(t) is ``time_rescale``'s job."""
+    _require_time(motion, t)
     if not isinstance(t, float) and isinstance(t, np.ndarray):    # a float skips the second test
-        if not (0.0 <= t.min(initial=0.0) and t.max(initial=0.0) < math.inf):    # False for nan
-            raise ParameterError(f"motions are defined for finite t >= 0, got "
-                                 f"t={_first(t, ~((t >= 0.0) & (t < math.inf)))}")
-        st, last = _KINEMATICS[type(motion)](motion, t, np), t.max(initial=-math.inf)
-    else:
-        if not 0.0 <= t < math.inf:
-            raise ParameterError(f"motions are defined for finite t >= 0, got t={t}")
-        st, last = _KINEMATICS[type(motion)](motion, t), t
-    # Past its first zero a length may turn positive again; the domain stays gone.
-    horizon = validity_horizon(motion)
-    if last >= horizon:
-        raise DomainCollapsedError(f"motion collapsed: its length vanished at t={horizon}, "
-                                   f"before t={float(last)}")
-    return st
+        return _KINEMATICS[type(motion)](motion, t, np)
+    return _KINEMATICS[type(motion)](motion, t)
+
+
+def _kinematics_on(motion: BoundaryMotion, t_from: float, t_to: float):
+    """The kinematics body for quadrature nodes in [t_from, t_to]: the rule
+    accepts one interval of times, so both ends passing it clears every node."""
+    _require_time(motion, t_from)
+    _require_time(motion, t_to)
+    return partial(_KINEMATICS[type(motion)], motion)
 
 
 def length_jerk(motion: BoundaryMotion, st: MotionState):
@@ -528,7 +547,8 @@ def time_integral(integrand, t_from: float, t_to: float) -> float:
 def _quadrature_rescale(motion: BoundaryMotion, t: float) -> float:
     """s(t) by ``time_integral``, independent of the per-case closed forms."""
     L0sq = motion.L0 ** 2
-    return time_integral(lambda z: L0sq / eval_motion(motion, z).L ** 2, 0.0, t)
+    state = _kinematics_on(motion, 0.0, t)
+    return time_integral(lambda z: L0sq / state(z).L ** 2, 0.0, t)
 
 
 def time_rescale(motion: BoundaryMotion, t: float) -> float:
@@ -538,8 +558,7 @@ def time_rescale(motion: BoundaryMotion, t: float) -> float:
     motions fall back to ``time_integral``, at tolerance 1e-12 with its error
     estimate checked.
     """
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"time_rescale requires a finite t >= 0, got {t}")
+    _require_time(motion, t)
     if t == 0.0:
         return 0.0
     if isinstance(motion, SeparableMotion):
@@ -617,8 +636,6 @@ def _tabulated_horizon(m: TabulatedMotion) -> float:
 
 def validity_horizon(motion: BoundaryMotion) -> float:
     """First positive time at which L(t) = 0, or +inf if the length never vanishes."""
-    if isinstance(motion, SeparableMotion):
-        return motion.horizon
     return motion._horizon
 
 

@@ -51,13 +51,12 @@ from scipy.linalg.lapack import dgtsv, dptsv
 from .eigen import interval_profiles, profile_rows, radial_profiles
 from .motion import (
     BoundaryMotion,
-    DomainCollapsedError,
     ParameterError,
+    _require_time,
     centering_defect,
     motion_content_hash,
     eval_motion,
     require_centered,
-    validity_horizon,
 )
 from .output import write_csv
 from .transforms import initial_values
@@ -238,9 +237,7 @@ def _solve(kind: str, motion: BoundaryMotion, ic, extent: float, grid_size: int,
     grid = np.linspace(0.0, extent, grid_size + 1)
     h = extent / grid_size
     field0 = initial_values(ic, grid, ball=kind == "radial")
-    if T >= validity_horizon(motion):
-        raise DomainCollapsedError(
-            f"T={T} reaches the collapse time {validity_horizon(motion)}")
+    _require_time(motion, T)
     interior = slice(0, -1) if kind == "radial" else slice(1, -1)
     profiles, weights, s = make_basis(grid[interior], h)
     # The Peclet guard leaves every eigenvalue of the u operator real and at most f0.

@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .motion import BoundaryMotion, CriticalMotion, ParameterError, eval_motion, time_integral
+from .motion import (BoundaryMotion, CriticalMotion, ParameterError, _kinematics_on,
+                     _require_time, eval_motion, time_integral)
 
 __all__ = [
     "xi_from_x",
@@ -65,12 +66,11 @@ def drift_integral(motion: BoundaryMotion, t: float) -> float:
     error estimate checked), which keeps this routine independent of the
     closed-form reductions used elsewhere.
     """
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"drift_integral requires a finite t >= 0, got {t}")
+    state = _kinematics_on(motion, 0.0, t)
     if t == 0.0:
         return 0.0
     inv4d = 0.25 / motion.physics.D
-    return time_integral(lambda z: eval_motion(motion, z).Adot ** 2 * inv4d, 0.0, t)
+    return time_integral(lambda z: state(z).Adot ** 2 * inv4d, 0.0, t)
 
 
 def _critical_log_time_factor(motion: CriticalMotion, t: float) -> float:
@@ -96,6 +96,7 @@ def _critical_log_time_factor(motion: CriticalMotion, t: float) -> float:
 
 def log_time_factor(motion: BoundaryMotion, t: float) -> float:
     """log of the xi-independent factor in u/w: f0 t - integral Adot^2 / 4D."""
+    _require_time(motion, t)
     if isinstance(motion, CriticalMotion):
         return _critical_log_time_factor(motion, t)
     return motion.physics.f0 * t - drift_integral(motion, t)

@@ -339,6 +339,32 @@ class TestRadialBarriers:
             supersolution(crit25, [0.1], 1.0, 4)
 
 
+class TestBarrierArguments:
+    """Each barrier checks n_dim, t and t_ref once, before it reads the motion."""
+
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        for name in ("_check_potential_sign", "time_rescale", "potential_value", "_clock",
+                     "eval_motion"):
+            monkeypatch.setattr(critical, name, _computed)
+
+    @pytest.mark.parametrize("barrier", [
+        lambda m: supersolution(m, [0.5], 500.0, n_dim=4),
+        lambda m: subsolution(m, [0.5], 60.0, 10.0, n_dim=4),
+        lambda m: subsolution(m, [0.5], 60.0, 10.0, n_dim=0),
+    ], ids=["supersolution", "subsolution", "subsolution-zero"])
+    def test_n_dim_is_refused_first(self, crit15, barrier):
+        with pytest.raises(ParameterError, match="^radial barriers are only available "
+                                                 "for n_dim <= 3$"):
+            barrier(crit15)
+
+    @pytest.mark.parametrize("barrier", [subsolution, subsolution_residual])
+    def test_an_onset_after_t_is_refused(self, crit15, barrier):
+        with pytest.raises(ParameterError, match=r"^barrier is only defined from its "
+                                                 r"onset t_ref=80\.0$"):
+            barrier(crit15, [0.5], 60.0, 80.0)
+
+
 class TestResidualSigns:
     def test_subsolution_residual_never_positive(self, crit15, onset15, rng):
         xis = rng.uniform(0.0, crit15.L0, 500)
@@ -474,6 +500,19 @@ class TestVerifyEnvelope:
         run = solve_critical(motion, 1, 40.0, 128, 1e-2, 21)
         with pytest.raises(ValueError, match="nonnegative potential"):
             verify_envelope(motion, run)
+
+    def test_nan_slack_tol_is_refused_before_any_computation(self, crit15, interval_run,
+                                                              monkeypatch):
+        # The last row scaled by 5 crosses the upper barrier; worst < -nan is False.
+        values = interval_run.values.copy()
+        values[-1] *= 5.0
+        broken = dataclasses.replace(interval_run, values=values)
+        with pytest.raises(EnvelopeViolationError):
+            verify_envelope(crit15, broken, slack_tol=1e-8)
+        assert verify_envelope(crit15, broken, slack_tol=math.inf).worst_slack < -0.3
+        monkeypatch.setattr(critical, "subsolution_onset", _computed)
+        with pytest.raises(ParameterError, match="^slack_tol must be a number, got nan$"):
+            verify_envelope(crit15, broken, slack_tol=math.nan)
 
     def test_csv_export(self, crit15, interval_run, tmp_path):
         pair = verify_envelope(crit15, interval_run)
@@ -774,6 +813,10 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("solve_critical was called")
 
 
+def _computed(*args, **kwargs):
+    raise AssertionError("a refused call computed something")
+
+
 def _assert_fields_equal(one, two):
     for field in dataclasses.fields(one):
         a, b = getattr(one, field.name), getattr(two, field.name)
@@ -816,6 +859,17 @@ class TestRunCritical:
         monkeypatch.setattr(critical, "solve_critical", _no_solve)
         with pytest.raises(ParameterError, match="fit window|probe offsets"):
             run_critical(crit15, **{**self.ARGS, **bad})
+
+    @pytest.mark.parametrize("name", ["slack_tol", "tol"])
+    def test_nan_tolerance_costs_no_solve(self, crit15, name, monkeypatch):
+        # A NaN tolerance turns its gate off, and the report would not be valid JSON.
+        monkeypatch.setattr(critical, "solve_critical", _no_solve)
+        with pytest.raises(ParameterError, match=f"^{name} must be a number, got nan$"):
+            run_critical(crit15, **{**self.ARGS, name: math.nan})
+
+    def test_infinite_tolerances_are_accepted(self, crit15):
+        run = run_critical(crit15, slack_tol=math.inf, tol=math.inf, **self.ARGS)
+        assert run.document["tol"] == run.document["envelope"]["slack_tol"] == math.inf
 
     def test_few_outputs_cost_fit_exponent_no_solve(self, crit15, monkeypatch):
         monkeypatch.setattr(critical, "solve_critical", _no_solve)

@@ -273,5 +273,5 @@ class TestRadialFactor:
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_drift_integral_refuses_a_non_finite_time(physics, t):
-    with pytest.raises(ParameterError, match=f"finite t >= 0, got {t}$"):
+    with pytest.raises(ParameterError, match=f"finite t >= 0, got t={t}$"):
         drift_integral(_moving(physics), t)

@@ -8,9 +8,17 @@ on (0, L0) with Dirichlet ends.  Each geometry's discrete operator is a
 weighted sum of fixed tridiagonal profiles, built here only: central
 differences on the interval, a conservative finite-volume form on the n-ball.
 ``numeric`` marches the sum with weights read from the motion; here the
-weights are frozen and LAPACK solves the symmetric eigenproblem.  A
-closed-form upper bound for the shrinking case gamma0 = -rho^2 < 0 is also
-provided.
+weights are frozen and LAPACK solves the symmetric eigenproblem for the
+leading modes, by a route chosen from the size alone.  With n unknowns and k
+modes, MRRR (``dstemr``) runs when 64 k >= n and n <= 2048: it was measured
+the faster route there (BENCH_eigen_mrrr.json holds the crossover) and it
+returns eigenvalues to relative accuracy.  scipy's ``dstemr``
+wrapper returns an n x n vector array whatever subset is asked for (33 MB at
+n = 2048), so larger operators, and few-mode solves, take bisection plus
+inverse iteration (``dstebz`` + ``dstein``) at LAPACK's advised tolerance
+2 * DLAMCH('S'), which stops each eigenvalue at about 2 ulp of itself rather
+than at eps * ||T||.  A closed-form upper bound for the shrinking case
+gamma0 = -rho^2 < 0 is also provided.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ class EigenSystem:
     end(s), normalised to unit discrete L2 norm under ``weights`` and signed
     so the value nearest the left end of the domain is positive.  ``sigmas``
     are sorted descending, so ``sigmas[0]`` is the principal eigenvalue.
+    ``solver`` names the LAPACK route of the modes solve, "dstemr" or
+    "dstebz+dstein".
     """
 
     sigmas: np.ndarray
@@ -57,6 +67,7 @@ class EigenSystem:
     L0: float
     gamma0: float
     gamma1: float
+    solver: str
     n_dim: int = 1
     radial: bool = False
 
@@ -113,7 +124,9 @@ def _eigenpairs(frozen, unknowns: slice, shift: float, grid_size: int, num_modes
     ``profile_rows`` row over the ``unknowns`` nodes and every node's
     quadrature weight; mu, the unknowns' weights, make sqrt(mu) v its
     symmetric form.  The modes have unit mu-weighted norm and a positive
-    first nonzero value.
+    first nonzero value.  The Richardson coarse solve is the same call at
+    N/2, so its eigenvalues are those of the full solve there, bit for bit;
+    the fourth value returned names the fine solve's route.
     """
     if grid_size < MIN_GRID:
         raise ParameterError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
@@ -123,13 +136,17 @@ def _eigenpairs(frozen, unknowns: slice, shift: float, grid_size: int, num_modes
     if extrapolate and grid_size % 2 != 0:
         raise ParameterError("extrapolation requires an even grid_size")
 
-    def eigh(N, vectors):
+    def eigh(N):
         row, weights = frozen(N)
         n = weights[unknowns].size
-        return eigh_tridiagonal(row[n - 1:2 * n - 1], row[2 * n - 1:], eigvals_only=not vectors,
-                                select="i", select_range=(n - num_modes, n - 1)), weights
+        mrrr = 64 * num_modes >= n and n <= 2048       # the size rule; dstemr ignores tol
+        sigmas, vecs = eigh_tridiagonal(row[n - 1:2 * n - 1], row[2 * n - 1:], select="i",
+                                        select_range=(n - num_modes, n - 1),
+                                        lapack_driver="stemr" if mrrr else "stebz",
+                                        tol=2.0 * np.finfo(float).tiny)
+        return sigmas, vecs, weights, "dstemr" if mrrr else "dstebz+dstein"
 
-    (sigmas, vecs), weights = eigh(grid_size, True)
+    sigmas, vecs, weights, solver = eigh(grid_size)
     mu = weights[unknowns]
     # ascending from LAPACK; flip to descending so index 0 is the principal mode
     v = vecs[:, ::-1] * (1.0 / np.sqrt(mu))[:, None]
@@ -139,8 +156,8 @@ def _eigenpairs(frozen, unknowns: slice, shift: float, grid_size: int, num_modes
     modes[:, unknowns] = v.T
     sigmas = sigmas[::-1] + shift
     if extrapolate:
-        sigmas = (4.0 * sigmas - (eigh(grid_size // 2, False)[0][::-1] + shift)) / 3.0
-    return sigmas, modes, weights
+        sigmas = (4.0 * sigmas - (eigh(grid_size // 2)[0][::-1] + shift)) / 3.0
+    return sigmas, modes, weights, solver
 
 
 def solve_sl(D: float, L0: float, gamma0: float, gamma1: float,
@@ -165,10 +182,10 @@ def solve_sl(D: float, L0: float, gamma0: float, gamma1: float,
         weights[[0, -1]] *= 0.5                 # the trapezoid rule
         return coef @ interval_profiles(L0, N), weights
 
-    sigmas, modes, weights = _eigenpairs(frozen, slice(1, -1), 0.0, grid_size, num_modes,
-                                         extrapolate)
+    sigmas, modes, weights, solver = _eigenpairs(frozen, slice(1, -1), 0.0, grid_size,
+                                                 num_modes, extrapolate)
     return EigenSystem(sigmas, modes, np.linspace(0.0, L0, grid_size + 1), weights,
-                       D, L0, gamma0, gamma1)
+                       D, L0, gamma0, gamma1, solver)
 
 
 def principal_eigen_bound(rho: float, gamma1: float, D: float, L0: float) -> float:
@@ -218,10 +235,10 @@ def solve_radial(D: float, R0: float, gamma0: float, n_dim: int,
         profiles, mu = radial_profiles(R0, n_dim, N)
         return coef @ profiles, np.append(mu, 0.0)
 
-    sigmas, modes, weights = _eigenpairs(frozen, slice(0, -1), shift, grid_size, num_modes,
-                                           extrapolate)
+    sigmas, modes, weights, solver = _eigenpairs(frozen, slice(0, -1), shift, grid_size,
+                                                 num_modes, extrapolate)
     return EigenSystem(sigmas, modes, np.linspace(0.0, R0, grid_size + 1), weights,
-                       D, R0, gamma0, 0.0, n_dim=n_dim, radial=True)
+                       D, R0, gamma0, 0.0, solver, n_dim=n_dim, radial=True)
 
 
 def eigen_header(eig: EigenSystem) -> dict:
@@ -236,6 +253,7 @@ def eigen_header(eig: EigenSystem) -> dict:
         "n_dim": eig.n_dim,
         "grid_size": eig.grid_size,
         "num_modes": eig.num_modes,
+        "solver": eig.solver,
         "sigmas": [float(s) for s in eig.sigmas],
     }
 

@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.special import j0, spherical_jn
 
-from growthdiff.eigen import (principal_eigen_bound, radial_principal_bound,
-                              solve_radial, solve_sl)
+from growthdiff.eigen import (eigen_header, interval_profiles, principal_eigen_bound,
+                              radial_principal_bound, radial_profiles, solve_radial, solve_sl)
 from growthdiff.motion import ParameterError
 
 
@@ -180,3 +181,60 @@ def test_extrapolation_is_richardson_of_the_two_full_solves(grid_size):
     extrapolated(solve_sl, 0.7, 1.3, -2.0, 1.5)
     for n_dim in (1, 2, 3):
         extrapolated(solve_radial, 0.7, 1.3, -2.0, n_dim)
+
+
+def _sturm_principal(row, guess):
+    """The largest eigenvalue of the float tridiagonal ``row`` ([sub | main |
+    super]): 30-digit Sturm bisection, 40 halvings of a 1e-9 relative bracket."""
+    n = (row.size + 2) // 3
+    with mpmath.workdps(30):
+        d = [mpmath.mpf(float(x)) for x in row[n - 1:2 * n - 1]]
+        e2 = [mpmath.mpf(float(x)) ** 2 for x in row[2 * n - 1:]]
+
+        def below(x):
+            # eigenvalues below x: the negative pivots of T - x I
+            q = d[0] - x
+            count = int(q < 0)
+            for di, ei2 in zip(d[1:], e2):
+                q = di - x - ei2 / q
+                count += q < 0
+            return count
+
+        lo, hi = (mpmath.mpf(guess) + s * 1e-9 * abs(guess) for s in (-1, 1))
+        assert (below(lo), below(hi)) == (n - 1, n)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) == n else (mid, hi)
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("case, num_modes, solver", [
+    ("interval", 4, "dstebz+dstein"),
+    ("interval", 32, "dstemr"),
+    ("ball", 2, "dstebz+dstein"),
+])
+def test_principal_eigenvalue_against_an_exact_count(case, num_modes, solver):
+    # Both routes land within 3e-12 relative of the stored float operator's
+    # principal eigenvalue; bisection stopped at eps * ||T|| missed by 4.9e-12
+    # to 6.3e-11 on these cases.
+    if case == "interval":
+        D, L0, g0, g1 = 1.0, math.pi, 0.2, 0.3
+        eig = solve_sl(D, L0, g0, g1, grid_size=512, num_modes=num_modes)
+        coef = np.array([D, g0 / (4.0 * D * L0 ** 2), (g1 + 0.5 * g0) / (2.0 * D * L0 ** 2)])
+        row = coef @ interval_profiles(L0, 512)
+    else:
+        eig = solve_radial(1.0, 1.0, 0.0, 2, grid_size=2048, num_modes=num_modes)
+        row = np.array([1.0, 0.0]) @ radial_profiles(1.0, 2, 2048)[0]
+    assert eig.solver == solver
+    exact = _sturm_principal(row, eig.sigmas[0])
+    assert abs(eig.sigmas[0] - exact) < 3e-12 * abs(exact)
+
+
+def test_the_size_rule_routes_agree():
+    # At grid 512 (511 unknowns) 8 modes take MRRR and 4 take bisection.
+    args = (0.7, 1.3, -2.0, 1.5)
+    many, few = (solve_sl(*args, grid_size=512, num_modes=k) for k in (8, 4))
+    assert (many.solver, few.solver) == ("dstemr", "dstebz+dstein")
+    assert [eigen_header(e)["solver"] for e in (many, few)] == ["dstemr", "dstebz+dstein"]
+    assert np.allclose(many.sigmas[:4], few.sigmas, rtol=1e-11, atol=0.0)
+    assert np.max(np.abs(many.modes[:4] - few.modes)) < 1e-8

@@ -172,7 +172,7 @@ class TestEvaluation:
     def _ill_conditioned():
         # Adot ~ -8.6: the shape factor spans 88.9 in log over [0, L0], so u
         # = w e^(factor) turns w's roundoff near xi = L0 into values of
-        # -5e11, where the maximum principle bounds |u| by e^(f0 t) ~ 1.6.
+        # -2e9, where the maximum principle bounds |u| by e^(f0 t) ~ 1.6.
         motion = SeparableMotion.sqrt_length(
             PhysicsParams(0.19365126551807835, 1.9465216783714918), 3.9959005479234992,
             0.013950257065266314, gamma1=0.4966354201232952, c=0.2881399300340771)
@@ -181,14 +181,15 @@ class TestEvaluation:
     @pytest.mark.parametrize("route", ["fast", "generic"])
     def test_ill_conditioned_shape_factor_warns(self, route):
         # The 128-mode tail is resolved, so only the roundoff of the
-        # cancelling terms near xi = L0 can flag it.
+        # cancelling terms near xi = L0 can flag it.  The largest value is
+        # that roundoff itself, so it is pinned per route.
         sol = self._ill_conditioned()
         xi = np.linspace(0.0, sol.motion.L0, 101)
         with pytest.warns(TruncationWarning) as caught:
             u = eval_series(sol, xi, 0.25, route=route)
         assert [str(w.message) for w in caught] == [
             "the modes cancel: the sum's roundoff, 3.21e+08, exceeds 1e-08 of its "
-            "largest value, 5.06e+11"]
+            f"largest value, {dict(fast='2.04e+09', generic='2.05e+09')[route]}"]
         assert np.min(u) < -1e9
 
     @pytest.mark.parametrize("route", ["fast", "generic"])

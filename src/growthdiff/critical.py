@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +48,7 @@ from .motion import (
     ParameterError,
     SeparableMotion,
     _kinematics_on,
+    _quadrature_rescale,
     _require_time,
     classify,
     eval_motion,
@@ -171,7 +171,7 @@ def _upper_barrier(motion: BoundaryMotion, x, s: float, n_dim: int | None = None
     R0 = 0.5 * L0
     r_hat = x / R0
     if n_dim == 1:
-        h0, lam = np.cos(0.5 * np.pi * r_hat), np.pi ** 2 / 4.0
+        h0, lam = np.cos(0.5 * np.pi * x / R0), np.pi ** 2 / 4.0
     elif n_dim == 2:
         h0, lam = j0(_BESSEL_J0_ZERO * r_hat), _BESSEL_J0_ZERO ** 2
     else:
@@ -260,22 +260,22 @@ def _barrier_profile(motion: BoundaryMotion, xi: np.ndarray, t: float, P: float,
     return val, der, der2
 
 
-def _clock(motion: BoundaryMotion, t_from: float, t_to: float) -> tuple[float, float]:
-    """Increments of s(t) and of the gauge log a(t) = _SLOPE_SUM D int P^(2/3) / L^2
-    over [t_from, t_to]; both quadratures share their nodes, so each state is read once."""
-    state = cache(_kinematics_on(motion, t_from, t_to))
+def _clock(motion: BoundaryMotion, t_from: float, t_to: float) -> float:
+    """Increment of the gauge log a(t) = _SLOPE_SUM D int P^(2/3) / L^2 over
+    [t_from, t_to], by ``time_integral``; s(t) is ``_quadrature_rescale``'s."""
+    state = _kinematics_on(motion, t_from, t_to)
     if t_to == t_from:
-        return 0.0, 0.0
-    D, L0sq = motion.physics.D, motion.L0 ** 2
+        return 0.0
+    D = motion.physics.D
 
     def gauge(z):
-        P = _potential(state(z), D)
+        st = state(z)
+        P = _potential(st, D)
         if P < 0.0:
             raise ValueError(f"barrier gauge needs a nonnegative potential; P({z:.6g}) = {P:.6g}")
-        return P ** (2.0 / 3.0) / state(z).L ** 2
+        return P ** (2.0 / 3.0) / st.L ** 2
 
-    ds = time_integral(lambda z: L0sq / state(z).L ** 2, t_from, t_to)
-    return ds, _SLOPE_SUM * D * time_integral(gauge, t_from, t_to)
+    return _SLOPE_SUM * D * time_integral(gauge, t_from, t_to)
 
 
 def _lower_barrier(motion: BoundaryMotion, x, t: float, P: float, log_gauge: float,
@@ -303,7 +303,7 @@ def subsolution(motion: BoundaryMotion, x, t: float, t_ref: float,
     """
     _check_barrier(motion, t, n_dim, t_ref)
     return _lower_barrier(motion, x, t, potential_value(motion, t),
-                          _clock(motion, t_ref, t)[1], n_dim)
+                          _clock(motion, t_ref, t), n_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def subsolution_residual(motion: BoundaryMotion, xi, t: float,
     gauge_rate = _SLOPE_SUM * D * P ** (2.0 / 3.0) / st.L ** 2
     dt_part = (pdot / (3.0 * P)) * (xi * der - val) + gauge_rate * val
     residual = dt_part - d_eff * der2 - _potential_term(motion, xi, st) * val
-    return np.where(val > 0.0, residual * math.exp(_clock(motion, t_ref, t)[1]), 0.0)
+    return np.where(val > 0.0, residual * math.exp(_clock(motion, t_ref, t)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +410,11 @@ def verify_envelope(motion: BoundaryMotion, solution: GridSolution,
     grid = solution.grid
     lower = np.empty((check.size, grid.size))
     upper = np.empty_like(lower)
-    s, log_gauge = time_rescale(motion, t_cal), _clock(motion, onset, t_cal)[1]
+    s, log_gauge = time_rescale(motion, t_cal), _clock(motion, onset, t_cal)
     for row, t in enumerate(times):
         if row:
-            ds, dg = _clock(motion, times[row - 1], t)
-            s, log_gauge = s + ds, log_gauge + dg
+            s += _quadrature_rescale(motion, t, t_from=times[row - 1])
+            log_gauge += _clock(motion, times[row - 1], t)
         lower[row] = _lower_barrier(motion, grid, t, potential_value(motion, t),
                                     log_gauge, n_dim)
         upper[row] = _upper_barrier(motion, grid, s, n_dim)
@@ -552,37 +552,34 @@ def fit_report_document(report: CriticalFitReport) -> dict:
 def _probe_log_psi(motion, solution, probes, times):
     """log psi(boundary + y, t) reassembled from potential-form snapshots.
 
-    Returns one row per probe offset y and one column per time.  Each
-    stored row's spline is built once and read at every probe, and the psi/w
-    (or psi/W) factor is ``_log_psi_factor``'s.  A probe outside the domain
-    (y <= 0, or y >= L(t) on the interval, y > R(t) on the ball) raises
-    ValueError rather than being extrapolated.
+    Returns one row per probe offset y and one column per time.  The probes'
+    reference nodes are placed, and checked, at every time in one array pass:
+    a probe outside the domain (y <= 0, or y >= L(t) on the interval, y > R(t)
+    on the ball) at any time raises ValueError, naming the first such time,
+    before a field is read.  Each stored row's spline is built once and read
+    at every probe, and the psi/w (or psi/W) factor is ``_log_psi_factor``'s.
     """
-    out = np.empty((len(probes), times.size))
-    L0 = motion.L0
-    R0 = 0.5 * L0
-    y = np.asarray(probes, dtype=float)
-    for i, (t, L) in enumerate(zip(times.tolist(), eval_motion(motion, times).L.tolist())):
-        if solution.kind == "w":
-            name, extent = "L", L
-            outside = (y <= 0.0) | (y >= extent)
-            at = y * L0 / L
-        else:
-            name, extent = "R", 0.5 * L
-            outside = (y <= 0.0) | (y > extent)
-            at = (extent - y) * R0 / extent
-        if np.any(outside):
-            raise ValueError(
-                f"probe offset y={probes[int(np.argmax(outside))]} lies outside the "
-                f"domain at t={t:.6g}, where {name}(t)={extent:.6g}")
-        log_fac = _log_psi_factor(motion, solution, at, t)
-        w_vals = CubicSpline(solution.grid, solution.slice_at(t))(at)
-        for y_j, w_val in zip(probes, w_vals):
-            if w_val <= 0.0:
-                raise RuntimeError(
-                    f"probe value nonpositive at t={t:.6g}, offset y={y_j}; "
-                    "cannot fit a log slope")
-        out[:, i] = np.log(w_vals) + log_fac
+    y = np.asarray(probes, dtype=float)[:, None]
+    L = eval_motion(motion, times).L
+    if solution.kind == "w":
+        name, extent = "L", L
+        outside = (y <= 0.0) | (y >= extent)
+        at = y * motion.L0 / L
+    else:
+        name, extent = "R", 0.5 * L
+        outside = (y <= 0.0) | (y > extent)
+        at = (extent - y) * (0.5 * motion.L0) / extent
+    if np.any(outside):
+        j, i = divmod(int(np.argmax(outside.T)), y.size)    # the first time, then probe
+        raise ValueError(f"probe offset y={probes[i]} lies outside the domain at "
+                         f"t={times[j]:.6g}, where {name}(t)={extent[j]:.6g}")
+    out = np.empty(at.shape)
+    for i, t in enumerate(times.tolist()):
+        w_vals = CubicSpline(solution.grid, solution.slice_at(t))(at[:, i])
+        if np.any(w_vals <= 0.0):
+            raise RuntimeError(f"probe value nonpositive at t={t:.6g}, offset "
+                               f"y={probes[np.argmax(w_vals <= 0.0)]}; cannot fit a log slope")
+        out[:, i] = np.log(w_vals) + _log_psi_factor(motion, solution, at[:, i], t)
     return out
 
 
@@ -611,19 +608,18 @@ def solve_critical(motion: CriticalMotion, n_dim: int, t_final: float, grid_size
                    dt: float, num_outputs: int) -> GridSolution:
     """Potential-form run of a critical motion from the 1-ball's principal mode.
 
-    The output times are ``_output_times(t_final, dt, num_outputs)``.  n_dim
-    = 1 runs ``solve_w`` from a sine, which it marches as the even half of
-    the interval; balls run ``solve_radial`` from the cosine dome, which is
-    the 1-ball's mode: n = 2 and 3 start from it, not from J0 or sinc.
+    The output times are ``_output_times(t_final, dt, num_outputs)``.  The
+    data is the supersolution's mode at s = 0, ``_upper_barrier``'s: n_dim
+    = 1 runs ``solve_w`` from the interval's sine, which it marches as the
+    even half of the interval; balls run ``solve_radial`` from the 1-ball's
+    cosine dome: n = 2 and 3 start from it, not from J0 or sinc.
     """
     outputs = _output_times(t_final, dt, num_outputs)
+    w0 = lambda x: _upper_barrier(motion, x, 0.0, None if n_dim == 1 else 1)
     if n_dim == 1:
-        w0 = lambda xi: np.sin(np.pi * xi / motion.L0)
         return solve_w(motion, w0, grid_size=grid_size, dt=dt, T=t_final,
                        output_times=outputs)
-    R0 = 0.5 * motion.L0
-    W0 = lambda r: np.cos(0.5 * np.pi * r / R0)
-    return solve_radial(motion, W0, n_dim, grid_size=grid_size, dt=dt, T=t_final,
+    return solve_radial(motion, w0, n_dim, grid_size=grid_size, dt=dt, T=t_final,
                         output_times=outputs)
 
 
@@ -824,8 +820,9 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
     Validates at n_check seeded random times that the motion's instantaneous
     coefficients Lddot L^3 and Addot L^3 stay inside the supplied brackets,
     then builds two frozen Sturm-Liouville systems (one per corner) sharing
-    the initial expansion of u0, which must vanish at both ends.  Evaluated
-    with the true motion's time rescaling and exponential factors
+    the initial expansion of u0 (a callable of the nodes, or their values on
+    ``grid_size`` + 1 equal steps of [0, L0]), which must vanish at both ends.
+    Evaluated with the true motion's time rescaling and exponential factors
     (``eval_bound``), they bound the solution one-sidedly.
     """
     _require_time(motion, t_max)
@@ -848,7 +845,7 @@ def envelope_bounds_general(motion: BoundaryMotion, u0,
             f"t={worst[1]:.6g} by relative margin {worst[0]:.3e}")
 
     grid = np.linspace(0.0, L0, grid_size + 1)
-    w0 = transform_ic(motion, grid, u0(grid))
+    w0 = transform_ic(motion, grid, u0)
     bounds = []
     for g0, g1 in ((gamma0_lo, gamma1_lo), (gamma0_hi, gamma1_hi)):
         eig = solve_sl(D, L0, g0, g1, grid_size=grid_size, num_modes=num_modes)

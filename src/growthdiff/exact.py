@@ -96,10 +96,6 @@ class SeriesSolution:
     coeffs: np.ndarray
 
     @property
-    def physics(self):
-        return self.motion.physics
-
-    @property
     def truncation(self) -> int:
         return len(self.coeffs)
 
@@ -110,7 +106,8 @@ class SeriesSolution:
 
 
 def transform_ic(motion: BoundaryMotion, xi, u0_values) -> np.ndarray:
-    """Map initial data u(xi, 0) to w(xi, 0); the data must vanish at both ends."""
+    """Map initial data u(xi, 0), a callable of the nodes xi or their values, to
+    w(xi, 0); ``initial_values`` checks that the data vanish at both ends."""
     xi = np.asarray(xi, dtype=float)
     return initial_w_from_u(motion, xi, initial_values(u0_values, xi))
 
@@ -136,7 +133,7 @@ def build_series(motion: SeparableMotion, u0, grid_size: int = 512,
         raise ParameterError(f"series solutions need a separable motion, got {kind.value}")
     eig = solve_sl(motion.physics.D, motion.L0, motion.gamma0, motion.gamma1,
                    grid_size=grid_size, num_modes=num_modes, extrapolate=extrapolate)
-    w0 = transform_ic(motion, eig.grid, u0(eig.grid) if callable(u0) else u0)
+    w0 = transform_ic(motion, eig.grid, u0)
     return SeriesSolution(motion, eig, expand(w0, eig))
 
 
@@ -206,7 +203,7 @@ def _closed_drift(motion: SeparableMotion, t: float, L: float, s: float) -> floa
         acc = (c * c * t - 2.0 * c * g1 * (L - L0) / rho ** 2
                + (g1 * g1 / rho ** 3) * math.log(L / L0))
     else:
-        beta = motion.b ** 2 - motion.a * L0 ** 2
+        beta = -motion.gamma0
         acc = ((c * c + g1 * g1 * motion.a / beta ** 2) * t
                - 2.0 * c * g1 * (L - L0) / beta
                + (g1 * g1 / (beta * L0 ** 2)) * s)
@@ -309,10 +306,10 @@ def eval_radial_series(sol: SeriesSolution, r, t: float) -> np.ndarray:
     r, s = _route_clock(sol, r, t, "fast")
     R0 = sol.eigen.L0
     state = eval_motion(sol.motion, t)
-    D = sol.physics.D
+    D = sol.motion.physics.D
     RdotR = 0.25 * state.Ldot * state.L
     log_pre = (0.5 * sol.eigen.n_dim * math.log(2.0 * R0 / state.L)
-               + sol.physics.f0 * t
+               + sol.motion.physics.f0 * t
                - RdotR * r * r / (4.0 * D * R0 ** 2))
     return _sum_modes(sol, r, sol.eigen.sigmas * s, log_pre)
 
@@ -374,36 +371,28 @@ def growth_region(motion: SeparableMotion) -> GrowthVerdict:
     ph = motion.physics
     cs = ph.c_star
     L0, g1, c = motion.L0, motion.gamma1, motion.c
-    if kind is CaseKind.FIXED_LENGTH:
-        if g1 != 0.0:
+    if kind in (CaseKind.FIXED_LENGTH, CaseKind.SQRT_LENGTH):
+        fixed = kind is CaseKind.FIXED_LENGTH
+        if fixed and g1 != 0.0:
             return GrowthVerdict(
                 "decay", note="accelerating endpoints on a fixed length force "
                 "super-exponential decay")
-        rate = ph.f0 - ph.D * math.pi ** 2 / L0 ** 2 - c * c / (4.0 * ph.D)
-        if rate > 0.0:
-            return GrowthVerdict("grow", window=(0.0, L0), rate=rate,
-                                 note="f0 exceeds the diffusive and drift losses")
-        if rate < 0.0:
-            return GrowthVerdict("decay", rate=rate,
-                                 note="diffusive and drift losses exceed f0")
-        return GrowthVerdict("marginal", rate=0.0,
-                             note="f0 exactly balances the losses")
-    if kind is CaseKind.SQRT_LENGTH:
-        rate = ph.f0 - c * c / (4.0 * ph.D)
-        if rate > 0.0:
-            return GrowthVerdict("grow", window=(0.0, L0), rate=rate,
-                                 note="diffusive losses vanish; only drift competes with f0")
-        if rate < 0.0:
-            return GrowthVerdict("decay", rate=rate, note="endpoint drift beats f0")
-        return GrowthVerdict("marginal", rate=0.0, note="drift exactly balances f0")
+        # A fixed length loses D pi^2 / L0^2 to diffusion; a sqrt length's loss decays.
+        rate = ph.f0 - (ph.D * math.pi ** 2 / L0 ** 2 if fixed else 0.0) - c * c / (4.0 * ph.D)
+        k = 0 if rate > 0.0 else 1 if rate < 0.0 else 2
+        notes = (("f0 exceeds the diffusive and drift losses", "diffusive and drift losses exceed f0",
+                  "f0 exactly balances the losses") if fixed else
+                 ("diffusive losses vanish; only drift competes with f0",
+                  "endpoint drift beats f0", "drift exactly balances f0"))
+        return GrowthVerdict(("grow", "decay", "marginal")[k], window=(0.0, L0) if k == 0 else None,
+                             rate=rate, note=notes[k])
+    # The length grows at v (b / L0, or sqrt(a) for a quadratic law) and the
+    # endpoint drifts at c_eff (c, or c + gamma1 sqrt(a) / gamma0).
     if kind is CaseKind.LINEAR_LENGTH:
-        v = motion.b / L0
-        return _window_verdict((L0 / v) * (-cs - c), (L0 / v) * (cs - c), L0,
-                               "growth where the local frame speed stays below c*")
-    # Quadratic length growth: v -> sqrt(a), endpoint drift -> c - gamma1 sqrt(a) / beta.
-    v = math.sqrt(motion.a)
-    beta = motion.b ** 2 - motion.a * L0 ** 2
-    c_eff = c - g1 * v / beta
+        v, c_eff = motion.b / L0, c
+    else:
+        v = math.sqrt(motion.a)
+        c_eff = c + g1 * v / motion.gamma0
     return _window_verdict((L0 / v) * (-cs - c_eff), (L0 / v) * (cs - c_eff), L0,
                            "growth where the local frame speed stays below c*")
 

@@ -400,13 +400,20 @@ def _require_time(motion: BoundaryMotion, t) -> None:
                                    f"before t={float(_first(t, t >= horizon))}")
 
 
+def _collapsed(m: BoundaryMotion, t, L) -> DomainCollapsedError:
+    """A kinematics body's refusal of a length (or squared length) L <= 0 at t."""
+    return DomainCollapsedError(f"motion collapsed: its length reads nonpositive at "
+                                f"t={float(_first(t, L <= 0.0))}, below its horizon t={m._horizon}")
+
+
 # Each kinematics body reads one time t with ``xp = math``, or a 1-D array of
-# times with ``xp = numpy``, that the rule accepted.  Its length-sign guard only
-# meets roundoff just below the horizon, before a sqrt or a division fails.
+# times with ``xp = numpy``, that the rule accepted.  Its length-sign guard
+# meets roundoff just below the horizon, before a sqrt or a division fails;
+# every family's guard fires at the float next below some motions' horizon.
 def _separable_kinematics(m: SeparableMotion, t, xp=math):
     Lsq = m.a * t * t + 2.0 * m.b * t + m.L0 ** 2
     if (Lsq if xp is math else Lsq.min(initial=math.inf)) <= 0.0:
-        raise DomainCollapsedError(f"interval length vanished at t={_first(t, Lsq <= 0.0)}")
+        raise _collapsed(m, t, Lsq)
     L = xp.sqrt(Lsq)
     Ldot = (m.a * t + m.b) / L
     Lddot = m.gamma0 / L ** 3
@@ -424,9 +431,8 @@ def _separable_kinematics(m: SeparableMotion, t, xp=math):
         A = -g1 * L / (rho * rho) + c * t + d
         Adot = -g1 / (rho * L) + c
     else:
-        beta = m.b ** 2 - m.a * m.L0 ** 2  # -gamma0
-        A = -g1 * L / beta + c * t + d
-        Adot = -g1 * (m.a * t + m.b) / (beta * L) + c
+        A = g1 * L / m.gamma0 + c * t + d
+        Adot = g1 * (m.a * t + m.b) / (m.gamma0 * L) + c
     Addot = g1 / L ** 3
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
@@ -441,8 +447,7 @@ def _critical_kinematics(m: CriticalMotion, t, xp=math):
     eta = m.eta
     L = 2.0 * _critical_half_length(m, t, xp)
     if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
-        raise DomainCollapsedError(f"critical motion collapsed at or before t="
-                                   f"{_first(t, L <= 0.0)}; increase L0_offset")
+        raise _collapsed(m, t, L)
     Ldot = 2.0 * (cs - m.alpha / (1.0 + t) - eta.derivative(t, 1))
     Lddot = 2.0 * (m.alpha / (1.0 + t) ** 2 - eta.derivative(t, 2))
     return MotionState(t, L, Ldot, Lddot, -0.5 * L, -0.5 * Ldot, -0.5 * Lddot)
@@ -481,7 +486,7 @@ def _tabulated_kinematics(m: TabulatedMotion, t, xp=math):
     cA, cL, s = _spline_piece(m, t, xp)
     L, Ldot, Lddot = _cubic_read(cL, s)
     if (L if xp is math else L.min(initial=math.inf)) <= 0.0:
-        raise DomainCollapsedError(f"tabulated length is non-positive at t={_first(t, L <= 0.0)}")
+        raise _collapsed(m, t, L)
     A, Adot, Addot = _cubic_read(cA, s)
     return MotionState(t, L, Ldot, Lddot, A, Adot, Addot)
 
@@ -544,11 +549,13 @@ def time_integral(integrand, t_from: float, t_to: float) -> float:
     return val
 
 
-def _quadrature_rescale(motion: BoundaryMotion, t: float) -> float:
-    """s(t) by ``time_integral``, independent of the per-case closed forms."""
+def _quadrature_rescale(motion: BoundaryMotion, t: float, t_from: float = 0.0) -> float:
+    """s(t) - s(t_from) by ``time_integral``, independent of the per-case closed
+    forms: the one quadrature of s, for ``time_rescale``'s critical and
+    tabulated motions, the generic series route and the barriers' steps."""
     L0sq = motion.L0 ** 2
-    state = _kinematics_on(motion, 0.0, t)
-    return time_integral(lambda z: L0sq / state(z).L ** 2, 0.0, t)
+    state = _kinematics_on(motion, t_from, t)
+    return time_integral(lambda z: L0sq / state(z).L ** 2, t_from, t)
 
 
 def time_rescale(motion: BoundaryMotion, t: float) -> float:
@@ -577,7 +584,7 @@ def time_rescale(motion: BoundaryMotion, t: float) -> float:
             sq = math.sqrt(motion.gamma0)
             return (L0sq / sq) * (math.atan((a * t + b) / sq) - math.atan(b / sq))
         # QUAD_NEG: partial fractions around the real roots of L^2.
-        sb = math.sqrt(b * b - a * L0sq)
+        sb = math.sqrt(-motion.gamma0)
         ratio = ((a * t + b - sb) * (b + sb)) / ((b - sb) * (a * t + b + sb))
         return (L0sq / (2.0 * sb)) * math.log(abs(ratio))
     return _quadrature_rescale(motion, t)
@@ -591,12 +598,11 @@ def _separable_horizon(m: SeparableMotion) -> float:
         return -L0sq / (2.0 * b)
     if m.case_kind is CaseKind.LINEAR_LENGTH:
         # L = L0 + (b/L0) t: gamma0 is roundoff, of either sign, so the
-        # discriminant below cannot decide; a shrinking law ends at L0/|slope|.
+        # sign test below cannot decide; a shrinking law ends at L0/|slope|.
         return -b / a if b < 0.0 else math.inf
-    disc = b * b - a * L0sq
-    if disc < 0.0:
+    if m.gamma0 > 0.0:
         return math.inf  # gamma0 > 0 forces a > 0, so L^2 never vanishes
-    sq = math.sqrt(disc)
+    sq = math.sqrt(-m.gamma0)
     roots = sorted(((-b - sq) / a, (-b + sq) / a))
     positive = [r for r in roots if r > 0.0]
     return positive[0] if positive else math.inf

@@ -110,6 +110,18 @@ class TestExactCommand:
         assert not (tmp_path / "partial.csv").exists()
         assert not (tmp_path / "partial.json").exists()
 
+    def test_roundoff_below_the_horizon_is_a_numeric_failure(self, tmp_path, capsys):
+        # L^2 = t^2 - 4t + 1 still rounds to <= 0 at the float below its first
+        # root, which the time rule accepts: the kinematics guard refuses it.
+        rc = main(["exact", "--family", "quad", "--D", "1", "--f0", "1", "--L0", "1",
+                   "--a", "1", "--b", "-2", "--times", "0.26794919243112275",
+                   "--out", "guard"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: motion collapsed: its length reads nonpositive at "
+            "t=0.26794919243112275, below its horizon t=0.2679491924311228\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_symmetric_linear_law_is_centred(self, tmp_path):
         # a L0^2 - b^2 rounds to a nonzero gamma0 here; the interval must
         # still be [-L/2, L/2], which at t = 1 is [-0.9, 0.9].

@@ -53,6 +53,21 @@ class TestExpansion:
             else:
                 assert abs(sol.coeffs[n - 1]) < 1e-12
 
+    def test_callable_and_node_values_expand_alike(self, physics):
+        # Both builders hand u0 to transform_ic, which takes a callable of the
+        # nodes or the values at them.
+        u0 = lambda xi: xi * (1.0 - xi) * np.exp(xi)
+        motion = SeparableMotion(physics, 1.0, 2.0, 1.0, gamma1=0.4, c=0.2)
+        sol = build_series(motion, u0, grid_size=64, num_modes=8)
+        again = build_series(motion, u0(sol.eigen.grid), grid_size=64, num_modes=8)
+        np.testing.assert_array_equal(again.coeffs, sol.coeffs)
+        bounds = [envelope_bounds_general(motion, data, -4.0, -2.0, 0.0, 0.5, 1.0,
+                                          grid_size=64, num_modes=8)
+                  for data in (u0, u0(np.linspace(0.0, 1.0, 65)))]
+        for by_callable, by_values in zip(*bounds):
+            np.testing.assert_array_equal(by_values.coeffs, by_callable.coeffs)
+            np.testing.assert_array_equal(by_values.eigen.sigmas, by_callable.eigen.sigmas)
+
     def test_initial_data_must_vanish_at_endpoints(self, physics):
         motion = SeparableMotion.fixed_length(physics, 1.0)
         xi = np.linspace(0.0, 1.0, 33)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import types
 import warnings
 
@@ -446,6 +447,31 @@ def test_every_family_refuses_past_the_horizon_in_one_message(physics, build, t)
         with pytest.raises(DomainCollapsedError, match=f"^motion collapsed: its length "
                                                        f"vanished at t={horizon}, before t={t}$"):
             eval_motion(motion, read)
+
+
+def _wobbling_length(t):
+    return 1.0 - 0.5 * t + 0.2 * np.sin(3.0 * t)
+
+
+@pytest.mark.parametrize("build, t", [
+    (lambda ph: SeparableMotion(ph, 1.0, -2.0, 1.0), 0.26794919243112275),
+    (lambda ph: CriticalMotion(ph, alpha=3.0, L0_offset=0.1), 0.05426319651546128),
+    (lambda ph: TabulatedMotion.from_callables(ph, lambda t: -0.5 * _wobbling_length(t),
+                                               _wobbling_length, 5.0, 201), 1.6017200679269465),
+], ids=["quad-neg", "critical", "tabulated"])
+def test_kinematics_guard_refuses_the_float_below_the_horizon(physics, build, t):
+    # The time rule accepts the float next below the horizon, but the length
+    # there still rounds to <= 0: each kinematics body's own guard refuses it in
+    # one message naming the time read and the horizon, scalar and array alike.
+    motion = build(physics)
+    horizon = validity_horizon(motion)
+    assert t == math.nextafter(horizon, 0.0)
+    message = re.escape(f"motion collapsed: its length reads nonpositive at t={t}, "
+                        f"below its horizon t={horizon}")
+    for read in (t, np.array([0.5 * t, t])):
+        with pytest.raises(DomainCollapsedError, match=f"^{message}$"):
+            eval_motion(motion, read)
+    assert eval_motion(motion, 0.5 * t).L > 0.0
 
 
 class TestValidityHorizon:
